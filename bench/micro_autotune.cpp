@@ -10,10 +10,10 @@
  *  - the speedup trajectory: geomean baseline vs. autotuned speedup
  *    (tuned >= baseline per cell by construction — the loop only
  *    accepts strict simulated improvements);
- *  - per-iteration wall time: the first feedback round pays the cold
- *    cut solves, later rounds warm-start from the retained max-flow
- *    residuals and skip already-evaluated schedules, so warm rounds
- *    must be materially cheaper than the cold one.
+ *  - per-iteration wall time: the first feedback round pays the
+ *    baseline profile and decode, later rounds reuse them and skip
+ *    already-evaluated schedules, so warm rounds must be materially
+ *    cheaper than the cold one.
  *
  * Writes a flat BENCH_autotune.json for tools/bench_report and exits
  * nonzero when a gate fails.
@@ -85,7 +85,6 @@ main(int argc, char **argv)
     ArtifactCache cache;
     bool all_converged = true;
     int iterations = 0, accepted = 0, rejected = 0, improved = 0;
-    uint64_t warm_cut_reuses = 0;
     std::vector<double> base_speedups, tuned_speedups;
     std::vector<double> cold_ms, warm_ms;
     for (const Workload &w : workloads) {
@@ -110,7 +109,6 @@ main(int argc, char **argv)
             iterations += at.iterations;
             accepted += at.moves_accepted;
             rejected += at.moves_rejected;
-            warm_cut_reuses += at.warm_cut_reuses;
             if (r.mt_cycles < r.baseline_mt_cycles)
                 ++improved;
             base_speedups.push_back(
@@ -163,9 +161,8 @@ main(int argc, char **argv)
     o.num("cold_iter_ms", cold_iter_ms);
     o.num("warm_iter_ms", warm_iter_ms);
     o.num("warm_speedup", warm_speedup);
-    o.num("warm_cut_reuses", warm_cut_reuses);
     // bench_report derives its hit-rate column from this pair (the
-    // global COCO solver counters, bracketed around the matrix).
+    // global COCO cut-cache counters, bracketed around the matrix).
     o.num("coco_warm_starts",
           m.counter("coco.warm_starts").value() - warm0);
     o.num("coco_cold_rebuilds",

@@ -172,8 +172,8 @@ main(int argc, char **argv)
     }
 
     ThreadPool pool(jobs);
-    uint64_t spec_hits0 = m.counter("coco.spec_hits").value();
-    uint64_t spec_misses0 = m.counter("coco.spec_misses").value();
+    uint64_t warm0 = m.counter("coco.warm_starts").value();
+    uint64_t cold0 = m.counter("coco.cold_rebuilds").value();
     double parallel_ms = 0.0;
     std::vector<CommPlan> parallel_plans =
         runMatrix(cells, &pool, jobs, parallel_ms);
@@ -182,10 +182,10 @@ main(int argc, char **argv)
         runMatrix(cells, &pool, jobs, ms);
         parallel_ms = std::min(parallel_ms, ms);
     }
-    uint64_t spec_hits =
-        m.counter("coco.spec_hits").value() - spec_hits0;
-    uint64_t spec_misses =
-        m.counter("coco.spec_misses").value() - spec_misses0;
+    // Apply-walk cut-cache hits vs inline solves in the parallel runs.
+    uint64_t warm_starts = m.counter("coco.warm_starts").value() - warm0;
+    uint64_t cold_rebuilds =
+        m.counter("coco.cold_rebuilds").value() - cold0;
 
     // The contract: the parallel solver's plan is bit-identical to
     // the serial one, cell by cell.
@@ -211,8 +211,8 @@ main(int argc, char **argv)
     o.num("serial_wall_ms", serial_ms);
     o.num("parallel_wall_ms", parallel_ms);
     o.num("speedup", speedup);
-    o.num("spec_hits", spec_hits);
-    o.num("spec_misses", spec_misses);
+    o.num("coco_warm_starts", warm_starts);
+    o.num("coco_cold_rebuilds", cold_rebuilds);
     o.num("arena_reuse", m.counter("coco.arena_reuse").value());
     o.num("liveness_memo_hits",
           m.counter("coco.liveness_memo_hits").value());

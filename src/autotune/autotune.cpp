@@ -150,8 +150,7 @@ repartition(const AutotuneInputs &in, const PartitionFeedback &fb)
 /** COCO (or default MTCG) plan for a candidate partition. */
 bool
 planFor(const AutotuneInputs &in, const ThreadPartition &part,
-        const EdgeProfile &profile, CocoArenaCache *cache,
-        uint64_t *warm_reuses, CommPlan &plan, int &iters,
+        const EdgeProfile &profile, CommPlan &plan, int &iters,
         std::string &reject)
 {
     if (!in.use_coco) {
@@ -161,11 +160,8 @@ planFor(const AutotuneInputs &in, const ThreadPartition &part,
         CocoExec exec;
         exec.pool = in.pool;
         exec.jobs = in.coco_jobs;
-        exec.arena_cache = cache;
         CocoResult res = cocoOptimize(*in.f, *in.pdg, part, *in.cd,
                                       profile, in.coco, exec);
-        if (cache != nullptr && warm_reuses != nullptr)
-            *warm_reuses += res.warm_starts;
         plan = std::move(res.plan);
         iters = res.iterations;
     }
@@ -183,7 +179,6 @@ std::vector<Candidate>
 generateCandidates(const AutotuneInputs &in, const Working &cur,
                    const StallReport &report, const Feedback &fb,
                    const SccResult &sccs,
-                   CocoArenaCache &arena_cache, uint64_t &warm_reuses,
                    std::vector<std::vector<int>> &tried_partitions,
                    const AutotuneOptions &opts,
                    std::vector<AutotuneMove> &invalid_moves,
@@ -208,9 +203,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                          assign) != tried_partitions.end();
     };
 
-    // 1. Re-cut: same partition, stall-boosted cut costs, re-solved
-    //    through the retained arenas (MaxFlow::resolve warm starts
-    //    keyed on the stall-weight deltas).
+    // 1. Re-cut: same partition, stall-boosted cut costs.
     if (in.use_coco) {
         Candidate c;
         c.kind = "recut";
@@ -220,8 +213,8 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
         c.partition = cur.s.partition;
         EdgeProfile prof = boosted(fb.cut_boost);
         std::string reject;
-        if (planFor(in, c.partition, prof, &arena_cache, &warm_reuses,
-                    c.plan, c.plan_iters, reject)) {
+        if (planFor(in, c.partition, prof, c.plan, c.plan_iters,
+                    reject)) {
             out.push_back(std::move(c));
         } else {
             AutotuneMove m;
@@ -235,7 +228,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
     }
 
     // 2. Re-weight: feed the boosts to the partitioner, then re-place
-    //    from scratch (the partition changed, so no retained arenas).
+    //    from scratch.
     {
         PartitionFeedback pf{fb.block_boost, fb.arc_boost};
         Candidate c;
@@ -255,8 +248,8 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
             reject = "duplicate";
         } else {
             tried_partitions.push_back(c.partition.assign);
-            if (planFor(in, c.partition, *in.profile, nullptr, nullptr,
-                        c.plan, c.plan_iters, reject))
+            if (planFor(in, c.partition, *in.profile, c.plan,
+                        c.plan_iters, reject))
                 out.push_back(std::move(c));
         }
         if (!reject.empty()) {
@@ -365,8 +358,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                     if (reject.empty()) {
                         tried_partitions.push_back(c.partition.assign);
                         if (planFor(in, c.partition, *in.profile,
-                                    nullptr, nullptr, c.plan,
-                                    c.plan_iters, reject))
+                                    c.plan, c.plan_iters, reject))
                             out.push_back(std::move(c));
                     }
                     if (!reject.empty()) {
@@ -547,10 +539,6 @@ autotuneSchedule(const AutotuneInputs &in,
     Digraph g = in.pdg->asDigraph();
     SccResult sccs = computeSccs(g);
 
-    // Cross-iteration warm-start substrate for re-cut candidates
-    // (flushed whenever an accepted move changes the partition).
-    CocoArenaCache arena_cache;
-
     // Schedules already evaluated (or held): duplicates are recorded
     // but neither re-generated code for nor re-simulated, which is a
     // large share of the warm-iteration speedup.
@@ -591,8 +579,7 @@ autotuneSchedule(const AutotuneInputs &in,
         Feedback fb = deriveFeedback(in, cur.s, report);
         std::vector<AutotuneMove> invalid;
         std::vector<Candidate> cands = generateCandidates(
-            in, cur, report, fb, sccs, arena_cache,
-            result.warm_cut_reuses, tried_partitions, opts, invalid,
+            in, cur, report, fb, sccs, tried_partitions, opts, invalid,
             it);
 
         // Invalid candidates (never simulated) are recorded first —
@@ -678,12 +665,7 @@ autotuneSchedule(const AutotuneInputs &in,
             }
         }
 
-        const bool partition_changed =
-            cands[static_cast<size_t>(best)].partition.assign !=
-            cur.s.partition.assign;
         cur = std::move(evals[static_cast<size_t>(best)]);
-        if (partition_changed)
-            arena_cache.flush();
         result.final_block_boost =
             cands[static_cast<size_t>(best)].kind == "recut"
                 ? fb.cut_boost
@@ -718,7 +700,6 @@ autotuneSchedule(const AutotuneInputs &in,
         .add(static_cast<uint64_t>(result.moves_accepted));
     mr.counter("autotune.moves_rejected")
         .add(static_cast<uint64_t>(result.moves_rejected));
-    mr.counter("autotune.warm_cut_reuses").add(result.warm_cut_reuses);
     return result;
 }
 

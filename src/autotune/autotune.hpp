@@ -14,8 +14,7 @@
  *  - stall-charged queues raise the communication weight of the PDG
  *    arcs they carry (PartitionFeedback::arc_boost) and the cut cost
  *    of the blocks holding their placement points (a stall-boosted
- *    EdgeProfile re-cut through COCO, warm-started from the previous
- *    round's retained residuals via CocoArenaCache),
+ *    EdgeProfile re-cut through COCO),
  *  - boundary instructions (PDG SCCs) on the costliest queues are
  *    candidates to migrate between the pair's threads.
  *
@@ -26,8 +25,8 @@
  * no candidate qualifies or the iteration cap is hit. Candidate
  * generation and acceptance read only deterministic inputs and break
  * ties in canonical candidate order, so the tuned schedule, the move
- * log, and the trajectory are byte-identical at any job count, cache
- * state, and warm/cold max-flow setting.
+ * log, and the trajectory are byte-identical at any job count and
+ * cache state.
  */
 
 #include <cstdint>
@@ -114,9 +113,6 @@ struct AutotuneResult
     int moves_accepted = 0;
     int moves_rejected = 0;
 
-    /** Warm-started cut solves across arena-cached re-cut rounds. */
-    uint64_t warm_cut_reuses = 0;
-
     /** Loop stopped because no candidate qualified (not the cap). */
     bool converged = false;
 
@@ -141,8 +137,8 @@ struct AutotuneResult
     uint64_t mem_sync = 0;
 
     /** Execution-only: wall time of each feedback round; round 0 is
-     *  cold (baseline profiling + cold cut solves), later rounds
-     *  reuse retained residuals and skip duplicate candidates. */
+     *  cold (baseline profiling and decode), later rounds reuse
+     *  those artifacts and skip duplicate candidates. */
     std::vector<double> iter_wall_ms;
 };
 

@@ -1,7 +1,6 @@
 #include "coco/coco.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -88,47 +87,13 @@ defaultRegPoints(const Function &f, const Pdg &pdg,
 
 using ProblemKey = std::tuple<int, int, bool, Reg>; // (ts, tt, mem, r)
 
-/**
- * A flow graph retained between solves of the same problem key, the
- * warm-start substrate: as long as the topology is provably the one
- * the serial algorithm would rebuild (register graphs: the liveness
- * snapshot version matches; memory graphs: topology depends only on
- * the function), the next solve refreshes arc costs in place via
- * diffFlowGraphCosts and re-solves incrementally from the retained
- * residual instead of rebuilding from scratch.
- */
-struct RetainedGraph
-{
-    FlowGraph fg;
-
-    /** fg holds a completed build. */
-    bool built = false;
-
-    /** Liveness snapshot version the topology was built under
-     *  (register graphs only; memory topology never changes). */
-    uint64_t vlive = 0;
-
-    /** The residual encodes a completed max flow of value @c flow
-     *  (single-terminal-pair problems: register and super-pair). */
-    bool solved = false;
-    Capacity flow = 0;
-
-    /** Super-pair mode: the appended super terminals. */
-    int super_s = -1, super_t = -1;
-};
-
-/** Per-worker solving arena: retained flow graphs + builder scratch +
- *  solver, all storage reused across problems. */
+/** Per-worker solving arena: flow graph + builder scratch + solver,
+ *  all storage reused across problems. */
 struct CutArena
 {
+    FlowGraph fg;
     FlowGraphScratch scratch;
     MaxFlow mf;
-
-    /** Last-built graph per problem, for warm starts. */
-    std::map<ProblemKey, RetainedGraph> retained;
-
-    /** Scratch for diffFlowGraphCosts / MaxFlow::resolve. */
-    std::vector<ArcDelta> deltas;
 };
 
 /** Mutex-guarded free list of arenas, one checkout per in-flight
@@ -153,34 +118,6 @@ class ArenaPool
     {
         std::lock_guard<std::mutex> lock(mu_);
         free_.push_back(std::move(arena));
-    }
-
-    /**
-     * Cross-call adoption (CocoArenaCache): register graphs retained
-     * at a grown liveness version are not comparable across calls
-     * (version numbers restart at 0 and the growth history differs),
-     * so drop them; version-0 register graphs and memory graphs have
-     * topology fixed by (function, partition) and stay. All arenas
-     * sit in the free list between calls.
-     */
-    void
-    dropStaleRetained()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto &a : free_)
-            for (auto it = a->retained.begin();
-                 it != a->retained.end();)
-                if (!std::get<2>(it->first) && it->second.vlive != 0)
-                    it = a->retained.erase(it);
-                else
-                    ++it;
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        free_.clear();
     }
 
   private:
@@ -217,7 +154,7 @@ struct CutProblem
 /**
  * A solved cut, tagged with the relevant-set versions it was built
  * under. Valid for consumption only while both versions still match —
- * the determinism argument of the speculative solve phase.
+ * the reuse rule of the cut cache, serial and parallel alike.
  */
 struct CachedCut
 {
@@ -228,12 +165,11 @@ struct CachedCut
     PointList points; ///< normalized cut points (may be empty)
 
     /** Provenance payload: per-point cost over the min-cut arcs
-     *  (deterministic: the cut arc set is unique), solved graph size,
-     *  and whether this solve was warm-started (execution-only). */
+     *  (deterministic: the cut arc set is unique) and the solved
+     *  graph size. */
     std::vector<CutPointCost> breakdown;
     int graph_nodes = 0;
     int graph_arcs = 0;
-    bool warm = false;
 };
 
 /** Aggregate per-arc (point, capacity) samples into the sorted
@@ -269,17 +205,8 @@ struct CocoCounters
     Counter &arena_reuse;
     Counter &liveness_memo_hits;
     Counter &spec_rounds;
-    Counter &spec_hits;
-    Counter &spec_misses;
     Counter &warm_starts;
     Counter &cold_rebuilds;
-    Counter &relabel_global;
-
-    /** Per-call tallies (the Counter refs are process-global and
-     *  aggregate across concurrent cells; CocoResult wants this
-     *  call's share). */
-    std::atomic<uint64_t> warm_local{0};
-    std::atomic<uint64_t> cold_local{0};
 
     static CocoCounters
     resolve()
@@ -292,47 +219,34 @@ struct CocoCounters
                             m.counter("coco.arena_reuse"),
                             m.counter("coco.liveness_memo_hits"),
                             m.counter("coco.spec_rounds"),
-                            m.counter("coco.spec_hits"),
-                            m.counter("coco.spec_misses"),
                             m.counter("coco.warm_starts"),
-                            m.counter("coco.cold_rebuilds"),
-                            m.counter("coco.relabel_global")};
+                            m.counter("coco.cold_rebuilds")};
     }
 };
 
-/** Append the just-solved problem to the bench capture sink, with the
- *  network rewound to pristine residuals at its current capacities
- *  (per-pair arc removals from the multi-pair heuristic cleared). */
+/** Fill @p out from the min-cut arcs @p cut_arcs (total @p cost) of
+ *  the solved graph @p fg. */
 void
-captureProblem(CutProblemCapture *capture, const FlowGraph &fg,
-               bool is_mem, int ts, int tt, Reg r)
+recordCut(const FlowGraph &fg, const std::vector<int> &cut_arcs,
+          Capacity cost, CachedCut &out)
 {
-    if (!capture)
-        return;
-    std::lock_guard<std::mutex> lock(capture->mu);
-    capture->entries.emplace_back();
-    CutProblemCapture::Entry &e = capture->entries.back();
-    e.is_mem = is_mem;
-    e.ts = ts;
-    e.tt = tt;
-    e.r = r;
-    e.net = fg.net;
-    e.net.clearRemoved();
-    e.net.restoreResiduals();
-    e.source = fg.source;
-    e.sink = fg.sink;
-    e.pairs = fg.pairs;
+    out.cost = cost;
+    out.graph_nodes = fg.net.numNodes();
+    out.graph_arcs = fg.net.numArcs();
+    for (int a : cut_arcs) {
+        GMT_ASSERT(fg.arc_points[a].block != kNoBlock);
+        out.points.push_back(fg.arc_points[a]);
+        out.breakdown.push_back(
+            {fg.arc_points[a].block, fg.arc_points[a].pos,
+             static_cast<int64_t>(fg.net.arcCapacity(a)), 1});
+    }
+    out.points = normalize(std::move(out.points));
+    normalizeBreakdown(out.breakdown);
 }
 
-/** Min-cut for one register problem (shared by the speculative tasks
- *  and the inline apply path — identical code, identical cut).
- *  @p vlive is the version of the liveness snapshot @p live (the
- *  topology tag of the graph this solve builds or reuses). */
+/** Reset @p out to the empty (trivial, finite) cut. */
 void
-solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
-            const ThreadLiveness &live, uint64_t vlive, Reg r, int ts,
-            int tt, const CocoOptions &opts, CutArena &arena,
-            CocoCounters &c, CutProblemCapture *capture, CachedCut &out)
+clearCut(CachedCut &out)
 {
     out.finite = true;
     out.cost = 0;
@@ -340,68 +254,31 @@ solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
     out.breakdown.clear();
     out.graph_nodes = 0;
     out.graph_arcs = 0;
+}
+
+/** Build and solve the min-cut for one register problem (shared by
+ *  the speculative tasks and the inline apply path — identical code,
+ *  identical cut). */
+void
+solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
+            const ThreadLiveness &live, Reg r, int ts, int tt,
+            CutArena &arena, CocoCounters &c, CachedCut &out)
+{
+    clearCut(out);
     c.solves.add();
-    RetainedGraph &rg =
-        arena.retained[ProblemKey{ts, tt, /*is_mem=*/false, r}];
-    // Warm iff the retained topology is the one the builder would
-    // reproduce: node layout and arc structure of a register graph
-    // are a pure function of the liveness snapshot (safety and the
-    // special S/T arcs depend only on the fixed partition). Costs
-    // are refreshed by diff, so they impose no condition.
-    const bool warm = opts.warm_start && rg.built &&
-                      rg.vlive == vlive &&
-                      (rg.solved || rg.fg.trivial);
-    out.warm = warm;
-    arena.mf.setAlgorithm(opts.flow_algo);
-    uint64_t paths0 = arena.mf.stats().augmenting_paths;
-    uint64_t relabels0 = arena.mf.stats().global_relabels;
-    Capacity flow = 0;
-    if (warm) {
-        c.warm_starts.add();
-        c.warm_local.fetch_add(1, std::memory_order_relaxed);
-        if (rg.fg.trivial)
-            return;
-        diffFlowGraphCosts(in, ts, tt, rg.fg, arena.scratch,
-                           arena.deltas);
-        arena.mf.attachSolved(rg.fg.net, rg.fg.source, rg.fg.sink,
-                              rg.flow);
-        rg.solved = false; // not a valid flow while resolve repairs
-        flow = arena.mf.resolve(arena.deltas);
-        rg.solved = true;
-    } else {
-        c.cold_rebuilds.add();
-        c.cold_local.fetch_add(1, std::memory_order_relaxed);
-        buildRegisterFlowGraph(in, safety, live, r, ts, tt, rg.fg,
-                               arena.scratch);
-        rg.built = true;
-        rg.vlive = vlive;
-        rg.solved = false;
-        c.arcs.add(static_cast<uint64_t>(rg.fg.net.numArcs()));
-        if (rg.fg.trivial)
-            return;
-        arena.mf.attach(rg.fg.net);
-        flow = arena.mf.solve(rg.fg.source, rg.fg.sink);
-        rg.solved = true;
-    }
-    rg.flow = flow;
-    c.augmenting_paths.add(arena.mf.stats().augmenting_paths - paths0);
-    c.relabel_global.add(arena.mf.stats().global_relabels - relabels0);
-    out.finite = arena.mf.finite();
-    if (!out.finite)
+    FlowGraph &fg = arena.fg;
+    buildRegisterFlowGraph(in, safety, live, r, ts, tt, fg,
+                           arena.scratch);
+    c.arcs.add(static_cast<uint64_t>(fg.net.numArcs()));
+    if (fg.trivial)
         return;
-    out.cost = flow;
-    out.graph_nodes = rg.fg.net.numNodes();
-    out.graph_arcs = rg.fg.net.numArcs();
-    for (int a : arena.mf.minCutArcs()) {
-        GMT_ASSERT(rg.fg.arc_points[a].block != kNoBlock);
-        out.points.push_back(rg.fg.arc_points[a]);
-        out.breakdown.push_back(
-            {rg.fg.arc_points[a].block, rg.fg.arc_points[a].pos,
-             static_cast<int64_t>(rg.fg.net.arcCapacity(a)), 1});
-    }
-    out.points = normalize(std::move(out.points));
-    normalizeBreakdown(out.breakdown);
-    captureProblem(capture, rg.fg, /*is_mem=*/false, ts, tt, r);
+    arena.mf.attach(fg.net);
+    uint64_t paths0 = arena.mf.stats().augmenting_paths;
+    Capacity flow = arena.mf.solve(fg.source, fg.sink);
+    c.augmenting_paths.add(arena.mf.stats().augmenting_paths - paths0);
+    out.finite = arena.mf.finite();
+    if (out.finite)
+        recordCut(fg, arena.mf.minCutArcs(), flow, out);
 }
 
 /** Multi-pair (or super-pair) cut for one pair's memory problem. */
@@ -409,118 +286,25 @@ void
 solveMemCut(const FlowGraphInputs &in,
             const std::vector<std::pair<InstrId, InstrId>> &deps,
             int ts, int tt, const CocoOptions &opts, CutArena &arena,
-            CocoCounters &c, CutProblemCapture *capture, CachedCut &out)
+            CocoCounters &c, CachedCut &out)
 {
-    out.finite = true;
-    out.cost = 0;
-    out.points.clear();
-    out.breakdown.clear();
-    out.graph_nodes = 0;
-    out.graph_arcs = 0;
+    clearCut(out);
     c.solves.add();
-    RetainedGraph &rg =
-        arena.retained[ProblemKey{ts, tt, /*is_mem=*/true, kNoReg}];
-    // Memory graphs span the whole region — topology depends only on
-    // the function, never on the relevant sets — so a retained build
-    // is reusable whenever it exists (the pair list is a pure
-    // function of the fixed PDG; checked anyway, belt and braces).
-    const bool warm = opts.warm_start && rg.built &&
-                      rg.fg.pairs.size() == deps.size() &&
-                      (opts.multi_pair_memory || rg.solved);
-    out.warm = warm;
-    arena.mf.setAlgorithm(opts.flow_algo);
+    FlowGraph &fg = arena.fg;
+    buildMemoryFlowGraph(in, deps, ts, tt, fg, arena.scratch);
+    c.arcs.add(static_cast<uint64_t>(fg.net.numArcs()));
     uint64_t paths0 = arena.mf.stats().augmenting_paths;
-    uint64_t relabels0 = arena.mf.stats().global_relabels;
-    MultiCutResult cut;
-    if (warm && opts.multi_pair_memory) {
-        // The sequential heuristic re-solves with fresh terminals per
-        // pair and consumes the network via removeArc, so the warm
-        // win here is build reuse: refresh the costs that moved and
-        // rewind the residuals + removals to the pristine state.
-        c.warm_starts.add();
-        c.warm_local.fetch_add(1, std::memory_order_relaxed);
-        diffFlowGraphCosts(in, ts, tt, rg.fg, arena.scratch,
-                           arena.deltas);
-        rg.fg.net.clearRemoved();
-        for (const ArcDelta &d : arena.deltas)
-            rg.fg.net.setArcCapacity(d.arc, d.cap);
-        rg.fg.net.restoreResiduals();
-        cut = multiPairMinCut(rg.fg.net, rg.fg.pairs, opts.flow_algo,
-                              CutSide::Sink, &arena.mf);
-    } else if (warm) {
-        // Super-pair mode is one fixed-terminal problem: a true warm
-        // start from the retained residual.
-        c.warm_starts.add();
-        c.warm_local.fetch_add(1, std::memory_order_relaxed);
-        diffFlowGraphCosts(in, ts, tt, rg.fg, arena.scratch,
-                           arena.deltas);
-        arena.mf.attachSolved(rg.fg.net, rg.super_s, rg.super_t,
-                              rg.flow);
-        rg.solved = false;
-        rg.flow = arena.mf.resolve(arena.deltas);
-        rg.solved = true;
-        cut.finite = arena.mf.finite();
-        for (int a : arena.mf.minCutArcs()) {
-            cut.arcs.push_back(a);
-            cut.cost += rg.fg.net.arcCapacity(a);
-        }
-    } else {
-        c.cold_rebuilds.add();
-        c.cold_local.fetch_add(1, std::memory_order_relaxed);
-        buildMemoryFlowGraph(in, deps, ts, tt, rg.fg, arena.scratch);
-        rg.built = true;
-        rg.solved = false;
-        rg.super_s = rg.super_t = -1;
-        c.arcs.add(static_cast<uint64_t>(rg.fg.net.numArcs()));
-        if (opts.multi_pair_memory) {
-            cut = multiPairMinCut(rg.fg.net, rg.fg.pairs,
-                                  opts.flow_algo, CutSide::Sink,
-                                  &arena.mf);
-        } else {
-            cut = superPairMinCut(rg.fg.net, rg.fg.pairs,
-                                  opts.flow_algo, &arena.mf,
-                                  &rg.super_s, &rg.super_t);
-            if (rg.super_s >= 0) {
-                rg.flow = arena.mf.lastFlow();
-                rg.solved = true;
-            }
-        }
-    }
+    MultiCutResult cut =
+        opts.multi_pair_memory
+            ? multiPairMinCut(fg.net, fg.pairs, CutSide::Sink, &arena.mf)
+            : superPairMinCut(fg.net, fg.pairs, &arena.mf);
     c.augmenting_paths.add(arena.mf.stats().augmenting_paths - paths0);
-    c.relabel_global.add(arena.mf.stats().global_relabels - relabels0);
     out.finite = cut.finite;
-    if (!out.finite)
-        return;
-    out.cost = cut.cost;
-    out.graph_nodes = rg.fg.net.numNodes();
-    out.graph_arcs = rg.fg.net.numArcs();
-    for (int a : cut.arcs) {
-        out.points.push_back(rg.fg.arc_points[a]);
-        out.breakdown.push_back(
-            {rg.fg.arc_points[a].block, rg.fg.arc_points[a].pos,
-             static_cast<int64_t>(rg.fg.net.arcCapacity(a)), 1});
-    }
-    out.points = normalize(std::move(out.points));
-    normalizeBreakdown(out.breakdown);
-    captureProblem(capture, rg.fg, /*is_mem=*/true, ts, tt, kNoReg);
+    if (out.finite)
+        recordCut(fg, cut.arcs, cut.cost, out);
 }
 
 } // namespace
-
-struct CocoArenaCache::Impl
-{
-    ArenaPool pool;
-};
-
-CocoArenaCache::CocoArenaCache() : impl_(std::make_unique<Impl>()) {}
-
-CocoArenaCache::~CocoArenaCache() = default;
-
-void
-CocoArenaCache::flush()
-{
-    impl_->pool.clear();
-}
 
 CocoResult
 cocoOptimize(const Function &f, const Pdg &pdg,
@@ -562,9 +346,9 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     }
 
     // Relevant-set version counters: bumped whenever rule-2 growth
-    // actually adds a branch. A speculative cut solved under versions
-    // (vts, vtt) is byte-equivalent to the serial solve exactly while
-    // both versions still match at its place in the apply walk.
+    // actually adds a branch. A cut solved under versions (vts, vtt)
+    // is byte-equivalent to a fresh solve exactly while both versions
+    // still match at its place in the apply walk.
     std::vector<uint64_t> rel_version(nt, 0);
     auto grow = [&](int tt, const ProgramPoint &p) {
         if (growRelevantForPoint(f, cd, relevant[tt], p))
@@ -594,20 +378,14 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     // Solved-cut cache, persistent across speculation rounds and
     // repeat-until iterations (validity is version-checked, and the
     // relevant sets are monotone, so stale entries never revalidate).
+    // The serial apply walk and the speculative tasks share it: one
+    // reuse rule at any job count.
     std::map<ProblemKey, CachedCut> cut_cache;
     auto slotFor = [&](const CutProblem &p) -> CachedCut & {
         return cut_cache[ProblemKey{p.ts, p.tt, p.is_mem, p.r}];
     };
 
-    // Arenas either live for this call only or are adopted from the
-    // caller's cross-call cache (autotuner re-cuts warm-start from
-    // the previous call's retained residuals).
-    ArenaPool local_arenas;
-    ArenaPool &arenas = exec.arena_cache != nullptr
-                            ? exec.arena_cache->impl()->pool
-                            : local_arenas;
-    if (exec.arena_cache != nullptr)
-        arenas.dropStaleRetained();
+    ArenaPool arenas;
     const bool parallel = exec.pool != nullptr && exec.jobs > 1;
 
     // Flat sorted accumulators (same iteration order as the old
@@ -816,15 +594,13 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                             if (t.pp->is_mem)
                                 solveMemCut(inputs, *t.pp->deps,
                                             t.pp->ts, t.pp->tt, opts,
-                                            *arena, counters,
-                                            exec.capture, *t.slot);
+                                            *arena, counters, *t.slot);
                             else
                                 solveRegCut(inputs,
                                             *safety[t.pp->ts],
-                                            *t.live, t.vtt, t.pp->r,
-                                            t.pp->ts, t.pp->tt, opts,
-                                            *arena, counters,
-                                            exec.capture, *t.slot);
+                                            *t.live, t.pp->r,
+                                            t.pp->ts, t.pp->tt,
+                                            *arena, counters, *t.slot);
                             t.slot->vts = t.vts;
                             t.slot->vtt = t.vtt;
                             t.slot->valid = true;
@@ -854,9 +630,9 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             speculate(0);
 
         // ---- Phase 3: apply in canonical order. This walk *is* the
-        // serial algorithm; a precomputed cut is consumed only when
-        // its versions prove the serial solve would have built the
-        // identical graph, otherwise it is re-solved inline. ----
+        // serial algorithm; a cached cut is consumed only when its
+        // versions prove a fresh solve would build the identical
+        // graph, otherwise it is built and solved inline. ----
         std::vector<std::pair<RegKey, PointList>> new_reg;
         std::vector<std::pair<PairKey, PointList>> new_mem;
         std::vector<std::pair<RegKey, PlacementDecision>> new_reg_dec;
@@ -864,6 +640,31 @@ cocoOptimize(const Function &f, const Pdg &pdg,
 
         ArenaLease main_arena(arenas, counters.arena_reuse);
         CachedCut inline_cut;
+
+        // Answer problem @p p from the cache, or solve it inline. A
+        // fresh solve is cached only when @p cacheable says its
+        // inputs match the versions it is tagged with.
+        auto answer = [&](const CutProblem &p, bool cacheable,
+                          auto &&solve) -> const CachedCut & {
+            CachedCut &slot = slotFor(p);
+            if (cacheable && fresh(p)) {
+                counters.warm_starts.add();
+                ++result.warm_starts;
+                return slot;
+            }
+            counters.cold_rebuilds.add();
+            ++result.cold_rebuilds;
+            if (!cacheable) {
+                solve(inline_cut);
+                return inline_cut;
+            }
+            slot.valid = false;
+            solve(slot);
+            slot.vts = rel_version[p.ts];
+            slot.vtt = rel_version[p.tt];
+            slot.valid = true;
+            return slot;
+        };
 
         int cur_pair = -1;
         uint64_t pair_entry_vtt = 0;
@@ -895,46 +696,21 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                 PointList points;
                 const CachedCut *used_cut = nullptr;
                 if (opts.optimize_registers) {
-                    CachedCut &slot = slotFor(p);
-                    // The serial solve reads relevant[ts] and
-                    // relevant[tt] (graph) plus the pair-entry
-                    // liveness snapshot; the cached cut matches iff
-                    // all three inputs are provably unchanged.
-                    bool usable = parallel && slot.valid &&
-                                  slot.vts == rel_version[p.ts] &&
-                                  slot.vtt == rel_version[p.tt] &&
-                                  rel_version[p.tt] == pair_entry_vtt;
-                    const CachedCut *cut = nullptr;
-                    if (usable) {
-                        counters.spec_hits.add();
-                        cut = &slot;
-                    } else {
-                        if (parallel)
-                            counters.spec_misses.add();
-                        solveRegCut(inputs, *safety[p.ts], *live,
-                                    pair_entry_vtt, p.r, p.ts, p.tt,
-                                    opts, *main_arena, counters,
-                                    exec.capture, inline_cut);
-                        // An inline solve taken with an un-grown pair
-                        // (liveness version == current version) is
-                        // itself a valid cache entry for later
-                        // iterations.
-                        if (parallel &&
-                            rel_version[p.tt] == pair_entry_vtt) {
-                            slot = inline_cut;
-                            slot.vts = rel_version[p.ts];
-                            slot.vtt = rel_version[p.tt];
-                            slot.valid = true;
-                            cut = &slot;
-                        } else {
-                            cut = &inline_cut;
-                        }
-                    }
-                    GMT_ASSERT(cut->finite,
-                               "no finite register cut");
-                    result.register_cut_cost += cut->cost;
-                    points = cut->points;
-                    used_cut = cut;
+                    // The solve reads relevant[ts] and relevant[tt]
+                    // (graph) plus the pair-entry liveness snapshot;
+                    // the versions tag all three only while tt has
+                    // not grown since pair entry.
+                    const CachedCut &cut = answer(
+                        p, rel_version[p.tt] == pair_entry_vtt,
+                        [&](CachedCut &out) {
+                            solveRegCut(inputs, *safety[p.ts], *live,
+                                        p.r, p.ts, p.tt, *main_arena,
+                                        counters, out);
+                        });
+                    GMT_ASSERT(cut.finite, "no finite register cut");
+                    result.register_cut_cost += cut.cost;
+                    points = cut.points;
+                    used_cut = &cut;
                 }
                 const bool from_cut = !points.empty();
                 if (points.empty()) {
@@ -956,7 +732,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                         d.cut_cost = used_cut->cost;
                         d.graph_nodes = used_cut->graph_nodes;
                         d.graph_arcs = used_cut->graph_arcs;
-                        d.exec_warm = used_cut->warm;
                     }
                     if (from_cut) {
                         d.points = used_cut->breakdown;
@@ -982,36 +757,18 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                 PointList points;
                 const CachedCut *used_cut = nullptr;
                 if (opts.optimize_memory) {
-                    CachedCut &slot = slotFor(p);
-                    // Memory graphs read no liveness, so the pair-
-                    // entry condition drops out.
-                    bool usable = parallel && slot.valid &&
-                                  slot.vts == rel_version[p.ts] &&
-                                  slot.vtt == rel_version[p.tt];
-                    const CachedCut *cut = nullptr;
-                    if (usable) {
-                        counters.spec_hits.add();
-                        cut = &slot;
-                    } else {
-                        if (parallel)
-                            counters.spec_misses.add();
-                        solveMemCut(inputs, *p.deps, p.ts, p.tt, opts,
-                                    *main_arena, counters,
-                                    exec.capture, inline_cut);
-                        if (parallel) {
-                            slot = inline_cut;
-                            slot.vts = rel_version[p.ts];
-                            slot.vtt = rel_version[p.tt];
-                            slot.valid = true;
-                            cut = &slot;
-                        } else {
-                            cut = &inline_cut;
-                        }
-                    }
-                    GMT_ASSERT(cut->finite, "no finite memory cut");
-                    result.memory_cut_cost += cut->cost;
-                    points = cut->points;
-                    used_cut = cut;
+                    // Memory graphs read no liveness, so the versions
+                    // always tag every input.
+                    const CachedCut &cut =
+                        answer(p, true, [&](CachedCut &out) {
+                            solveMemCut(inputs, *p.deps, p.ts, p.tt,
+                                        opts, *main_arena, counters,
+                                        out);
+                        });
+                    GMT_ASSERT(cut.finite, "no finite memory cut");
+                    result.memory_cut_cost += cut.cost;
+                    points = cut.points;
+                    used_cut = &cut;
                 } else {
                     for (auto [src, _] : *p.deps) {
                         points.push_back({f.instr(src).block,
@@ -1032,7 +789,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                         d.cut_cost = used_cut->cost;
                         d.graph_nodes = used_cut->graph_nodes;
                         d.graph_arcs = used_cut->graph_arcs;
-                        d.exec_warm = used_cut->warm;
                         d.points = used_cut->breakdown;
                     } else {
                         for (const auto &pt : points)
@@ -1133,10 +889,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         result.plan.placements.push_back(
             {CommKind::MemorySync, kNoReg, ts, tt, points});
     }
-    result.warm_starts =
-        counters.warm_local.load(std::memory_order_relaxed);
-    result.cold_rebuilds =
-        counters.cold_local.load(std::memory_order_relaxed);
     return result;
 }
 

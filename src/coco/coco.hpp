@@ -11,9 +11,7 @@
  * converges (guaranteed: relevant sets only grow).
  */
 
-#include <memory>
-#include <mutex>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/edge_profile.hpp"
@@ -32,9 +30,6 @@ class TraceCollector;
 /** COCO configuration (ablation switches included). */
 struct CocoOptions
 {
-    /** Single-pair max-flow algorithm (paper uses Edmonds-Karp). */
-    FlowAlgorithm flow_algo = FlowAlgorithm::EdmondsKarp;
-
     /** §3.1.2 control-flow penalties on arc costs. */
     bool control_flow_penalties = true;
 
@@ -50,88 +45,8 @@ struct CocoOptions
      */
     bool multi_pair_memory = true;
 
-    /**
-     * Warm-start repeated cut problems: each worker arena retains the
-     * last-built flow graph per (pair class, thread pair) and, when
-     * the topology is provably unchanged (same liveness snapshot
-     * version for register graphs; memory graph topology is fixed by
-     * the function), refreshes only the arc costs that moved and
-     * re-solves incrementally from the retained residual
-     * (MaxFlow::resolve) instead of rebuilding and solving from zero.
-     * Plans are byte-identical either way — source/sink-side min cuts
-     * are unique across max flows, and debug builds cross-check every
-     * warm solve against a cold Edmonds-Karp run. Ablation switch
-     * only.
-     */
-    bool warm_start = true;
-
     /** Safety valve for the repeat-until loop. */
     int max_iterations = 16;
-};
-
-/**
- * Optional capture sink for the cut problems COCO actually solves:
- * each solved problem's network (pristine residuals, post-refresh
- * capacities), terminals, and identity are appended. Consumed by
- * bench/micro_mincut to sweep solver algorithms and warm-start chains
- * over real problem traces rather than synthetic networks. Capture
- * from a serial run (jobs <= 1) for a deterministic entry order.
- */
-struct CutProblemCapture
-{
-    struct Entry
-    {
-        bool is_mem = false;
-        int ts = 0, tt = 0;
-        Reg r = kNoReg;
-
-        /** The network as solved, rewound to pristine residuals. */
-        FlowNetwork net{0};
-
-        /** Register problems: terminals. */
-        int source = -1, sink = -1;
-
-        /** Memory problems: per-dependence terminal pairs. */
-        std::vector<std::pair<int, int>> pairs;
-    };
-
-    std::mutex mu;
-    std::vector<Entry> entries;
-};
-
-/**
- * Opaque handle to COCO's worker arenas (retained flow graphs +
- * max-flow residuals) that survives across cocoOptimize calls, so a
- * re-cut of the *same partition* with shifted arc costs (the
- * autotuner's stall-boosted profiles) warm-starts from the previous
- * call's residuals via MaxFlow::resolve instead of solving from zero.
- *
- * Soundness contract: retained graph topology depends on the function
- * and the partition (memory graphs: the cross-thread dependence pair
- * list; register graphs: the version-0 relevant-branch sets). The
- * cache is therefore only valid across calls that share both — the
- * owner must flush() whenever the partition changes. Register graphs
- * retained at a grown liveness version are dropped automatically on
- * the next adoption (version numbers are not comparable across
- * calls). Plans stay byte-identical warm or cold (min cuts are
- * unique; debug builds cross-check).
- */
-class CocoArenaCache
-{
-  public:
-    CocoArenaCache();
-    ~CocoArenaCache();
-    CocoArenaCache(const CocoArenaCache &) = delete;
-    CocoArenaCache &operator=(const CocoArenaCache &) = delete;
-
-    /** Drop every retained graph (call on partition change). */
-    void flush();
-
-    struct Impl;
-    Impl *impl() const { return impl_.get(); }
-
-  private:
-    std::unique_ptr<Impl> impl_;
 };
 
 /**
@@ -152,22 +67,13 @@ struct CocoExec
     /** Optional Chrome-trace collector for per-solve spans. */
     TraceCollector *trace = nullptr;
 
-    /** Optional cut-problem capture sink (bench/micro_mincut). */
-    CutProblemCapture *capture = nullptr;
-
     /**
      * Optional decision-provenance sink: per-placement rule,
      * Algorithm-2 iteration, cut problem id, and arc-cost breakdown,
      * recorded exclusively on the serial apply walk — identical at
-     * any job count and warm or cold (the min cut is unique).
+     * any job count (the min cut is unique).
      */
     PlacementProvenance *provenance = nullptr;
-
-    /**
-     * Optional cross-call arena cache (see CocoArenaCache). Null =
-     * arenas are local to the call (no cross-call warm starts).
-     */
-    CocoArenaCache *arena_cache = nullptr;
 };
 
 /** Result of the optimizer. */
@@ -184,11 +90,15 @@ struct CocoResult
     /** Total multi-cut cost over all memory cuts. */
     Capacity memory_cut_cost = 0;
 
-    /** Warm-started solves in *this call* (global coco.* counters
-     *  aggregate across concurrent cells; these do not). */
+    /**
+     * Cut problems the apply walk answered from the version-tagged
+     * cut cache in *this call* (global coco.* counters aggregate
+     * across concurrent cells; these do not).
+     */
     uint64_t warm_starts = 0;
 
-    /** Cold builds/rebuilds in this call. */
+    /** Cut problems the apply walk built and solved in this call.
+     *  warm_starts + cold_rebuilds = cut problems answered. */
     uint64_t cold_rebuilds = 0;
 };
 

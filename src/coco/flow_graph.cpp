@@ -155,21 +155,10 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
             return kInfCapacity; // Property 2
         return base + gb.penaltyFor(b);
     };
-    // Cost record for diffFlowGraphCosts: safety is fixed for the
-    // whole cocoOptimize call (it reads only the partition), so an
-    // unsafe point is pinned; a safe point's cost is re-derivable
-    // from (block, base) alone.
-    auto costRec = [&](BlockId b, int pos, Capacity base) -> ArcCost {
-        if (!point_safe[b][pos])
-            return ArcCost{};
-        return ArcCost{b, base};
-    };
-    auto addArc = [&](int u, int v, Capacity cost, ProgramPoint p,
-                      ArcCost rec) {
+    auto addArc = [&](int u, int v, Capacity cost, ProgramPoint p) {
         int a = net.addArc(u, v, cost);
         GMT_ASSERT(static_cast<int>(out.arc_points.size()) == a);
         out.arc_points.push_back(p);
-        out.arc_cost.push_back(rec);
     };
 
     // Chain arcs within blocks.
@@ -179,8 +168,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
         if (entry_node[b] != -1 && !instrs.empty() &&
             instr_node[b][0] != -1 && point_live[b][0]) {
             addArc(entry_node[b], instr_node[b][0],
-                   pointCost(b, 0, bw), ProgramPoint{b, 0},
-                   costRec(b, 0, bw));
+                   pointCost(b, 0, bw), ProgramPoint{b, 0});
         }
         for (size_t pos = 0; pos + 1 < instrs.size(); ++pos) {
             if (instr_node[b][pos] != -1 &&
@@ -188,8 +176,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
                 point_live[b][pos + 1]) {
                 addArc(instr_node[b][pos], instr_node[b][pos + 1],
                        pointCost(b, static_cast<int>(pos) + 1, bw),
-                       ProgramPoint{b, static_cast<int>(pos) + 1},
-                       costRec(b, static_cast<int>(pos) + 1, bw));
+                       ProgramPoint{b, static_cast<int>(pos) + 1});
             }
         }
     }
@@ -217,9 +204,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
             Capacity cost = (succs.size() > 1)
                                 ? pointCost(s, 0, ew)
                                 : pointCost(b, last, ew);
-            ArcCost rec = (succs.size() > 1) ? costRec(s, 0, ew)
-                                             : costRec(b, last, ew);
-            addArc(instr_node[b][last], entry_node[s], cost, p, rec);
+            addArc(instr_node[b][last], entry_node[s], cost, p);
         }
     }
 
@@ -235,7 +220,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
             if (f.defOf(i) == r && in.partition->threadOf(i) == ts &&
                 point_live[b][pos + 1]) {
                 addArc(out.source, instr_node[b][pos], kInfCapacity,
-                       ProgramPoint{kNoBlock, -1}, ArcCost{});
+                       ProgramPoint{kNoBlock, -1});
                 have_source = true;
             }
             // Sinks: owned uses of tt, plus branches replicated into
@@ -246,7 +231,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
                     if (use == r) {
                         addArc(instr_node[b][pos], out.sink,
                                kInfCapacity,
-                               ProgramPoint{kNoBlock, -1}, ArcCost{});
+                               ProgramPoint{kNoBlock, -1});
                         have_sink = true;
                         break;
                     }
@@ -293,12 +278,10 @@ buildMemoryFlowGraph(const FlowGraphInputs &in,
             return kInfCapacity;
         return base + gb.penaltyFor(b);
     };
-    auto addArc = [&](int u, int v, Capacity cost, ProgramPoint p,
-                      ArcCost rec) {
+    auto addArc = [&](int u, int v, Capacity cost, ProgramPoint p) {
         int a = net.addArc(u, v, cost);
         GMT_ASSERT(static_cast<int>(out.arc_points.size()) == a);
         out.arc_points.push_back(p);
-        out.arc_cost.push_back(rec);
     };
 
     for (BlockId b = 0; b < f.numBlocks(); ++b) {
@@ -306,13 +289,12 @@ buildMemoryFlowGraph(const FlowGraphInputs &in,
         Capacity bw = static_cast<Capacity>(in.profile->blockWeight(b));
         if (!instrs.empty()) {
             addArc(entry_node[b], instr_node[b][0], pointCost(b, bw),
-                   ProgramPoint{b, 0}, ArcCost{b, bw});
+                   ProgramPoint{b, 0});
         }
         for (size_t pos = 0; pos + 1 < instrs.size(); ++pos) {
             addArc(instr_node[b][pos], instr_node[b][pos + 1],
                    pointCost(b, bw),
-                   ProgramPoint{b, static_cast<int>(pos) + 1},
-                   ArcCost{b, bw});
+                   ProgramPoint{b, static_cast<int>(pos) + 1});
         }
         int last = static_cast<int>(instrs.size()) - 1;
         const auto &succs = f.block(b).succs();
@@ -325,9 +307,7 @@ buildMemoryFlowGraph(const FlowGraphInputs &in,
                                  : ProgramPoint{b, last};
             Capacity cost = (succs.size() > 1) ? pointCost(s, ew)
                                                : pointCost(b, ew);
-            ArcCost rec = (succs.size() > 1) ? ArcCost{s, ew}
-                                             : ArcCost{b, ew};
-            addArc(instr_node[b][last], entry_node[s], cost, p, rec);
+            addArc(instr_node[b][last], entry_node[s], cost, p);
         }
     }
 
@@ -335,41 +315,6 @@ buildMemoryFlowGraph(const FlowGraphInputs &in,
         int sn = instr_node[f.instr(src).block][f.positionOf(src)];
         int tn = instr_node[f.instr(dst).block][f.positionOf(dst)];
         out.pairs.emplace_back(sn, tn);
-    }
-}
-
-void
-diffFlowGraphCosts(const FlowGraphInputs &in, int ts, int tt,
-                   const FlowGraph &fg, FlowGraphScratch &sc,
-                   std::vector<ArcDelta> &deltas)
-{
-    deltas.clear();
-    GraphBuilder gb(in, sc, ts, tt);
-    const Function &f = *in.f;
-
-    // Evaluate the two relevant-set-dependent cost terms once per
-    // block (the builders evaluate them once per arc).
-    sc.block_relevant_src.assign(f.numBlocks(), 0);
-    sc.block_penalty.assign(f.numBlocks(), 0);
-    for (BlockId b = 0; b < f.numBlocks(); ++b) {
-        sc.block_relevant_src[b] = gb.relevantToSource(b) ? 1 : 0;
-        if (sc.block_relevant_src[b])
-            sc.block_penalty[b] = gb.penaltyFor(b);
-    }
-
-    // Compare against the capacities the network currently stores:
-    // no version bookkeeping needed for costs — the stored capacity
-    // *is* the last-applied cost, whatever relevant-set state
-    // produced it.
-    for (int a = 0; a < static_cast<int>(fg.arc_cost.size()); ++a) {
-        const ArcCost &c = fg.arc_cost[a];
-        if (c.block == kNoBlock)
-            continue; // pinned: special S/T arc or unsafe point
-        Capacity cost = sc.block_relevant_src[c.block]
-                            ? c.base + sc.block_penalty[c.block]
-                            : kInfCapacity;
-        if (cost != fg.net.arcCapacity(a))
-            deltas.push_back({a, cost, false});
     }
 }
 

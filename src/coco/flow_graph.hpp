@@ -34,23 +34,6 @@
 namespace gmt
 {
 
-/**
- * How one arc's capacity was derived, recorded at build time so a
- * retained graph's costs can be re-derived without rebuilding its
- * topology (diffFlowGraphCosts). @c block == kNoBlock pins the arc:
- * its cost can never change across Algorithm 2 iterations (special
- * S/T arcs, and register points that fail Safety — the safety
- * analysis depends only on the partition). Every other arc's cost is
- * a pure function of (block, base) and the *current* relevant-branch
- * sets: infinite while the block is irrelevant to the source thread,
- * else base plus the §3.1.2 penalty of the block.
- */
-struct ArcCost
-{
-    BlockId block = kNoBlock;
-    Capacity base = 0;
-};
-
 /** A built flow graph plus the arc -> program-point mapping. */
 struct FlowGraph
 {
@@ -67,9 +50,6 @@ struct FlowGraph
      *  map to {kNoBlock, -1}. */
     std::vector<ProgramPoint> arc_points;
 
-    /** arc id -> cost derivation, for incremental cost refresh. */
-    std::vector<ArcCost> arc_cost;
-
     /** True if there was nothing to build (no defs or no uses). */
     bool trivial = false;
 
@@ -82,7 +62,6 @@ struct FlowGraph
         sink = -1;
         pairs.clear();
         arc_points.clear();
-        arc_cost.clear();
         trivial = false;
     }
 };
@@ -124,10 +103,6 @@ struct FlowGraphScratch
 
     /** Fallback for FlowGraphInputs::trans_deps == nullptr. */
     std::vector<std::vector<BlockId>> local_trans_deps;
-
-    /** Per-block cost terms, used by diffFlowGraphCosts(). */
-    std::vector<char> block_relevant_src;
-    std::vector<Capacity> block_penalty;
 };
 
 /**
@@ -151,23 +126,6 @@ void buildMemoryFlowGraph(
     const FlowGraphInputs &in,
     const std::vector<std::pair<InstrId, InstrId>> &dep_pairs, int ts,
     int tt, FlowGraph &out, FlowGraphScratch &scratch);
-
-/**
- * Diff mode for retained graphs: recompute every non-pinned arc cost
- * of @p fg from the *current* relevant-branch sets in @p in (via the
- * ArcCost records written at build time) and emit one ArcDelta per
- * arc whose cost differs from the capacity currently stored in the
- * network. The graph's topology must be known-unchanged by the
- * caller (register graphs: same liveness snapshot version; memory
- * graphs: topology is fixed by the function) — this routine only
- * refreshes costs. Together with the fact that relevant sets grow
- * monotonically (costs only ever move from infinite to finite or
- * shrink their penalty term), the deltas feed MaxFlow::resolve()
- * without invalidating the retained residual.
- */
-void diffFlowGraphCosts(const FlowGraphInputs &in, int ts, int tt,
-                        const FlowGraph &fg, FlowGraphScratch &scratch,
-                        std::vector<ArcDelta> &deltas);
 
 } // namespace gmt
 

@@ -91,7 +91,6 @@ planKey(const PipelineContext &ctx)
         return key + "|mtcg-default";
     const CocoOptions &c = ctx.opts.coco;
     key += "|coco";
-    key += "|flow=" + std::to_string(static_cast<int>(c.flow_algo));
     key += c.control_flow_penalties ? "|cfp=1" : "|cfp=0";
     key += c.optimize_registers ? "|reg=1" : "|reg=0";
     key += c.optimize_memory ? "|mem=1" : "|mem=0";
@@ -939,8 +938,6 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
     ps.add("moves_accepted", r.moves_accepted);
     ps.add("moves_rejected", r.moves_rejected);
     ps.add("converged", r.converged ? 1 : 0);
-    ps.add("warm_cut_reuses",
-           static_cast<int64_t>(r.warm_cut_reuses));
     ps.add("baseline_cycles",
            static_cast<int64_t>(r.baseline_cycles));
     ps.add("tuned_cycles", static_cast<int64_t>(s.cycles));

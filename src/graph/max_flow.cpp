@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <queue>
 
 #include "support/error.hpp"
 
@@ -65,28 +64,13 @@ void
 FlowNetwork::removeArc(int arc)
 {
     GMT_ASSERT(arc >= 0 && arc < numArcs());
-    // The original capacity survives removal so restoreResiduals()
-    // after clearRemoved() can rewind the network to its built state;
     // minCutArcs() must still report arcs whose original capacity is
     // zero (a zero profile weight does not make a program point
-    // impossible, only free to cut), so removal is a separate flag.
+    // impossible, only free to cut), so removal is a separate flag
+    // rather than a zero capacity.
     removed_[arc] = 1;
     arcs_[2 * arc].residual = 0;
     arcs_[2 * arc + 1].residual = 0;
-}
-
-void
-FlowNetwork::clearRemoved()
-{
-    std::fill(removed_.begin(), removed_.end(), 0);
-}
-
-void
-FlowNetwork::setArcCapacity(int arc, Capacity cap)
-{
-    GMT_ASSERT(arc >= 0 && arc < numArcs());
-    GMT_ASSERT(cap >= 0);
-    original_cap_[arc] = cap;
 }
 
 void
@@ -98,12 +82,9 @@ FlowNetwork::restoreResiduals()
     }
 }
 
-MaxFlow::MaxFlow(FlowNetwork &net, FlowAlgorithm algo)
-    : net_(&net), algo_(algo)
-{
-}
+MaxFlow::MaxFlow(FlowNetwork &net) : net_(&net) {}
 
-MaxFlow::MaxFlow(FlowAlgorithm algo) : net_(nullptr), algo_(algo) {}
+MaxFlow::MaxFlow() : net_(nullptr) {}
 
 void
 MaxFlow::attach(FlowNetwork &net)
@@ -115,37 +96,11 @@ MaxFlow::attach(FlowNetwork &net)
 }
 
 void
-MaxFlow::attachSolved(FlowNetwork &net, int s, int t, Capacity flow)
-{
-    GMT_ASSERT(s != t);
-    net_ = &net;
-    last_s_ = s;
-    last_t_ = t;
-    last_flow_ = flow;
-}
-
-void
 MaxFlow::reset()
 {
     net_->restoreResiduals();
     last_s_ = -1;
     last_flow_ = 0;
-}
-
-Capacity
-MaxFlow::runAlgorithm(int s, int t)
-{
-    switch (algo_) {
-      case FlowAlgorithm::EdmondsKarp:
-        return solveEdmondsKarp(s, t);
-      case FlowAlgorithm::Dinic:
-        return solveDinic(s, t, /*reverse_levels=*/false);
-      case FlowAlgorithm::DinicPruned:
-        return solveDinic(s, t, /*reverse_levels=*/true);
-      case FlowAlgorithm::PushRelabel:
-        return solvePushRelabel(s, t);
-    }
-    panic("unknown flow algorithm");
 }
 
 Capacity
@@ -155,107 +110,6 @@ MaxFlow::solve(int s, int t)
     GMT_ASSERT(s != t);
     last_s_ = s;
     last_t_ = t;
-    runAlgorithm(s, t);
-    // Derive the value from the residual state rather than the
-    // algorithm's push count: identical across cold solves, repeated
-    // solves on a dirty residual, and warm resolves.
-    last_flow_ = currentFlowValue(s);
-#if !defined(NDEBUG) || defined(GMT_FLOW_CROSSCHECK)
-    // Differential for every fast path: the source-side (and
-    // sink-side) minimum cut of a network is unique across maximum
-    // flows, so any correct solver must report exactly the reference
-    // algorithm's cut.
-    if (algo_ != FlowAlgorithm::EdmondsKarp)
-        crosscheckAgainstReference("solve");
-#endif
-    return last_flow_;
-}
-
-Capacity
-MaxFlow::resolve(const std::vector<ArcDelta> &deltas)
-{
-    GMT_ASSERT(net_, "resolve() on a detached MaxFlow");
-    GMT_ASSERT(last_s_ >= 0,
-               "resolve() requires a previously solved network");
-    const int s = last_s_;
-    const int t = last_t_;
-    ++stats_.warm_resolves;
-    auto &arcs = net_->arcs_;
-    for (const ArcDelta &d : deltas) {
-        GMT_ASSERT(d.arc >= 0 && d.arc < net_->numArcs());
-        Capacity cap = d.remove ? 0 : d.cap;
-        GMT_ASSERT(cap >= 0);
-        if (d.remove) {
-            net_->removed_[d.arc] = 1;
-        } else {
-            net_->removed_[d.arc] = 0;
-            net_->original_cap_[d.arc] = d.cap;
-        }
-        int fwd = 2 * d.arc;
-        Capacity flow = arcs[fwd + 1].residual;
-        if (cap >= flow) {
-            // Widened (or unchanged): keep the carried flow, grow the
-            // forward residual. The old flow stays feasible and the
-            // re-augmentation below picks up any new headroom.
-            arcs[fwd].residual = cap - flow;
-            continue;
-        }
-        // Shrunk below the carried flow: clamp the arc to its new
-        // capacity. That leaves a conservation surplus at the tail
-        // and an equal deficit at the head, repaired by residual
-        // pushes (path pushes only disturb balance at their
-        // endpoints).
-        Capacity surplus = flow - cap;
-        arcs[fwd].residual = 0;
-        arcs[fwd + 1].residual = cap;
-        int u = net_->tails_[fwd];
-        int v = arcs[fwd].to;
-        // Reroute tail -> head through the rest of the residual graph
-        // first. This also cancels flow cycles through the arc (a
-        // cycle's remainder is exactly a residual u -> v path), which
-        // the terminal-bound decomposition walks below cannot reach;
-        // once these paths are saturated, every remaining surplus
-        // unit lies on a terminal-to-terminal flow path.
-        Capacity rerouted = augmentLimited(u, v, surplus);
-        Capacity remainder = surplus - rerouted;
-        if (remainder == 0)
-            continue;
-        // Cancel the remainder by flow decomposition: walk the
-        // surplus back along the flow that fed the tail and the
-        // deficit forward along the flow the head used to feed (both
-        // are residual paths, reverses of flow paths). Terminals are
-        // conservation-exempt, so a terminal endpoint needs no walk;
-        // flow originating at t or terminating at s (legal in
-        // arbitrary networks) is covered by the opposite-terminal
-        // fallback.
-        if (u != s && u != t) {
-            Capacity drained = augmentLimited(u, s, remainder);
-            if (drained < remainder)
-                drained += augmentLimited(u, t, remainder - drained);
-            GMT_ASSERT(drained == remainder,
-                       "incremental repair: surplus drain failed");
-        }
-        if (v != s && v != t) {
-            Capacity filled = augmentLimited(t, v, remainder);
-            if (filled < remainder)
-                filled += augmentLimited(s, v, remainder - filled);
-            GMT_ASSERT(filled == remainder,
-                       "incremental repair: deficit refill failed");
-        }
-    }
-    // The repaired flow is feasible; push the rest of the way to max
-    // with the configured algorithm.
-    runAlgorithm(s, t);
-    last_flow_ = currentFlowValue(s);
-#if !defined(NDEBUG) || defined(GMT_FLOW_CROSSCHECK)
-    crosscheckAgainstReference("resolve");
-#endif
-    return last_flow_;
-}
-
-Capacity
-MaxFlow::solveEdmondsKarp(int s, int t)
-{
     auto &arcs = net_->arcs_;
     Capacity total = 0;
     pred_arc_.assign(net_->numNodes(), -1);
@@ -293,376 +147,8 @@ MaxFlow::solveEdmondsKarp(int s, int t)
         total += bottleneck;
         ++stats_.augmenting_paths;
     }
+    last_flow_ = total;
     return total;
-}
-
-Capacity
-MaxFlow::augmentLimited(int from, int to, Capacity limit)
-{
-    if (limit <= 0 || from == to)
-        return 0;
-    auto &arcs = net_->arcs_;
-    Capacity pushed = 0;
-    pred_arc_.assign(net_->numNodes(), -1);
-    while (pushed < limit) {
-        std::fill(pred_arc_.begin(), pred_arc_.end(), -1);
-        pred_arc_[from] = -2;
-        std::deque<int> queue{from};
-        while (!queue.empty() && pred_arc_[to] == -1) {
-            int u = queue.front();
-            queue.pop_front();
-            for (int a : net_->first_out_[u]) {
-                int v = arcs[a].to;
-                if (pred_arc_[v] == -1 && arcs[a].residual > 0) {
-                    pred_arc_[v] = a;
-                    queue.push_back(v);
-                }
-            }
-        }
-        if (pred_arc_[to] == -1)
-            break;
-        Capacity bottleneck = limit - pushed;
-        for (int v = to; v != from;) {
-            int a = pred_arc_[v];
-            bottleneck = std::min(bottleneck, arcs[a].residual);
-            v = arcs[a ^ 1].to;
-        }
-        for (int v = to; v != from;) {
-            int a = pred_arc_[v];
-            arcs[a].residual -= bottleneck;
-            arcs[a ^ 1].residual += bottleneck;
-            v = arcs[a ^ 1].to;
-        }
-        pushed += bottleneck;
-        ++stats_.augmenting_paths;
-    }
-    return pushed;
-}
-
-Capacity
-MaxFlow::currentFlowValue(int s) const
-{
-    // Net outflow at s. The backward internal arc of every external
-    // arc started at zero residual, so its residual is exactly the
-    // flow the arc carries: even internal ids leaving s are forward
-    // arcs (flow out of s), odd ids are the reverses of arcs into s.
-    Capacity total = 0;
-    for (int b : net_->first_out_[s]) {
-        if ((b & 1) == 0)
-            total += net_->arcs_[b ^ 1].residual;
-        else
-            total -= net_->arcs_[b].residual;
-    }
-    return total;
-}
-
-Capacity
-MaxFlow::solveDinic(int s, int t, bool reverse_levels)
-{
-    auto &arcs = net_->arcs_;
-    const int n = net_->numNodes();
-    level_.assign(n, -1);
-    iter_.assign(n, 0);
-
-    // Forward levels: BFS distance from s over residual arcs; an
-    // admissible step increases the level. Reverse levels (the pruned
-    // fast path): BFS distance *to* t over residual arcs, walked
-    // backwards from t; an admissible step decreases the level, and
-    // any node that cannot reach t never gets a level at all — the
-    // blocking-flow DFS cannot wander into dead subgraphs the plain
-    // forward levelling still explores and retreats from.
-    auto bfs = [&]() -> bool {
-        std::fill(level_.begin(), level_.end(), -1);
-        if (reverse_levels) {
-            level_[t] = 0;
-            std::deque<int> queue{t};
-            while (!queue.empty()) {
-                int x = queue.front();
-                queue.pop_front();
-                // Arc y -> x has residual iff partner b^1 of the
-                // internal arc b = x -> y carries residual capacity.
-                for (int b : net_->first_out_[x]) {
-                    int y = arcs[b].to;
-                    if (level_[y] == -1 && arcs[b ^ 1].residual > 0) {
-                        level_[y] = level_[x] + 1;
-                        queue.push_back(y);
-                    }
-                }
-            }
-            return level_[s] != -1;
-        }
-        level_[s] = 0;
-        std::deque<int> queue{s};
-        while (!queue.empty()) {
-            int u = queue.front();
-            queue.pop_front();
-            for (int a : net_->first_out_[u]) {
-                int v = arcs[a].to;
-                if (level_[v] == -1 && arcs[a].residual > 0) {
-                    level_[v] = level_[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        return level_[t] != -1;
-    };
-
-    auto admissible = [&](int u, int v) {
-        return reverse_levels ? level_[u] == level_[v] + 1 &&
-                                    level_[u] != -1 && level_[v] != -1
-                              : level_[v] == level_[u] + 1;
-    };
-
-    // Iterative blocking-flow DFS.
-    Capacity total = 0;
-    path_.clear(); // internal arc ids along current path
-    while (bfs()) {
-        std::fill(iter_.begin(), iter_.end(), 0);
-        path_.clear();
-        int u = s;
-        while (true) {
-            if (u == t) {
-                Capacity bottleneck =
-                    std::numeric_limits<Capacity>::max();
-                for (int a : path_)
-                    bottleneck =
-                        std::min(bottleneck, arcs[a].residual);
-                for (int a : path_) {
-                    arcs[a].residual -= bottleneck;
-                    arcs[a ^ 1].residual += bottleneck;
-                }
-                total += bottleneck;
-                ++stats_.augmenting_paths;
-                // Retreat to the first saturated arc on the path.
-                size_t keep = 0;
-                while (keep < path_.size() &&
-                       arcs[path_[keep]].residual > 0) {
-                    ++keep;
-                }
-                path_.resize(keep);
-                u = path_.empty() ? s : arcs[path_.back()].to;
-                continue;
-            }
-            bool advanced = false;
-            auto &out = net_->first_out_[u];
-            for (int &i = iter_[u]; i < static_cast<int>(out.size());
-                 ++i) {
-                int a = out[i];
-                int v = arcs[a].to;
-                if (arcs[a].residual > 0 && admissible(u, v)) {
-                    path_.push_back(a);
-                    u = v;
-                    advanced = true;
-                    break;
-                }
-            }
-            if (!advanced) {
-                level_[u] = reverse_levels ? -2 : -1; // dead end
-                if (path_.empty())
-                    break;
-                path_.pop_back();
-                u = path_.empty() ? s : arcs[path_.back()].to;
-            }
-        }
-    }
-    return total;
-}
-
-void
-MaxFlow::globalRelabel(int s, int t)
-{
-    auto &arcs = net_->arcs_;
-    const int n = net_->numNodes();
-    const int max_h = 2 * n + 1;
-    ++stats_.global_relabels;
-
-    // Exact distance-to-t by reverse BFS over residual arcs (level_
-    // doubles as the distance array).
-    level_.assign(n, -1);
-    level_[t] = 0;
-    std::deque<int> queue{t};
-    while (!queue.empty()) {
-        int x = queue.front();
-        queue.pop_front();
-        for (int b : net_->first_out_[x]) {
-            int y = arcs[b].to;
-            if (level_[y] == -1 && arcs[b ^ 1].residual > 0) {
-                level_[y] = level_[x] + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-    // Nodes cut off from t can only return their excess to s: give
-    // them n + distance-to-s (pred_arc_ doubles as that distance).
-    pred_arc_.assign(n, -1);
-    pred_arc_[s] = 0;
-    queue.push_back(s);
-    while (!queue.empty()) {
-        int x = queue.front();
-        queue.pop_front();
-        for (int b : net_->first_out_[x]) {
-            int y = arcs[b].to;
-            if (pred_arc_[y] == -1 && arcs[b ^ 1].residual > 0) {
-                pred_arc_[y] = pred_arc_[x] + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-    // Raise-only update: both the current labeling and the computed
-    // one are valid, and the pointwise max of valid labelings is
-    // valid — and never lowering a height preserves push-relabel's
-    // monotonicity (a node that once pushed into s keeps height > n
-    // even if a BFS would now give it a short distance-to-t).
-    for (int x = 0; x < n; ++x) {
-        int h;
-        if (x == s)
-            h = n;
-        else if (level_[x] >= 0)
-            h = level_[x];
-        else if (pred_arc_[x] >= 0)
-            h = n + pred_arc_[x];
-        else
-            h = max_h - 1; // reaches neither terminal: park high
-        if (h > height_[x])
-            height_[x] = h;
-    }
-    if (height_[s] < n)
-        height_[s] = n;
-
-    // Rebuild the gap counts and active buckets for the new heights.
-    height_count_.assign(max_h + 1, 0);
-    for (int x = 0; x < n; ++x)
-        ++height_count_[height_[x]];
-    if (static_cast<int>(bucket_.size()) < max_h + 1)
-        bucket_.resize(max_h + 1);
-    for (auto &b : bucket_)
-        b.clear();
-    for (int x = 0; x < n; ++x) {
-        if (x != s && x != t && excess_[x] > 0)
-            bucket_[height_[x]].push_back(x);
-    }
-}
-
-Capacity
-MaxFlow::solvePushRelabel(int s, int t)
-{
-    auto &arcs = net_->arcs_;
-    const int n = net_->numNodes();
-    const int max_h = 2 * n + 1;
-    excess_.assign(n, 0);
-    height_.assign(n, 0);
-    iter_.assign(n, 0);
-
-    // Convert the entering state (fresh residuals or a warm flow left
-    // by a previous solve) into a preflow: saturate every residual
-    // out-arc of s. Odd internal ids matter too — a warm residual can
-    // carry flow into s, whose reverse arcs also leave s.
-    for (int a : net_->first_out_[s]) {
-        int v = arcs[a].to;
-        if (v == s || arcs[a].residual <= 0)
-            continue;
-        Capacity d = arcs[a].residual;
-        arcs[a].residual = 0;
-        arcs[a ^ 1].residual += d;
-        excess_[v] += d;
-        ++stats_.augmenting_paths;
-    }
-
-    // Exact initial heights (this is why stats().global_relabels >= 1
-    // after every push-relabel solve); also builds buckets + counts.
-    globalRelabel(s, t);
-
-    // Periodic re-relabeling on a work budget: stale heights after
-    // many pushes make the highest-label rule wander.
-    uint64_t work = 0;
-    const uint64_t work_limit =
-        6ull * static_cast<uint64_t>(n) + arcs.size();
-
-    int hi = max_h;
-    while (hi >= 0) {
-        if (work > work_limit) {
-            work = 0;
-            globalRelabel(s, t);
-            hi = max_h;
-            continue;
-        }
-        if (bucket_[hi].empty()) {
-            --hi;
-            continue;
-        }
-        int u = bucket_[hi].back();
-        bucket_[hi].pop_back();
-        // Buckets hold lazy entries; skip the stale ones.
-        if (u == s || u == t || excess_[u] == 0 || height_[u] != hi)
-            continue;
-
-        // Discharge u completely: push along admissible arcs,
-        // relabel when the arc list is exhausted.
-        while (excess_[u] > 0) {
-            auto &out = net_->first_out_[u];
-            if (iter_[u] == static_cast<int>(out.size())) {
-                // Relabel: height = 1 + min over residual arcs.
-                work += out.size();
-                int min_h = max_h;
-                for (int a : out) {
-                    if (arcs[a].residual > 0)
-                        min_h = std::min(min_h, height_[arcs[a].to]);
-                }
-                GMT_ASSERT(min_h < max_h,
-                           "push-relabel height overflow");
-                int old_h = height_[u];
-                --height_count_[old_h];
-                height_[u] = min_h + 1;
-                ++height_count_[height_[u]];
-                iter_[u] = 0;
-                // Gap heuristic: an emptied height below n means no
-                // node above it can reach t any more — lift them all
-                // past n so they route their excess back to s.
-                if (old_h < n && height_count_[old_h] == 0) {
-                    ++stats_.gap_relabels;
-                    for (int x = 0; x < n; ++x) {
-                        if (x == s || x == t || height_[x] <= old_h ||
-                            height_[x] >= n) {
-                            continue;
-                        }
-                        --height_count_[height_[x]];
-                        height_[x] = n + 1;
-                        ++height_count_[n + 1];
-                        iter_[x] = 0;
-                        if (excess_[x] > 0)
-                            bucket_[n + 1].push_back(x);
-                    }
-                    if (hi < n + 1)
-                        hi = n + 1;
-                }
-                continue;
-            }
-            int a = out[iter_[u]];
-            int v = arcs[a].to;
-            if (arcs[a].residual > 0 &&
-                height_[u] == height_[v] + 1) {
-                Capacity d = std::min(excess_[u], arcs[a].residual);
-                arcs[a].residual -= d;
-                arcs[a ^ 1].residual += d;
-                excess_[u] -= d;
-                ++work;
-                ++stats_.augmenting_paths;
-                bool was_inactive = (excess_[v] == 0);
-                excess_[v] += d;
-                if (was_inactive && v != s && v != t)
-                    bucket_[height_[v]].push_back(v);
-            } else {
-                ++iter_[u];
-            }
-        }
-        // Relabels may have raised u (and so the heights of the nodes
-        // it just activated) above the scan pointer.
-        if (height_[u] > hi)
-            hi = height_[u];
-    }
-    // Every non-terminal excess has drained (to t, or back to s via
-    // heights above n), so the residual state is a genuine max flow.
-    return excess_[t];
 }
 
 std::vector<bool>
@@ -715,10 +201,7 @@ MaxFlow::minCutArcs(CutSide side) const
     // Source side: nodes reachable from s in the residual graph.
     // Sink side: complement of the nodes reaching t — both are valid
     // minimum cuts; they differ only in which of several equal-cost
-    // cuts is reported. Each side is unique across all maximum flows
-    // and the residual pass below is run fresh every call, so the
-    // answer cannot depend on how the flow was reached (cold solve,
-    // repeated solve, or warm resolve).
+    // cuts is reported.
     std::vector<bool> source_side;
     if (side == CutSide::Source) {
         source_side = residualReachable(last_s_);
@@ -736,29 +219,5 @@ MaxFlow::minCutArcs(CutSide side) const
     }
     return cut;
 }
-
-#if !defined(NDEBUG) || defined(GMT_FLOW_CROSSCHECK)
-void
-MaxFlow::crosscheckAgainstReference(const char *what)
-{
-    // Copy the network, rewind the copy to original capacities, and
-    // solve cold with the reference algorithm: flow value and both
-    // cut sides must agree exactly (cut uniqueness, not heuristics).
-    FlowNetwork copy = *net_;
-    MaxFlow ref(copy, FlowAlgorithm::EdmondsKarp);
-    ref.reset();
-    Capacity ref_flow = ref.solve(last_s_, last_t_);
-    GMT_ASSERT(ref_flow == last_flow_,
-               "flow value diverged from cold Edmonds-Karp in ", what);
-    GMT_ASSERT(ref.minCutArcs(CutSide::Source) ==
-                   minCutArcs(CutSide::Source),
-               "source-side cut diverged from cold Edmonds-Karp in ",
-               what);
-    GMT_ASSERT(ref.minCutArcs(CutSide::Sink) ==
-                   minCutArcs(CutSide::Sink),
-               "sink-side cut diverged from cold Edmonds-Karp in ",
-               what);
-}
-#endif
 
 } // namespace gmt

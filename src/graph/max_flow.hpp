@@ -7,35 +7,15 @@
  *
  * COCO models every communication-placement decision as a min-cut
  * (paper §3.1): a cut arc is a program point where a produce/consume
- * pair is inserted. The paper's implementation uses Edmonds-Karp and
- * notes that preflow-push algorithms are available if compile time
- * matters; we provide Edmonds-Karp (the paper's choice), Dinic, a
- * reverse-BFS-pruned Dinic fast path, and highest-label push-relabel
- * with the gap heuristic and periodic global relabeling behind one
- * interface, compared in bench/micro_mincut.
+ * pair is inserted. The solver is Edmonds-Karp (shortest augmenting
+ * paths), the paper's own choice; every cut problem is solved cold on
+ * a freshly built (or reset()) network.
  *
  * Both FlowNetwork and MaxFlow are arena-friendly: reset(n) rewinds a
  * network without releasing its arc storage, and one MaxFlow instance
  * can be re-attached to successive networks, reusing its traversal
- * scratch. COCO's parallel cut solver keeps one of each per worker
- * and solves thousands of problems without re-allocating
- * (coco/coco.cpp).
- *
- * Incremental solving: COCO's repeat-until loop re-solves networks
- * that differ from a previous solve by a handful of arc costs.
- * resolve() accepts such capacity deltas against the residual state
- * of the previous solve of the same (s, t) pair: increases simply
- * widen the residual and keep pushing; decreases below the flow an
- * arc currently carries are repaired by rerouting through the
- * residual graph and cancelling the remainder by flow decomposition
- * (the surplus walks back to a terminal along reverses of the flow
- * paths that fed it). Because the source-side and sink-side minimum
- * cuts of a network are each unique across all maximum flows, and
- * minCutArcs() always derives the cut from a fresh residual
- * reachability pass, a warm-started resolve reports byte-identical
- * cuts to a from-scratch solve — asserted against a cold Edmonds-Karp
- * run whenever the cross-check is compiled in (debug builds, or any
- * build with GMT_FLOW_CROSSCHECK defined).
+ * scratch. COCO keeps one of each per worker and solves thousands of
+ * problems without re-allocating (coco/coco.cpp).
  */
 
 #include <cstdint>
@@ -51,17 +31,6 @@ using Capacity = int64_t;
 inline constexpr Capacity kInfCapacity = int64_t{1} << 50;
 
 /**
- * Which augmenting algorithm MaxFlow::solve uses. DinicPruned levels
- * by reverse BFS from the sink, so blocking-flow search never walks
- * into subgraphs that cannot reach t; PushRelabel is highest-label
- * preflow-push with gap + global-relabel heuristics. All four find
- * the identical min cut (the source-side minimum cut of a network is
- * unique across maximum flows), asserted by the compiled-in
- * cross-check.
- */
-enum class FlowAlgorithm { EdmondsKarp, Dinic, PushRelabel, DinicPruned };
-
-/**
  * Which minimum cut to report when several have equal cost: the one
  * closest to the source (earliest program points — better pipelining
  * for register communication, paper §5) or closest to the sink
@@ -69,22 +38,9 @@ enum class FlowAlgorithm { EdmondsKarp, Dinic, PushRelabel, DinicPruned };
  * in the sequential multi-pair heuristic). Both sides are unique
  * across all maximum flows (the min-cut family forms a lattice whose
  * extreme elements are flow-independent), so the reported cut does
- * not depend on which algorithm ran or on warm-start history.
+ * not depend on which augmenting paths the solver happened to take.
  */
 enum class CutSide { Source, Sink };
-
-/**
- * One capacity change against a previously solved network, consumed
- * by MaxFlow::resolve(). @c remove marks the arc deleted (capacity
- * zero and excluded from minCutArcs(), like FlowNetwork::removeArc);
- * a later delta with remove == false resurrects it at @c cap.
- */
-struct ArcDelta
-{
-    int arc = -1;
-    Capacity cap = 0;
-    bool remove = false;
-};
 
 /**
  * A flow network. Arcs are directed and identified by the dense id
@@ -123,29 +79,9 @@ class FlowNetwork
     /**
      * Mark an arc deleted (used by the multi-pair heuristic): zero
      * residual in both directions and excluded from minCutArcs().
-     * The original capacity is retained so clearRemoved() +
-     * restoreResiduals() can rewind the network to its built state.
+     * The arc stays deleted across MaxFlow::reset().
      */
     void removeArc(int arc);
-
-    /** Un-delete every removed arc (restoreResiduals() revives them). */
-    void clearRemoved();
-
-    /** True if removeArc() deleted @p arc (and no delta revived it). */
-    bool arcRemoved(int arc) const { return removed_[arc] != 0; }
-
-    /**
-     * Overwrite an arc's capacity without touching residual state.
-     * Used by the cold warm-refresh path (COCO's flow-graph diff
-     * mode); pair with restoreResiduals() before solving again.
-     */
-    void setArcCapacity(int arc, Capacity cap);
-
-    /**
-     * Restore every arc's residual to its capacity (removed arcs stay
-     * at zero): the network is back in its freshly built state.
-     */
-    void restoreResiduals();
 
     int numNodes() const { return num_nodes_; }
     int numArcs() const { return static_cast<int>(arcs_.size()) / 2; }
@@ -154,11 +90,14 @@ class FlowNetwork
     int arcHead(int arc) const { return arcs_[2 * arc].to; }
     Capacity arcCapacity(int arc) const { return original_cap_[arc]; }
 
-    /** Flow currently routed through @p arc (reverse residual). */
-    Capacity arcFlow(int arc) const { return arcs_[2 * arc + 1].residual; }
-
   private:
     friend class MaxFlow;
+
+    /**
+     * Restore every arc's residual to its capacity (removed arcs stay
+     * at zero): the network is back in its freshly built state.
+     */
+    void restoreResiduals();
 
     struct Arc
     {
@@ -180,130 +119,68 @@ class FlowNetwork
 };
 
 /**
- * Max-flow solver over a FlowNetwork. The network's residual state is
- * mutated by solve(); call reset() to restore original capacities.
- * One instance can serve many networks via attach(), keeping its
- * traversal scratch vectors across solves.
+ * Edmonds-Karp max-flow solver over a FlowNetwork. The network's
+ * residual state is mutated by solve(); call reset() to restore
+ * original capacities. One instance can serve many networks via
+ * attach(), keeping its traversal scratch across solves.
  */
 class MaxFlow
 {
   public:
-    explicit MaxFlow(FlowNetwork &net,
-                     FlowAlgorithm algo = FlowAlgorithm::EdmondsKarp);
+    explicit MaxFlow(FlowNetwork &net);
 
     /** Detached solver for arena reuse; attach() before solve(). */
-    explicit MaxFlow(FlowAlgorithm algo = FlowAlgorithm::EdmondsKarp);
+    MaxFlow();
 
-    /** Rebind to another network (and optionally another algorithm). */
+    /** Rebind to another network. */
     void attach(FlowNetwork &net);
-
-    /**
-     * Rebind to a network whose residual state already encodes a
-     * completed max-flow of value @p flow for (@p s, @p t) — e.g. a
-     * network retained by COCO's per-worker arena between iterations.
-     * resolve() may then be called directly, without a fresh solve().
-     */
-    void attachSolved(FlowNetwork &net, int s, int t, Capacity flow);
-
-    void setAlgorithm(FlowAlgorithm algo) { algo_ = algo; }
 
     /** Work counters, accumulated across solve() calls. */
     struct Stats
     {
-        /** Augmentations (EK/Dinic) or saturating pushes (preflow). */
+        /** Shortest augmenting paths pushed. */
         uint64_t augmenting_paths = 0;
-
-        /** Exact-distance global relabelings (PushRelabel only). */
-        uint64_t global_relabels = 0;
-
-        /** Gap-heuristic firings (PushRelabel only). */
-        uint64_t gap_relabels = 0;
-
-        /** Warm-started resolve() calls. */
-        uint64_t warm_resolves = 0;
     };
 
-    /** Compute the max flow from @p s to @p t. */
-    Capacity solve(int s, int t);
-
     /**
-     * Warm-started re-solve: apply @p deltas to the previously solved
-     * network (same terminals as the last solve()/attachSolved()) and
-     * bring the flow back to maximum without starting from zero.
-     * Capacity increases keep the whole residual; decreases below the
-     * arc's current flow are repaired by rerouting through the
-     * residual graph and flow decomposition of the remainder.
-     * @return the new max-flow value.
+     * Compute the max flow from @p s to @p t, augmenting from the
+     * network's current residual state (freshly built, or reset()).
      */
-    Capacity resolve(const std::vector<ArcDelta> &deltas);
+    Capacity solve(int s, int t);
 
     /**
      * Arc ids of a minimum s-t cut (callable after solve). With
      * CutSide::Source: arcs leaving the set reachable from s in the
      * residual graph; with CutSide::Sink: arcs entering the set that
-     * reaches t in the residual graph. Always derived from a fresh
-     * reachability pass over the current residual, so the reported
-     * cut is independent of solve history (warm or cold).
+     * reaches t in the residual graph.
      */
     std::vector<int> minCutArcs(CutSide side = CutSide::Source) const;
 
     /** True if the last solve found a cut of finite value. */
     bool finite() const { return last_flow_ < kInfCapacity / 2; }
 
-    /** Max-flow value of the last solve()/resolve(). */
-    Capacity lastFlow() const { return last_flow_; }
-
-    /** Restore all residual capacities to the original capacities. */
+    /** Restore all residual capacities to the original capacities
+     *  (removed arcs stay at zero). */
     void reset();
 
     const Stats &stats() const { return stats_; }
 
   private:
-    Capacity solveEdmondsKarp(int s, int t);
-    Capacity solveDinic(int s, int t, bool reverse_levels);
-    Capacity solvePushRelabel(int s, int t);
-
-    /** Dispatch on algo_ over the current residual state. */
-    Capacity runAlgorithm(int s, int t);
-
-    /**
-     * Push at most @p limit units from @p from to @p to along
-     * residual paths (shortest-path augmentations). Returns the
-     * amount actually pushed. The repair primitive of resolve().
-     */
-    Capacity augmentLimited(int from, int to, Capacity limit);
-
-    /** Net flow out of @p s under the current residual state. */
-    Capacity currentFlowValue(int s) const;
-
-    /** Exact-distance heights for push-relabel (reverse BFS). */
-    void globalRelabel(int s, int t);
-
     /** Nodes reachable from s in the residual graph. */
     std::vector<bool> residualReachable(int s) const;
 
     /** Nodes that can reach t in the residual graph. */
     std::vector<bool> residualReaching(int t) const;
 
-#if !defined(NDEBUG) || defined(GMT_FLOW_CROSSCHECK)
-    /** Differential gate: cold Edmonds-Karp must agree exactly. */
-    void crosscheckAgainstReference(const char *what);
-#endif
-
     FlowNetwork *net_;
-    FlowAlgorithm algo_;
     int last_s_ = -1;
     int last_t_ = -1;
     Capacity last_flow_ = 0;
     Stats stats_;
 
-    // Traversal scratch, reused across solves (and, via attach(),
+    // BFS predecessor arcs, reused across solves (and, via attach(),
     // across networks).
-    std::vector<int> level_, iter_, pred_arc_, path_;
-    std::vector<Capacity> excess_;
-    std::vector<int> height_;
-    std::vector<int> height_count_;        // push-relabel gap heuristic
-    std::vector<std::vector<int>> bucket_; // active nodes by height
+    std::vector<int> pred_arc_;
 };
 
 } // namespace gmt

@@ -39,7 +39,6 @@ struct MultiCutResult
  *
  * @param net the flow network (consumed: arcs get removed).
  * @param pairs source/sink node pairs to disconnect.
- * @param algo single-pair max-flow algorithm to use per step.
  * @param side which equal-cost cut to take per pair.
  * @param arena optional solver to reuse (its traversal scratch
  *        survives across the per-pair solves and across calls); a
@@ -47,8 +46,6 @@ struct MultiCutResult
  */
 MultiCutResult multiPairMinCut(FlowNetwork &net,
                                const std::vector<std::pair<int, int>> &pairs,
-                               FlowAlgorithm algo =
-                                   FlowAlgorithm::EdmondsKarp,
                                CutSide side = CutSide::Sink,
                                MaxFlow *arena = nullptr);
 
@@ -59,18 +56,10 @@ MultiCutResult multiPairMinCut(FlowNetwork &net,
  * source from every sink) but is a valid placement.
  *
  * @param arena optional solver to reuse, as in multiPairMinCut().
- * @param super_s_out / @param super_t_out optional: receive the
- *        super-terminal node ids so a caller retaining @p net can
- *        warm-start the same single-pair problem later via
- *        MaxFlow::attachSolved() + resolve().
  */
 MultiCutResult superPairMinCut(FlowNetwork &net,
                                const std::vector<std::pair<int, int>> &pairs,
-                               FlowAlgorithm algo =
-                                   FlowAlgorithm::EdmondsKarp,
-                               MaxFlow *arena = nullptr,
-                               int *super_s_out = nullptr,
-                               int *super_t_out = nullptr);
+                               MaxFlow *arena = nullptr);
 
 } // namespace gmt
 

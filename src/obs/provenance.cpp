@@ -114,8 +114,7 @@ void writePoint(std::ostream &os, const CutPointCost &p)
        << ",\"cost\":" << p.cost << ",\"arcs\":" << p.arcs << '}';
 }
 
-void writeDecision(std::ostream &os, const PlacementDecision &d,
-                   bool include_exec)
+void writeDecision(std::ostream &os, const PlacementDecision &d)
 {
     os << "{\"index\":" << d.index
        << ",\"kind\":" << (d.is_mem ? "\"mem\"" : "\"reg\"")
@@ -133,14 +132,10 @@ void writeDecision(std::ostream &os, const PlacementDecision &d,
             os << ',';
         writePoint(os, d.points[i]);
     }
-    os << ']';
-    if (include_exec)
-        os << ",\"exec_warm\":" << (d.exec_warm ? "true" : "false");
-    os << '}';
+    os << "]}";
 }
 
-void writePlacement(std::ostream &os, const PlacementProvenance &p,
-                    bool include_exec)
+void writePlacement(std::ostream &os, const PlacementProvenance &p)
 {
     os << "{\"source\":";
     writeString(os, p.source);
@@ -148,13 +143,13 @@ void writePlacement(std::ostream &os, const PlacementProvenance &p,
     for (size_t i = 0; i < p.placements.size(); ++i) {
         if (i)
             os << ',';
-        writeDecision(os, p.placements[i], include_exec);
+        writeDecision(os, p.placements[i]);
     }
     os << "],\"elided\":[";
     for (size_t i = 0; i < p.elided.size(); ++i) {
         if (i)
             os << ',';
-        writeDecision(os, p.elided[i], include_exec);
+        writeDecision(os, p.elided[i]);
     }
     os << "]}";
 }
@@ -184,8 +179,7 @@ void writeQueues(std::ostream &os, const QueueProvenance &q)
 
 } // namespace
 
-void writeProvenanceJson(std::ostream &os, const Provenance &p,
-                         bool include_exec)
+void writeProvenanceJson(std::ostream &os, const Provenance &p)
 {
     os << "{\"schema\":1,\"type\":\"provenance\",\"cell\":";
     writeString(os, p.cell);
@@ -197,16 +191,16 @@ void writeProvenanceJson(std::ostream &os, const Provenance &p,
        << ",\"num_threads\":" << p.num_threads << ",\"partition\":";
     writePartition(os, p.partition);
     os << ",\"placement\":";
-    writePlacement(os, p.placement, include_exec);
+    writePlacement(os, p.placement);
     os << ",\"queues\":";
     writeQueues(os, p.queues);
     os << '}';
 }
 
-std::string provenanceJson(const Provenance &p, bool include_exec)
+std::string provenanceJson(const Provenance &p)
 {
     std::ostringstream os;
-    writeProvenanceJson(os, p, include_exec);
+    writeProvenanceJson(os, p);
     return os.str();
 }
 

@@ -159,13 +159,6 @@ struct PlacementDecision
     /** Per-point cost breakdown, sorted by (block, pos). */
     std::vector<CutPointCost> points;
 
-    /**
-     * Execution-only (NOT canonical, excluded from the byte-compared
-     * serialization): the consumed cut was solved from a warm-started
-     * retained graph. Varies with warm_start and solve interleaving.
-     */
-    bool exec_warm = false;
-
     bool operator==(const PlacementDecision &) const = default;
 };
 
@@ -253,15 +246,12 @@ struct Provenance
  * Canonical JSON serialization: schema:1 first, fixed key order,
  * arrays in deterministic order, no whitespace variance — the byte
  * representation the determinism tests and `gmt-explain --diff`
- * compare. @p include_exec additionally emits the execution-only
- * fields (exec_warm); leave it off for anything byte-compared.
+ * compare.
  */
-void writeProvenanceJson(std::ostream &os, const Provenance &p,
-                         bool include_exec = false);
+void writeProvenanceJson(std::ostream &os, const Provenance &p);
 
 /** writeProvenanceJson into a string. */
-std::string provenanceJson(const Provenance &p,
-                           bool include_exec = false);
+std::string provenanceJson(const Provenance &p);
 
 } // namespace gmt
 

@@ -2,19 +2,24 @@
  * @file
  * The parallel COCO contract: speculative parallel cut solving must
  * produce a comm plan identical to the serial algorithm on every
- * cell, the nested ThreadPool submission it relies on must be
- * deadlock-free, and the DinicPruned fast path must find the same
- * min cut as the reference algorithm (source-side min cuts are
- * unique across all maximum flows, so this is exact, not heuristic).
+ * cell, the version-tagged cut cache that serial and parallel runs
+ * share must fire and rest on a sound key, and the nested ThreadPool
+ * submission parallel runs rely on must be deadlock-free.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coco/coco.hpp"
+#include "coco/flow_graph.hpp"
+#include "coco/relevant.hpp"
+#include "coco/safety.hpp"
+#include "coco/thread_liveness.hpp"
 #include "driver/pass_manager.hpp"
 #include "graph/max_flow.hpp"
 #include "obs/metrics.hpp"
@@ -50,9 +55,16 @@ expectSamePlan(const CommPlan &serial, const CommPlan &parallel,
     }
 }
 
+// Serial and parallel runs share one cut-cache rule: every enumerated
+// problem is answered exactly once, from the cache or by building and
+// solving it, and the plan matches the serial run at any job count.
+// The repeat-until loop revisits problems whose inputs did not change,
+// so the cache must fire on serial runs too.
 TEST(CocoParallel, PlanIdenticalAtAnyJobCount)
 {
     ThreadPool pool(4);
+    Counter &problems = MetricsRegistry::global().counter("coco.problems");
+    uint64_t serial_cache_answers = 0;
     for (const Workload &w : allWorkloads()) {
         for (Scheduler sched : {Scheduler::Gremio, Scheduler::Dswp}) {
             PipelineOptions po;
@@ -63,13 +75,21 @@ TEST(CocoParallel, PlanIdenticalAtAnyJobCount)
 
             const Function &f = ctx.pdg->ir->func;
             auto solve = [&](const CocoExec &exec) {
-                return cocoOptimize(f, ctx.pdg->pdg,
-                                    ctx.partition->partition,
-                                    ctx.pdg->cd,
-                                    ctx.profile->profile,
-                                    CocoOptions{}, exec);
+                const uint64_t problems0 = problems.value();
+                CocoResult r = cocoOptimize(f, ctx.pdg->pdg,
+                                            ctx.partition->partition,
+                                            ctx.pdg->cd,
+                                            ctx.profile->profile,
+                                            CocoOptions{}, exec);
+                // Both problem kinds are optimized, so every
+                // enumerated problem is answered.
+                EXPECT_EQ(r.warm_starts + r.cold_rebuilds,
+                          problems.value() - problems0)
+                    << ctx.cellId() << " jobs=" << exec.jobs;
+                return r;
             };
             CocoResult serial = solve(CocoExec{});
+            serial_cache_answers += serial.warm_starts;
             for (int jobs : {2, 4, 8}) {
                 CocoResult par = solve(CocoExec{&pool, jobs, nullptr});
                 expectSamePlan(serial.plan, par.plan, ctx.cellId());
@@ -83,6 +103,7 @@ TEST(CocoParallel, PlanIdenticalAtAnyJobCount)
             }
         }
     }
+    EXPECT_GT(serial_cache_answers, 0u);
 }
 
 // Ablation options must not disturb the contract either.
@@ -116,83 +137,121 @@ TEST(CocoParallel, PlanIdenticalUnderAblations)
     }
 }
 
-// Warm-started cut solving (the default) must produce plans
-// byte-identical to cold from-scratch solving, across the full
-// matrix, serially and in parallel — and it must actually fire (the
-// repeat-until loop re-solves every problem at least twice, so a
-// converging run always has warm opportunities).
-TEST(CocoParallel, WarmStartPlanIdentical)
+// ---------------------------------------------------------------
+// The premise of the cut cache's version key.
+// ---------------------------------------------------------------
+
+void
+expectSameGraph(const FlowGraph &a, const FlowGraph &b,
+                const std::string &what)
 {
-    MetricsRegistry &m = MetricsRegistry::global();
-    uint64_t warm0 = m.counter("coco.warm_starts").value();
-    ThreadPool pool(4);
+    ASSERT_EQ(a.trivial, b.trivial) << what;
+    ASSERT_EQ(a.net.numNodes(), b.net.numNodes()) << what;
+    ASSERT_EQ(a.net.numArcs(), b.net.numArcs()) << what;
+    EXPECT_EQ(a.source, b.source) << what;
+    EXPECT_EQ(a.sink, b.sink) << what;
+    EXPECT_EQ(a.pairs, b.pairs) << what;
+    EXPECT_EQ(a.arc_points, b.arc_points) << what;
+    for (int arc = 0; arc < a.net.numArcs(); ++arc) {
+        ASSERT_EQ(a.net.arcTail(arc), b.net.arcTail(arc)) << what;
+        ASSERT_EQ(a.net.arcHead(arc), b.net.arcHead(arc)) << what;
+        ASSERT_EQ(a.net.arcCapacity(arc), b.net.arcCapacity(arc))
+            << what;
+    }
+}
+
+// The premise of the version key: a (ts, tt) problem's flow graph
+// reads only relevant[ts], relevant[tt] and tt's liveness, so growing
+// a third thread's relevant set must leave both graph kinds
+// unchanged (same arcs, capacities and arc points).
+TEST(CocoCutCache, GraphsIgnoreAThirdThreadsRelevantSet)
+{
+    int reg_checked = 0, mem_checked = 0;
     for (const Workload &w : allWorkloads()) {
-        for (Scheduler sched : {Scheduler::Gremio, Scheduler::Dswp}) {
-            PipelineOptions po;
-            po.scheduler = sched;
-            po.use_coco = true;
-            PipelineContext ctx(w, po);
-            PassManager::codegenPipeline().run(ctx);
+        PipelineOptions po;
+        po.scheduler = Scheduler::Gremio;
+        po.use_coco = true;
+        po.num_threads = 3;
+        PipelineContext ctx(w, po);
+        PassManager::codegenPipeline().run(ctx);
+        const Function &f = ctx.pdg->ir->func;
+        const ControlDependence &cd = ctx.pdg->cd;
+        const ThreadPartition &part = ctx.partition->partition;
+        ASSERT_EQ(part.num_threads, 3);
 
-            const Function &f = ctx.pdg->ir->func;
-            auto solve = [&](bool warm, const CocoExec &exec) {
-                CocoOptions opts;
-                opts.warm_start = warm;
-                return cocoOptimize(f, ctx.pdg->pdg,
-                                    ctx.partition->partition,
-                                    ctx.pdg->cd,
-                                    ctx.profile->profile, opts, exec);
-            };
-            CocoResult cold = solve(false, CocoExec{});
-            CocoResult warm = solve(true, CocoExec{});
-            expectSamePlan(cold.plan, warm.plan, ctx.cellId());
-            EXPECT_EQ(cold.iterations, warm.iterations)
-                << ctx.cellId();
-            EXPECT_EQ(cold.register_cut_cost, warm.register_cut_cost)
-                << ctx.cellId();
-            EXPECT_EQ(cold.memory_cut_cost, warm.memory_cut_cost)
-                << ctx.cellId();
-            CocoResult warm_par =
-                solve(true, CocoExec{&pool, 4, nullptr});
-            expectSamePlan(cold.plan, warm_par.plan, ctx.cellId());
+        // One register problem and the memory problem per ordered
+        // thread pair, taken from the PDG's cross-thread arcs.
+        std::map<std::pair<int, int>, Reg> reg_of;
+        std::map<std::pair<int, int>,
+                 std::vector<std::pair<InstrId, InstrId>>>
+            deps_of;
+        for (const auto &arc : ctx.pdg->pdg.arcs()) {
+            int ts = part.threadOf(arc.src);
+            int tt = part.threadOf(arc.dst);
+            if (ts == tt)
+                continue;
+            if (arc.kind == DepKind::Register)
+                reg_of.emplace(std::make_pair(ts, tt), arc.reg);
+            else if (arc.kind == DepKind::Memory)
+                deps_of[{ts, tt}].push_back({arc.src, arc.dst});
+        }
+
+        for (int ts = 0; ts < 3; ++ts) {
+            for (int tt = 0; tt < 3; ++tt) {
+                if (ts == tt)
+                    continue;
+                const int tx = 3 - ts - tt;
+                auto reg = reg_of.find({ts, tt});
+                auto deps = deps_of.find({ts, tt});
+                if (reg == reg_of.end() && deps == deps_of.end())
+                    continue;
+                const std::string what = ctx.cellId() + " ts=" +
+                                         std::to_string(ts) +
+                                         " tt=" + std::to_string(tt);
+
+                std::vector<BitVector> relevant =
+                    initRelevantBranches(f, cd, part);
+                FlowGraphInputs in{&f,   &cd,       &ctx.profile->profile,
+                                   &part, &relevant, nullptr, true};
+                SafetyAnalysis safety(f, part, ts);
+                FlowGraphScratch scratch;
+                auto build = [&](FlowGraph &reg_fg, FlowGraph &mem_fg) {
+                    if (reg != reg_of.end()) {
+                        ThreadLiveness live(f, part, tt, relevant[tt]);
+                        buildRegisterFlowGraph(in, safety, live,
+                                               reg->second, ts, tt,
+                                               reg_fg, scratch);
+                    }
+                    if (deps != deps_of.end())
+                        buildMemoryFlowGraph(in, deps->second, ts, tt,
+                                             mem_fg, scratch);
+                };
+                FlowGraph reg_before, mem_before;
+                build(reg_before, mem_before);
+
+                // Grow tx's relevant set as far as it goes.
+                const size_t had = relevant[tx].count();
+                relevant[tx].setAll();
+                ASSERT_GT(relevant[tx].count(), had) << what;
+
+                FlowGraph reg_after, mem_after;
+                build(reg_after, mem_after);
+                if (reg != reg_of.end()) {
+                    expectSameGraph(reg_before, reg_after,
+                                    what + " reg");
+                    reg_checked += reg_before.trivial ? 0 : 1;
+                }
+                if (deps != deps_of.end()) {
+                    expectSameGraph(mem_before, mem_after,
+                                    what + " mem");
+                    ++mem_checked;
+                }
+            }
         }
     }
-    EXPECT_GT(m.counter("coco.warm_starts").value(), warm0);
+    EXPECT_GT(reg_checked, 0);
+    EXPECT_GT(mem_checked, 0);
 }
-
-// The super-pair memory ablation exercises the true-resolve warm path
-// for memory graphs (multi-pair rewinds the build instead); both must
-// agree with their cold counterparts.
-TEST(CocoParallel, WarmStartIdenticalUnderAblations)
-{
-    const Workload w = allWorkloads().front();
-    PipelineOptions po;
-    po.scheduler = Scheduler::Dswp;
-    po.use_coco = true;
-    PipelineContext ctx(w, po);
-    PassManager::codegenPipeline().run(ctx);
-    const Function &f = ctx.pdg->ir->func;
-
-    for (bool penalties : {false, true}) {
-        for (bool multi_pair : {false, true}) {
-            CocoOptions opts;
-            opts.control_flow_penalties = penalties;
-            opts.multi_pair_memory = multi_pair;
-            opts.warm_start = false;
-            CocoResult cold =
-                cocoOptimize(f, ctx.pdg->pdg,
-                             ctx.partition->partition, ctx.pdg->cd,
-                             ctx.profile->profile, opts, CocoExec{});
-            opts.warm_start = true;
-            CocoResult warm =
-                cocoOptimize(f, ctx.pdg->pdg,
-                             ctx.partition->partition, ctx.pdg->cd,
-                             ctx.profile->profile, opts, CocoExec{});
-            expectSamePlan(cold.plan, warm.plan, ctx.cellId());
-        }
-    }
-}
-
 // ---------------------------------------------------------------
 // Nested submission on the shared pool.
 // ---------------------------------------------------------------
@@ -269,53 +328,6 @@ TEST(TaskGroupNested, EmptyGroup)
 }
 
 // ---------------------------------------------------------------
-// DinicPruned differential on randomized networks.
-// ---------------------------------------------------------------
-
-TEST(DinicPruned, MatchesReferenceOnRandomNetworks)
-{
-    Rng rng(20070205);
-    for (int trial = 0; trial < 60; ++trial) {
-        int n = 4 + static_cast<int>(rng.nextBelow(30));
-        struct Arc
-        {
-            int u, v;
-            Capacity cap;
-        };
-        std::vector<Arc> arcs;
-        for (int e = 0; e < 3 * n; ++e) {
-            int u = static_cast<int>(rng.nextBelow(n));
-            int v = static_cast<int>(rng.nextBelow(n));
-            if (u == v)
-                continue;
-            // Mix finite and infinite capacities, as COCO's flow
-            // graphs do (infinite = "must not cut here").
-            Capacity cap = rng.nextBool(0.15)
-                               ? kInfCapacity
-                               : static_cast<Capacity>(
-                                     1 + rng.nextBelow(50));
-            arcs.push_back({u, v, cap});
-        }
-
-        FlowNetwork ref_net(n), fast_net(n);
-        for (const Arc &a : arcs) {
-            ref_net.addArc(a.u, a.v, a.cap);
-            fast_net.addArc(a.u, a.v, a.cap);
-        }
-        MaxFlow ref(ref_net, FlowAlgorithm::EdmondsKarp);
-        MaxFlow fast(fast_net, FlowAlgorithm::DinicPruned);
-        Capacity ref_flow = ref.solve(0, n - 1);
-        Capacity fast_flow = fast.solve(0, n - 1);
-        ASSERT_EQ(ref_flow, fast_flow) << "trial " << trial;
-        EXPECT_EQ(ref.finite(), fast.finite()) << "trial " << trial;
-        // The source-side min cut is the same for every max flow, so
-        // the chosen arcs must match exactly, not just in cost.
-        EXPECT_EQ(ref.minCutArcs(), fast.minCutArcs())
-            << "trial " << trial;
-    }
-}
-
-// ---------------------------------------------------------------
 // Network arena reuse: reset + attach must behave like fresh builds.
 // ---------------------------------------------------------------
 
@@ -323,7 +335,7 @@ TEST(FlowNetworkReuse, ResetMatchesFreshNetwork)
 {
     Rng rng(424242);
     FlowNetwork arena(0);
-    MaxFlow mf(FlowAlgorithm::Dinic);
+    MaxFlow mf;
     for (int trial = 0; trial < 40; ++trial) {
         int n = 3 + static_cast<int>(rng.nextBelow(12));
         arena.reset(n);
@@ -339,7 +351,7 @@ TEST(FlowNetworkReuse, ResetMatchesFreshNetwork)
             fresh.addArc(u, v, cap);
         }
         mf.attach(arena);
-        MaxFlow ref(fresh, FlowAlgorithm::EdmondsKarp);
+        MaxFlow ref(fresh);
         Capacity got = mf.solve(0, n - 1);
         ASSERT_EQ(got, ref.solve(0, n - 1)) << "trial " << trial;
         EXPECT_EQ(mf.minCutArcs(), ref.minCutArcs())
@@ -351,7 +363,7 @@ TEST(FlowNetworkReuse, AddNodeReusesDirtySlots)
 {
     FlowNetwork net(2);
     net.addArc(0, 1, 5);
-    MaxFlow mf(net, FlowAlgorithm::EdmondsKarp);
+    MaxFlow mf(net);
     EXPECT_EQ(mf.solve(0, 1), 5);
 
     net.reset(2);

@@ -5,7 +5,7 @@
  *
  *  - Determinism: the canonical provenance JSON of every fig7 cell is
  *    byte-identical across runner job counts, COCO solver job counts,
- *    cache cold/warm, a warm cache rerun, and warm/cold max-flow.
+ *    cache cold/warm, and a warm cache rerun.
  *  - Coverage: every instruction, plan placement, and allocated queue
  *    resolves to a provenance decision, and the recorded assignments
  *    equal the pipeline's own artifacts.
@@ -61,12 +61,10 @@ fig7Cells(const std::vector<std::string> &names, int max_queues = 0)
 /** Canonical JSON per cell under one runner configuration. */
 std::vector<std::string>
 canonicalJsons(std::vector<ExperimentCell> cells, int jobs,
-               bool use_cache, int coco_jobs, bool warm_start)
+               bool use_cache, int coco_jobs)
 {
-    for (ExperimentCell &cell : cells) {
+    for (ExperimentCell &cell : cells)
         cell.opts.coco_jobs = coco_jobs;
-        cell.opts.coco.warm_start = warm_start;
-    }
     ExperimentOptions eo;
     eo.jobs = jobs;
     eo.use_cache = use_cache;
@@ -83,7 +81,7 @@ canonicalJsons(std::vector<ExperimentCell> cells, int jobs,
 TEST(ProvenanceDeterminism, ByteIdenticalAcrossExecutionAxes)
 {
     auto cells = fig7Cells({"adpcmdec", "ks"});
-    auto base = canonicalJsons(cells, 1, true, 1, true);
+    auto base = canonicalJsons(cells, 1, true, 1);
     ASSERT_EQ(base.size(), cells.size());
     for (const std::string &json : base) {
         EXPECT_FALSE(json.empty());
@@ -98,18 +96,15 @@ TEST(ProvenanceDeterminism, ByteIdenticalAcrossExecutionAxes)
         int jobs;
         bool cache;
         int coco_jobs;
-        bool warm;
     };
     const Variant variants[] = {
-        {"jobs=4", 4, true, 1, true},
-        {"coco_jobs=4", 1, true, 4, true},
-        {"cache=off", 1, false, 1, true},
-        {"warm_maxflow=off", 1, true, 1, false},
-        {"jobs=4 coco_jobs=4 cache=off", 4, false, 4, true},
+        {"jobs=4", 4, true, 1},
+        {"coco_jobs=4", 1, true, 4},
+        {"cache=off", 1, false, 1},
+        {"jobs=4 coco_jobs=4 cache=off", 4, false, 4},
     };
     for (const Variant &v : variants) {
-        auto got =
-            canonicalJsons(cells, v.jobs, v.cache, v.coco_jobs, v.warm);
+        auto got = canonicalJsons(cells, v.jobs, v.cache, v.coco_jobs);
         ASSERT_EQ(got.size(), base.size()) << v.name;
         for (size_t i = 0; i < base.size(); ++i)
             EXPECT_EQ(got[i], base[i])

@@ -3,7 +3,7 @@
  * bench_report: merge the per-bench BENCH_*.json records (flat
  * one-line JSON objects written by bench/micro_*) into one trend
  * table — wall-clock columns, the identical/fixpoint contract flags,
- * and the warm/speculation hit rates — so a CI run uploads a single
+ * and the COCO cut-cache hit rates — so a CI run uploads a single
  * artifact that is diffable across commits.
  *
  *   bench_report [--out FILE] BENCH_sim.json BENCH_coco.json ...
@@ -208,7 +208,7 @@ struct BenchRow
     std::string bench;
     int ok = -1; ///< identical/fixpoint flag; -1 = not reported
     double wall_ms = 0.0;
-    double hit_rate = -1.0; ///< warm/speculation hit %; -1 = n/a
+    double hit_rate = -1.0; ///< COCO cut-cache hit %; -1 = n/a
     FlatObject raw;
 };
 
@@ -233,23 +233,16 @@ summarize(const std::string &file, FlatObject obj)
             if (v->kind == FlatValue::Kind::Bool)
                 row.ok = v->b ? 1 : 0;
     // Wall clock: the sum of every millisecond field is the bench's
-    // cost ("..._ms", plus mincut's per-algorithm "..._ms_ek" style).
+    // cost.
     for (const auto &[k, v] : obj.fields)
-        if (v.kind == FlatValue::Kind::Number &&
-            (endsWith(k, "_ms") || k.find("_ms_") != std::string::npos))
+        if (v.kind == FlatValue::Kind::Number && endsWith(k, "_ms"))
             row.wall_ms += v.num;
-    // Hit rate, whichever pair the bench reports: COCO speculation
-    // (spec_hits/spec_misses) or warm-started max-flow
-    // (coco_warm_starts/coco_cold_rebuilds).
-    auto rate = [&](const char *hit, const char *miss) {
-        const FlatValue *h = obj.find(hit);
-        const FlatValue *m = obj.find(miss);
-        if (h && m && h->num + m->num > 0)
-            row.hit_rate = 100.0 * h->num / (h->num + m->num);
-    };
-    rate("spec_hits", "spec_misses");
-    if (row.hit_rate < 0)
-        rate("coco_warm_starts", "coco_cold_rebuilds");
+    // Hit rate: COCO cut problems answered from the cut cache
+    // (coco_warm_starts) vs built and solved (coco_cold_rebuilds).
+    const FlatValue *h = obj.find("coco_warm_starts");
+    const FlatValue *m = obj.find("coco_cold_rebuilds");
+    if (h && m && h->num + m->num > 0)
+        row.hit_rate = 100.0 * h->num / (h->num + m->num);
     row.raw = std::move(obj);
     return row;
 }

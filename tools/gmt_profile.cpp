@@ -425,30 +425,24 @@ main(int argc, char **argv)
 
     if (!sink) {
         // The JSON path republishes the whole registry below; give the
-        // text report the same visibility into the min-cut solver's
-        // warm-start economy (PR 8's headline counters).
+        // text report the same visibility into COCO's cut cache.
         MetricsRegistry &m = MetricsRegistry::global();
         std::printf(
-            "coco solver: %llu warm starts, %llu cold rebuilds, "
-            "%llu global relabels\n",
+            "coco cuts: %llu from cache, %llu built and solved\n",
             static_cast<unsigned long long>(
                 m.counter("coco.warm_starts").value()),
             static_cast<unsigned long long>(
-                m.counter("coco.cold_rebuilds").value()),
-            static_cast<unsigned long long>(
-                m.counter("coco.relabel_global").value()));
+                m.counter("coco.cold_rebuilds").value()));
         if (opts.autotune)
             std::printf(
                 "autotune: %llu iterations, %llu moves accepted, "
-                "%llu rejected, %llu warm cut reuses\n",
+                "%llu rejected\n",
                 static_cast<unsigned long long>(
                     m.counter("autotune.iterations").value()),
                 static_cast<unsigned long long>(
                     m.counter("autotune.moves_accepted").value()),
                 static_cast<unsigned long long>(
-                    m.counter("autotune.moves_rejected").value()),
-                static_cast<unsigned long long>(
-                    m.counter("autotune.warm_cut_reuses").value()));
+                    m.counter("autotune.moves_rejected").value()));
     }
 
     if (sink) {
