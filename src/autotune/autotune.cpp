@@ -26,13 +26,37 @@ namespace
 
 /** Internal working state: the public schedule plus its decoded form
  *  (kept so the accepted schedule is decoded once, then reused by the
- *  next round's instrumented profile run). */
+ *  next round's instrumented profile run) and the per-core counts of
+ *  its checked simulation. */
 struct Working
 {
     AutotuneSchedule s;
     DecodedProgram decoded;
     bool has_decoded = false;
+    std::vector<ThreadStats> counts;
 };
+
+/** Simulate @p w's schedule (instrumented when @p profile is set) and
+ *  apply the oracle rule against the ST reference: a mismatch is a
+ *  compiler bug, fatal, naming the cell and @p what ran. Records the
+ *  run's per-core counts on @p w. */
+SimResult
+simulateChecked(const AutotuneInputs &in, Working &w,
+                SimProfile *profile, const std::string &what)
+{
+    MemoryImage mem = in.make_memory();
+    CmpSimulator sim(in.machine, in.engine);
+    sim.setProfile(profile);
+    SimResult r = w.has_decoded
+                      ? sim.run(w.decoded, *in.ref_args, mem)
+                      : sim.run(w.s.prog, *in.ref_args, mem);
+    checkSimOutput(r, mem, *in.st_live_outs, *in.st_final_mem, "MT",
+                   in.cell + ", autotune " + what);
+    w.counts.clear();
+    for (const CoreStats &core : r.core)
+        w.counts.push_back(core.counts);
+    return r;
+}
 
 /** Stall evidence of one feedback round, all additive cycle charges. */
 struct Feedback
@@ -378,9 +402,10 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
     return out;
 }
 
-/** Codegen + static verification + timing simulation of a candidate.
- *  Returns false with a reject reason instead of dying: a candidate
- *  the verifier rejects is simply not taken. */
+/** Codegen + static verification + timing simulation of a candidate;
+ *  the simulation is its oracle and counter. Returns false with a
+ *  reject reason instead of dying: a candidate the verifier rejects is
+ *  simply not taken (one whose output mismatches is fatal). */
 bool
 evalCandidate(const AutotuneInputs &in, const Candidate &c,
               Working &out, std::string &reject)
@@ -427,36 +452,22 @@ evalCandidate(const AutotuneInputs &in, const Candidate &c,
         return false;
     }
 
-    MemoryImage mem = in.make_memory();
-    CmpSimulator sim(in.machine, in.engine);
-    SimResult r;
     if (in.engine == SimEngine::Fast) {
         out.decoded = decodeProgram(out.s.prog);
         out.has_decoded = true;
-        r = sim.run(out.decoded, *in.ref_args, mem);
-    } else {
-        r = sim.run(out.s.prog, *in.ref_args, mem);
     }
-    if (r.live_outs != *in.st_live_outs) {
-        reject = "oracle-mismatch";
-        return false;
-    }
-    out.s.cycles = r.cycles;
+    out.s.cycles =
+        simulateChecked(in, out, nullptr, c.kind + " candidate").cycles;
     return true;
 }
 
-/** Instrumented re-simulation of the current schedule -> StallReport
- *  for the next feedback round. */
+/** Instrumented, checked re-simulation of the current schedule ->
+ *  StallReport for the next feedback round (and @p w's counts). */
 StallReport
-profileSchedule(const AutotuneInputs &in, const Working &w)
+profileSchedule(const AutotuneInputs &in, Working &w)
 {
-    MemoryImage mem = in.make_memory();
-    CmpSimulator sim(in.machine, in.engine);
     SimProfile profile;
-    sim.setProfile(&profile);
-    SimResult r = w.has_decoded
-                      ? sim.run(w.decoded, *in.ref_args, mem)
-                      : sim.run(w.s.prog, *in.ref_args, mem);
+    SimResult r = simulateChecked(in, w, &profile, "profile run");
     GMT_ASSERT(r.cycles == w.s.cycles,
                "autotune instrumented rerun diverged");
     std::string violation =
@@ -466,33 +477,6 @@ profileSchedule(const AutotuneInputs &in, const Working &w)
               violation);
     return buildStallReport(profile, r.cycles, w.s.plan, w.s.queue_of,
                             w.s.prog);
-}
-
-/** The MT interpreter oracle + dynamic counts for an accepted
- *  schedule (a miscompare here is a compiler bug: die loudly). */
-void
-runAcceptedOracle(const AutotuneInputs &in, const AutotuneSchedule &s,
-                  AutotuneResult &result)
-{
-    MemoryImage mem = in.make_memory();
-    auto mt = interpretMt(s.prog, *in.ref_args, mem);
-    if (mt.deadlock)
-        fatal("autotune: deadlock in accepted schedule");
-    if (!mt.queues_drained)
-        fatal("autotune: queues not drained in accepted schedule");
-    if (mt.live_outs != *in.st_live_outs ||
-        !(mem == *in.st_final_mem))
-        fatal("autotune: accepted schedule output mismatch");
-    result.computation = 0;
-    result.duplicated_branches = 0;
-    result.reg_comm = 0;
-    result.mem_sync = 0;
-    for (const auto &st : mt.stats) {
-        result.computation += st.computation;
-        result.duplicated_branches += st.duplicated_branches;
-        result.reg_comm += st.produces + st.consumes;
-        result.mem_sync += st.produce_syncs + st.consume_syncs;
-    }
 }
 
 int
@@ -552,21 +536,19 @@ autotuneSchedule(const AutotuneInputs &in,
     std::vector<std::vector<int>> tried_partitions;
     tried_partitions.push_back(baseline.partition.assign);
 
-    // The stall report feeding each round. Round 1 profiles the
-    // baseline; an accepting round profiles its new schedule before
-    // closing (the profile is part of folding the accepted move's
-    // feedback, so its cost is charged to the round that accepted),
-    // and the next round starts from it without re-simulating.
-    StallReport report;
-    bool have_report = false;
+    // The stall report feeding each round. Round 1's comes from
+    // profiling the baseline (charged to round 1), and that run also
+    // counts the baseline's instructions. An accepting round profiles
+    // its new schedule before closing (the profile is part of folding
+    // the accepted move's feedback, so its cost is charged to the
+    // round that accepted), and the next round starts from it without
+    // re-simulating.
+    StallReport report = profileSchedule(in, cur);
 
     for (int it = 1; it <= opts.max_iterations; ++it) {
         auto t0 = it == 1 ? setup_t0 : Clock::now();
         result.iterations = it;
 
-        if (!have_report)
-            report = profileSchedule(in, cur);
-        have_report = false;
         if (report.totalStallCycles() == 0) {
             result.converged = true;
             result.iter_wall_ms.push_back(
@@ -671,26 +653,25 @@ autotuneSchedule(const AutotuneInputs &in,
                 ? fb.cut_boost
                 : std::vector<uint64_t>{};
 
-        runAcceptedOracle(in, cur.s, result);
         if (opts.on_accept)
             opts.on_accept(cur.s);
         result.trajectory.push_back(cur.s.cycles);
-        if (it < opts.max_iterations) {
+        if (it < opts.max_iterations)
             report = profileSchedule(in, cur);
-            have_report = true;
-        }
         result.iter_wall_ms.push_back(
             std::chrono::duration<double, std::milli>(Clock::now() -
                                                       t0)
                 .count());
     }
 
-    // Zero accepted moves: the final schedule is the baseline; fill
-    // the dynamic counts from one oracle run so callers always get
-    // them from here.
-    if (result.moves_accepted == 0)
-        runAcceptedOracle(in, cur.s, result);
-
+    // The final schedule's counts, from its checked simulation (the
+    // round-1 profile run when no move was accepted).
+    for (const ThreadStats &st : cur.counts) {
+        result.computation += st.computation;
+        result.duplicated_branches += st.duplicated_branches;
+        result.reg_comm += st.produces + st.consumes;
+        result.mem_sync += st.produce_syncs + st.consume_syncs;
+    }
     result.final_schedule = std::move(cur.s);
 
     MetricsRegistry &mr = MetricsRegistry::global();

@@ -19,7 +19,11 @@
  *    candidates to migrate between the pair's threads.
  *
  * Every candidate schedule is statically verified (mtverify, HB
- * included) and timing-simulated; the strictly best improvement at or
+ * included) and timing-simulated. The simulation is also the
+ * candidate's oracle and counter: its live-outs, final memory and
+ * queue drain must equal the single-threaded reference (a mismatch is
+ * fatal), and its per-core counts become the Fig. 7 counts of the
+ * schedule. The strictly best improvement at or
  * above the relative epsilon is accepted (simulated cycles are
  * monotone non-increasing by construction), and the loop stops when
  * no candidate qualifies or the iteration cap is hit. Candidate
@@ -129,8 +133,9 @@ struct AutotuneResult
      */
     std::vector<uint64_t> final_block_boost;
 
-    // Dynamic instruction counts of the final schedule's MT run
-    // (oracle already passed against the ST reference).
+    // Dynamic instruction counts of the final schedule, from its
+    // checked simulation (the round-1 profile run of the baseline
+    // when no move is accepted).
     uint64_t computation = 0;
     uint64_t duplicated_branches = 0;
     uint64_t reg_comm = 0;
@@ -173,6 +178,9 @@ struct AutotuneInputs
     /** Shared worker pool for COCO's cut solver (may be null). */
     ThreadPool *pool = nullptr;
     int coco_jobs = 1;
+
+    /** Cell the oracle's fatal errors name ("ks/GREMIO+COCO+AT"). */
+    std::string cell;
 };
 
 /**

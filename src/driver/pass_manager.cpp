@@ -626,6 +626,15 @@ passVerifyMt(PipelineContext &ctx, PassStats &ps)
               res.render());
 }
 
+/** Record the published MT counts on a pass record. */
+void
+addCountStats(const MtRunArtifact &run, PassStats &ps)
+{
+    ps.add("computation", static_cast<int64_t>(run.computation));
+    ps.add("communication",
+           static_cast<int64_t>(run.reg_comm + run.mem_sync));
+}
+
 void
 passMtRun(PipelineContext &ctx, PassStats &ps)
 {
@@ -633,21 +642,25 @@ passMtRun(PipelineContext &ctx, PassStats &ps)
 
     // Single-threaded reference run: the oracle's ground truth,
     // shared by every cell of the workload.
-    bool st_ref_hit = false;
-    {
-        PassStats sub;
-        ctx.st_ref = ctx.cached<StRefArtifact>(
-            "stref|" + w.cacheKey(),
-            [&]() -> std::shared_ptr<const StRefArtifact> {
-                auto art = std::make_shared<StRefArtifact>();
-                art->final_mem = workloadMemory(w, /*ref=*/true);
-                auto run =
-                    interpret(ctx.ir->func, w.ref_args, art->final_mem);
-                art->live_outs = run.live_outs;
-                return art;
-            },
-            sub);
-        st_ref_hit = sub.cached;
+    PassStats sub;
+    ctx.st_ref = ctx.cached<StRefArtifact>(
+        "stref|" + w.cacheKey(),
+        [&]() -> std::shared_ptr<const StRefArtifact> {
+            auto art = std::make_shared<StRefArtifact>();
+            art->final_mem = workloadMemory(w, /*ref=*/true);
+            auto run =
+                interpret(ctx.ir->func, w.ref_args, art->final_mem);
+            art->live_outs = run.live_outs;
+            return art;
+        },
+        sub);
+    ps.add("stref_cached", sub.cached ? 1 : 0);
+    if (ctx.opts.simulate) {
+        // The sim pass runs the MT program once, as its oracle and
+        // its counter; the reference is all this pass contributes.
+        ps.cached = sub.cached;
+        ps.add("mt_interp", 0);
+        return;
     }
 
     auto st_ref = ctx.st_ref;
@@ -658,30 +671,20 @@ passMtRun(PipelineContext &ctx, PassStats &ps)
             MemoryImage mt_mem = workloadMemory(w, /*ref=*/true);
             auto mt = interpretMt(prog->prog, w.ref_args, mt_mem);
             if (mt.deadlock)
-                fatal("deadlock in generated code for ", w.name);
+                fatal("deadlock in generated code for ", ctx.cellId());
             if (!mt.queues_drained)
-                fatal("queues not drained for ", w.name);
+                fatal("queues not drained for ", ctx.cellId());
             if (mt.live_outs != st_ref->live_outs ||
                 !(mt_mem == st_ref->final_mem))
-                fatal("MT output mismatch for ", w.name, " (",
-                      schedulerName(ctx.opts.scheduler),
-                      ctx.opts.use_coco ? "+COCO" : "", ")");
+                fatal("MT output mismatch for ", ctx.cellId());
             auto art = std::make_shared<MtRunArtifact>();
-            for (const auto &st : mt.stats) {
-                art->computation += st.computation;
-                art->duplicated_branches += st.duplicated_branches;
-                art->reg_comm += st.produces + st.consumes;
-                art->mem_sync += st.produce_syncs + st.consume_syncs;
-            }
+            for (const ThreadStats &st : mt.stats)
+                art->add(st);
             return art;
         },
         ps);
-    ps.add("stref_cached", st_ref_hit ? 1 : 0);
-    ps.add("computation",
-           static_cast<int64_t>(ctx.mt_run->computation));
-    ps.add("communication",
-           static_cast<int64_t>(ctx.mt_run->reg_comm +
-                                ctx.mt_run->mem_sync));
+    ps.add("mt_interp", 1);
+    addCountStats(*ctx.mt_run, ps);
 }
 
 /** One JSONL record per simulation actually executed (not cached). */
@@ -723,6 +726,7 @@ passSim(PipelineContext &ctx, PassStats &ps)
         engine == SimEngine::Reference ? "|ref" : "";
     const std::string core_mkey = coreMachineKey(cfg) + esuf;
     const std::string mkey = machineKey(cfg) + esuf;
+    const std::string cell = ctx.cellId();
     auto st_ref = ctx.st_ref;
 
     bool st_sim_hit = false;
@@ -758,8 +762,8 @@ passSim(PipelineContext &ctx, PassStats &ps)
                     st_sim = simulateSingleThreaded(
                         ir->func, w.ref_args, mem, cfg, engine);
                 }
-                GMT_ASSERT(st_sim.live_outs == st_ref->live_outs,
-                           "timing sim ST mismatch");
+                checkSimOutput(st_sim, mem, st_ref->live_outs,
+                               st_ref->final_mem, "ST", cell);
                 emitSimRecord(ctx, "st", st_sim);
                 auto art = std::make_shared<StSimArtifact>();
                 art->cycles = st_sim.cycles;
@@ -782,6 +786,9 @@ passSim(PipelineContext &ctx, PassStats &ps)
             },
             sub);
     }
+    // The one execution of the MT program: its oracle (against the
+    // shared ST reference) and the counter of the cell's Fig. 7
+    // counts, which the mt-run pass leaves to this pass.
     auto mt_dec = ctx.mt_decoded;
     ctx.mt_sim = ctx.cached<MtSimArtifact>(
         "mtsim|" + queueAllocKey(ctx) + '|' + mkey,
@@ -792,15 +799,20 @@ passSim(PipelineContext &ctx, PassStats &ps)
             auto mt_sim = mt_dec
                               ? sim.run(mt_dec->prog, w.ref_args, mem)
                               : sim.run(prog->prog, w.ref_args, mem);
-            GMT_ASSERT(mt_sim.live_outs == st_ref->live_outs,
-                       "timing sim MT mismatch");
+            checkSimOutput(mt_sim, mem, st_ref->live_outs,
+                           st_ref->final_mem, "MT", cell);
             emitSimRecord(ctx, "mt", mt_sim);
             auto art = std::make_shared<MtSimArtifact>();
             art->cycles = mt_sim.cycles;
             art->engine = mt_sim.engine;
+            for (const CoreStats &core : mt_sim.core)
+                art->counts.add(core.counts);
             return art;
         },
         ps);
+    ctx.mt_run = std::shared_ptr<const MtRunArtifact>(
+        ctx.mt_sim, &ctx.mt_sim->counts);
+    addCountStats(*ctx.mt_run, ps);
     ps.add("stsim_cached", st_sim_hit ? 1 : 0);
     ps.add("st_cycles", static_cast<int64_t>(ctx.st_sim->cycles));
     ps.add("mt_cycles", static_cast<int64_t>(ctx.mt_sim->cycles));
@@ -840,6 +852,7 @@ makeAutotuneInputs(const PipelineContext &ctx)
     in.st_final_mem = &ctx.st_ref->final_mem;
     in.pool = ctx.pool;
     in.coco_jobs = ctx.opts.coco_jobs;
+    in.cell = ctx.cellId();
     return in;
 }
 
@@ -913,14 +926,6 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
         art->queue_of = s.queue_of;
         ctx.prog = art;
     }
-    {
-        auto art = std::make_shared<MtRunArtifact>();
-        art->computation = r.computation;
-        art->duplicated_branches = r.duplicated_branches;
-        art->reg_comm = r.reg_comm;
-        art->mem_sync = r.mem_sync;
-        ctx.mt_run = art;
-    }
     if (ctx.opts.sim_engine == SimEngine::Fast) {
         auto art = std::make_shared<MtDecodedArtifact>();
         art->prog = decodeProgram(s.prog);
@@ -931,7 +936,13 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
     {
         auto art = std::make_shared<MtSimArtifact>();
         art->cycles = s.cycles;
+        art->counts.computation = r.computation;
+        art->counts.duplicated_branches = r.duplicated_branches;
+        art->counts.reg_comm = r.reg_comm;
+        art->counts.mem_sync = r.mem_sync;
         ctx.mt_sim = art;
+        ctx.mt_run =
+            std::shared_ptr<const MtRunArtifact>(art, &art->counts);
     }
 
     ps.add("iterations", r.iterations);

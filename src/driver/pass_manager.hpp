@@ -16,6 +16,13 @@
  *     -> placement -> mtcg -> queue-alloc -> verify-mt -> mt-run
  *     -> sim -> autotune -> obs-profile -> obs-provenance
  *
+ * The generated program executes once per cell. mt-run always builds
+ * the single-threaded reference; it MT-interprets the program (oracle
+ * + dynamic counts) only in counts-only cells. In simulated cells the
+ * sim pass's timing run is the oracle and the counter: its live-outs,
+ * final memory and queue drain are checked against the reference and
+ * its per-core counts become the cell's MtRunArtifact.
+ *
  * Passes communicate exclusively through the context's immutable
  * shared artifacts, which is what makes both the caching and the
  * parallel experiment runner safe: a cached artifact is never
@@ -116,20 +123,35 @@ struct ProgramArtifact
     std::vector<int> queue_of;
 };
 
-/** Single-threaded reference run (the equivalence oracle's truth). */
+/** Single-threaded reference run (every MT oracle's truth). */
 struct StRefArtifact
 {
     std::vector<int64_t> live_outs;
     MemoryImage final_mem;
 };
 
-/** Dynamic instruction counts of the MT run (oracle already passed). */
+/**
+ * Dynamic instruction counts of the MT run, summed over threads
+ * (oracle already passed). Counted by interpretMt in the mt-run pass
+ * of a counts-only cell, by the timing simulator in the sim pass of a
+ * simulated one.
+ */
 struct MtRunArtifact
 {
     uint64_t computation = 0;
     uint64_t duplicated_branches = 0;
     uint64_t reg_comm = 0;
     uint64_t mem_sync = 0;
+
+    /** Fold one thread's counts in. */
+    void
+    add(const ThreadStats &st)
+    {
+        computation += st.computation;
+        duplicated_branches += st.duplicated_branches;
+        reg_comm += st.produces + st.consumes;
+        mem_sync += st.produce_syncs + st.consume_syncs;
+    }
 };
 
 /**
@@ -154,10 +176,14 @@ struct StSimArtifact
     SimEngineStats engine;
 };
 
+/** The simulated MT run: its cycles and, checked against the ST
+ *  reference, its dynamic counts (what the sim pass publishes as the
+ *  cell's MtRunArtifact). */
 struct MtSimArtifact
 {
     uint64_t cycles = 0;
     SimEngineStats engine;
+    MtRunArtifact counts;
 };
 
 /**

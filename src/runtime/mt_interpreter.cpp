@@ -8,6 +8,26 @@
 namespace gmt
 {
 
+StatClass
+statClassOf(Opcode op, bool duplicated)
+{
+    switch (op) {
+      case Opcode::Produce:
+        return StatClass::Produce;
+      case Opcode::Consume:
+        return StatClass::Consume;
+      case Opcode::ProduceSync:
+        return StatClass::ProduceSync;
+      case Opcode::ConsumeSync:
+        return StatClass::ConsumeSync;
+      case Opcode::Br:
+        return duplicated ? StatClass::DuplicatedBranch
+                          : StatClass::Computation;
+      default:
+        return StatClass::Computation;
+    }
+}
+
 uint64_t
 MtRunResult::totalDynamicInstrs() const
 {

@@ -80,6 +80,14 @@ wedged(uint64_t now)
           now);
 }
 
+[[noreturn]] void
+outOfCycles(uint64_t now)
+{
+    fatal("timing simulator ran out of its cycle budget (livelock in "
+          "generated code?) at cycle ",
+          now);
+}
+
 using SimClock = std::chrono::steady_clock;
 
 double
@@ -105,17 +113,18 @@ CmpSimulator::CmpSimulator(const MachineConfig &config, SimEngine engine)
 
 SimResult
 CmpSimulator::run(const MtProgram &prog,
-                  const std::vector<int64_t> &args, MemoryImage &mem)
+                  const std::vector<int64_t> &args, MemoryImage &mem,
+                  uint64_t max_cycles)
 {
     if (engine_ == SimEngine::Reference)
-        return runReference(prog, args, mem);
-    return run(decodeProgram(prog), args, mem);
+        return runReference(prog, args, mem, max_cycles);
+    return run(decodeProgram(prog), args, mem, max_cycles);
 }
 
 SimResult
 CmpSimulator::runReference(const MtProgram &prog,
                            const std::vector<int64_t> &args,
-                           MemoryImage &mem)
+                           MemoryImage &mem, uint64_t max_cycles)
 {
     auto t0 = SimClock::now();
     const int nc = static_cast<int>(prog.threads.size());
@@ -164,6 +173,8 @@ CmpSimulator::runReference(const MtProgram &prog,
     int live = nc;
 
     while (live > 0) {
+        if (now >= max_cycles)
+            outOfCycles(now);
         sa.beginCycle();
         bool progressed = false;
 
@@ -272,7 +283,6 @@ CmpSimulator::runReference(const MtProgram &prog,
                     if (timeline_)
                         timeline_->noteQueue(in.queue, now,
                                              sa.occupancy(in.queue));
-                    ++st.comm_instrs;
                     break;
                   }
                   case Opcode::Consume:
@@ -308,7 +318,6 @@ CmpSimulator::runReference(const MtProgram &prog,
                         cs.regs[in.dst] = v;
                         cs.reg_ready[in.dst] = now + sa.latency();
                     }
-                    ++st.comm_instrs;
                     break;
                   }
                   case Opcode::Br:
@@ -343,7 +352,7 @@ CmpSimulator::runReference(const MtProgram &prog,
                 ++issued;
                 if (needs_mem_port)
                     ++mem_issued;
-                ++st.instrs;
+                st.counts.count(statClassOf(in.op, in.duplicated));
                 progressed = true;
                 if (cs.done)
                     break;
@@ -423,11 +432,13 @@ CmpSimulator::runReference(const MtProgram &prog,
  *     jump is capped at the wedge boundary (last_progress +
  *     kWedgeCycles + 1): a deadlocked program reaches the boundary,
  *     sweeps one fruitless cycle, and dies on the same cycle number
- *     with the same message as the reference loop.
+ *     with the same message as the reference loop. It is likewise
+ *     capped at the cycle budget (max_cycles).
  */
 SimResult
 CmpSimulator::run(const DecodedProgram &prog,
-                  const std::vector<int64_t> &args, MemoryImage &mem)
+                  const std::vector<int64_t> &args, MemoryImage &mem,
+                  uint64_t max_cycles)
 {
     auto t0 = SimClock::now();
     const int nc = static_cast<int>(prog.threads.size());
@@ -478,6 +489,8 @@ CmpSimulator::run(const DecodedProgram &prog,
     int live = nc;
 
     while (live > 0) {
+        if (now >= max_cycles)
+            outOfCycles(now);
         sa.beginCycle();
         ++iterations;
         bool progressed = false;
@@ -628,7 +641,6 @@ CmpSimulator::run(const DecodedProgram &prog,
                     if (timeline_)
                         timeline_->noteQueue(d.queue, now,
                                              sa.occupancy(d.queue));
-                    ++st.comm_instrs;
                     break;
                   }
                   case Opcode::Consume:
@@ -667,7 +679,6 @@ CmpSimulator::run(const DecodedProgram &prog,
                         cs.regs[d.dst] = v;
                         cs.reg_ready[d.dst] = now + sa.latency();
                     }
-                    ++st.comm_instrs;
                     break;
                   }
                   case Opcode::Br:
@@ -703,7 +714,7 @@ CmpSimulator::run(const DecodedProgram &prog,
                 ++issued;
                 if (d.mem_port)
                     ++mem_issued;
-                ++st.instrs;
+                st.counts.count(d.stat);
                 progressed = true;
                 if (cs.done)
                     break;
@@ -751,10 +762,13 @@ CmpSimulator::run(const DecodedProgram &prog,
                 // Never skip past the wedge boundary: if next_event
                 // is beyond it (or does not exist — all cores queue
                 // blocked), the sweep at the boundary makes no
-                // progress and dies exactly like the reference.
+                // progress and dies exactly like the reference. Nor
+                // past the cycle budget, which then fires at the same
+                // cycle as the reference's.
                 uint64_t target = last_progress + kWedgeCycles + 1;
                 if (next_event < target)
                     target = next_event;
+                target = std::min(target, max_cycles);
                 if (target > now + 1) {
                     // Cycles (now, target) are identical no-progress
                     // sweeps: bulk-charge the same counter — and the
@@ -829,6 +843,20 @@ CmpSimulator::run(const DecodedProgram &prog,
     mr.counter("sim.cycles").add(result.cycles);
     mr.counter("sim.skipped_cycles").add(skipped);
     return result;
+}
+
+void
+checkSimOutput(const SimResult &r, const MemoryImage &mem,
+               const std::vector<int64_t> &ref_live_outs,
+               const MemoryImage &ref_mem, const char *which,
+               const std::string &cell)
+{
+    const char *what = r.live_outs != ref_live_outs ? "live-outs differ"
+                       : !(mem == ref_mem) ? "final memory differs"
+                       : !r.queues_drained ? "queues not drained"
+                                           : nullptr;
+    if (what)
+        fatal(which, " output mismatch for ", cell, ": ", what);
 }
 
 std::vector<CoreStallTotals>

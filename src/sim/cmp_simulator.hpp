@@ -5,9 +5,17 @@
  * @file
  * CMP timing simulator: in-order multi-issue cores with the Figure
  * 6(a) memory hierarchy and synchronization array. It executes an
- * MtProgram functionally while charging cycles, so its results double
- * as a third execution oracle (interpreter, MT interpreter, timing
- * simulator must agree).
+ * MtProgram functionally while charging cycles and counts every
+ * issued instruction per core in the Fig. 7 categories (ThreadStats),
+ * so one simulated run is a schedule's timing, its MT oracle and its
+ * dynamic counts at once: the pass pipeline and the autotuner check
+ * its live-outs, final memory and queue drain against the
+ * single-threaded interpreter (checkSimOutput) and publish its
+ * counts. verify-mt's
+ * happens-before check proves every schedule race-free, so neither
+ * the output nor any thread's instruction stream depends on the
+ * interleaving: the counts equal interpretMt's under any policy
+ * (asserted across the benchmark matrix by tests/test_sim_fast.cpp).
  *
  * Two engines produce bit-identical SimResults (asserted across the
  * whole benchmark matrix by tests/test_sim_fast.cpp):
@@ -43,6 +51,7 @@
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "obs/stall_profile.hpp"
@@ -65,11 +74,10 @@ enum class SimEngine {
 
 const char *simEngineName(SimEngine e);
 
-/** Per-core cycle accounting. */
+/** Per-core instruction and cycle accounting. */
 struct CoreStats
 {
-    uint64_t instrs = 0;
-    uint64_t comm_instrs = 0;
+    ThreadStats counts; ///< issued instructions by class (Jmp is free)
     uint64_t stall_operand = 0;
     uint64_t stall_queue_full = 0;
     uint64_t stall_queue_empty = 0;
@@ -149,16 +157,21 @@ class CmpSimulator
      * @param prog threads to run, one per core (threads <= cores).
      * @param args live-in values, broadcast to all threads.
      * @param mem  shared data memory (mutated).
+     * @param max_cycles livelock budget: a run still live at this
+     *        cycle raises a FatalError naming it (both engines stop at
+     *        the same cycle; the skip engine never jumps past it).
      */
     SimResult run(const MtProgram &prog,
-                  const std::vector<int64_t> &args, MemoryImage &mem);
+                  const std::vector<int64_t> &args, MemoryImage &mem,
+                  uint64_t max_cycles = 500'000'000);
 
     /**
      * Fast engine over a pre-decoded program (ignores the configured
      * engine: decoded streams only exist on the fast path).
      */
     SimResult run(const DecodedProgram &prog,
-                  const std::vector<int64_t> &args, MemoryImage &mem);
+                  const std::vector<int64_t> &args, MemoryImage &mem,
+                  uint64_t max_cycles = 500'000'000);
 
     /**
      * Attach a stall-attribution profile. The simulator sizes it at
@@ -186,7 +199,7 @@ class CmpSimulator
   private:
     SimResult runReference(const MtProgram &prog,
                            const std::vector<int64_t> &args,
-                           MemoryImage &mem);
+                           MemoryImage &mem, uint64_t max_cycles);
 
     MachineConfig config_;
     SimEngine engine_;
@@ -199,6 +212,17 @@ class CmpSimulator
  * conservation check takes (obs/stall_profile.hpp).
  */
 std::vector<CoreStallTotals> stallTotals(const SimResult &r);
+
+/**
+ * The oracle rule for a simulated run: its live-outs, its final
+ * memory @p mem and its queue drain must match the single-threaded
+ * reference. Otherwise raises a FatalError
+ * "<which> output mismatch for <cell>: <what differs>".
+ */
+void checkSimOutput(const SimResult &r, const MemoryImage &mem,
+                    const std::vector<int64_t> &ref_live_outs,
+                    const MemoryImage &ref_mem, const char *which,
+                    const std::string &cell);
 
 /**
  * Convenience: simulate the single-threaded original as a 1-thread

@@ -53,6 +53,7 @@ decodeThread(const Function &f)
             d.nsrc = static_cast<uint8_t>(numSrcs(in.op));
             d.lat = latClassOf(in.op);
             d.mem_port = usesMemoryPort(in.op);
+            d.stat = statClassOf(in.op, in.duplicated);
             d.dst = in.dst;
             d.src1 = in.src1;
             d.src2 = in.src2;

@@ -6,11 +6,11 @@
  * Pre-decoded instruction streams for the timing simulator's fast
  * path: each thread of an MtProgram is flattened into one dense
  * array of DecodedInstr records with the per-issue work hoisted to
- * decode time — operand count, latency class, memory-port flag, and
- * the decoded successor indices of Br/Jmp terminators — so the
- * simulator's inner loop is a flat array walk instead of chasing
- * Function -> BasicBlock -> instrs()[pos] -> Instr on every issue
- * attempt.
+ * decode time — operand count, latency class, memory-port flag,
+ * ThreadStats count class, and the decoded successor indices of
+ * Br/Jmp terminators — so the simulator's inner loop is a flat array
+ * walk instead of chasing Function -> BasicBlock -> instrs()[pos] ->
+ * Instr on every issue attempt.
  *
  * Decoding is purely structural: a DecodedProgram is independent of
  * the MachineConfig (latency *classes*, not latencies, are recorded),
@@ -38,6 +38,7 @@ struct DecodedInstr
     uint8_t nsrc = 0;        ///< numSrcs(op), hoisted
     LatClass lat = LatClass::Alu;
     bool mem_port = false;   ///< usesMemoryPort(op), hoisted
+    StatClass stat = StatClass::Computation; ///< statClassOf, hoisted
 
     Reg dst = kNoReg;
     Reg src1 = kNoReg;

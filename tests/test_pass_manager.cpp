@@ -2,8 +2,8 @@
  * @file
  * Pass-manager, artifact-cache, and experiment-runner tests: pass
  * ordering, cache hit/miss and key-level invalidation on option
- * change, parallel-vs-serial bit-identical determinism, and the
- * structured stats sink.
+ * change, parallel-vs-serial bit-identical determinism, the
+ * structured stats sink, and the one-execution-per-cell MT oracle.
  */
 
 #include <atomic>
@@ -15,6 +15,8 @@
 #include "driver/experiment.hpp"
 #include "driver/pass_manager.hpp"
 #include "driver/stats.hpp"
+#include "runtime/interpreter.hpp"
+#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
@@ -76,6 +78,142 @@ TEST(PassManager, MatchesRunPipelineWrapper)
     PipelineContext ctx(w, opts);
     PassManager::standardPipeline().run(ctx);
     EXPECT_EQ(ctx.result, runPipeline(w, opts));
+}
+
+const PassStats &
+statOf(const PipelineContext &ctx, const char *pass)
+{
+    for (const auto &ps : ctx.pass_stats)
+        if (ps.pass == pass)
+            return ps;
+    ADD_FAILURE() << "no pass " << pass;
+    return ctx.pass_stats.front();
+}
+
+/** A pass record's counter, or -1 when the pass did not record it. */
+int64_t
+counterOf(const PipelineContext &ctx, const char *pass,
+          const char *name)
+{
+    for (const auto &[n, v] : statOf(ctx, pass).counters)
+        if (n == name)
+            return v;
+    return -1;
+}
+
+/**
+ * The MT program runs once per cell: mt-run interprets it in a
+ * counts-only cell; in a simulated cell the sim pass's run is the
+ * oracle and the counter, and mt-run holds only the ST reference.
+ * Both executors publish the same Fig. 7 counts.
+ */
+TEST(PassManager, OneMtExecutionPerCell)
+{
+    Workload w = makeKs();
+    PipelineOptions sim_opts;
+    sim_opts.scheduler = Scheduler::Dswp;
+    sim_opts.use_coco = true;
+    PipelineOptions count_opts = sim_opts;
+    count_opts.simulate = false;
+
+    PipelineContext simulated(w, sim_opts);
+    PassManager::standardPipeline().run(simulated);
+    PipelineContext counted(w, count_opts);
+    PassManager::standardPipeline().run(counted);
+
+    EXPECT_EQ(counterOf(simulated, "mt-run", "mt_interp"), 0);
+    EXPECT_EQ(counterOf(simulated, "mt-run", "computation"), -1);
+    EXPECT_EQ(counterOf(counted, "mt-run", "mt_interp"), 1);
+    EXPECT_EQ(counterOf(counted, "sim", "computation"), -1);
+    for (const char *name : {"computation", "communication"}) {
+        EXPECT_GT(counterOf(simulated, "sim", name), 0) << name;
+        EXPECT_EQ(counterOf(simulated, "sim", name),
+                  counterOf(counted, "mt-run", name))
+            << name;
+    }
+    const PipelineResult &a = simulated.result;
+    const PipelineResult &b = counted.result;
+    EXPECT_EQ(a.computation, b.computation);
+    EXPECT_EQ(a.duplicated_branches, b.duplicated_branches);
+    EXPECT_EQ(a.reg_comm, b.reg_comm);
+    EXPECT_EQ(a.mem_sync, b.mem_sync);
+}
+
+/** Insert "store 1 -> [cell]" right before @p f's Ret. */
+void
+storeBeforeRet(Function &f, int64_t cell)
+{
+    for (BlockId b = 0; b < f.numBlocks(); ++b) {
+        const auto &list = f.block(b).instrs();
+        for (int pos = 0; pos < static_cast<int>(list.size()); ++pos) {
+            if (f.instr(list[pos]).op != Opcode::Ret)
+                continue;
+            Reg addr = f.newReg();
+            Reg one = f.newReg();
+            f.insertAt(b, pos,
+                       {.op = Opcode::Const, .dst = addr, .imm = cell});
+            f.insertAt(b, pos + 1,
+                       {.op = Opcode::Const, .dst = one, .imm = 1});
+            f.insertAt(b, pos + 2,
+                       {.op = Opcode::Store, .src1 = addr, .src2 = one});
+            return;
+        }
+    }
+    FAIL() << "no Ret in " << f.name();
+}
+
+/**
+ * Mutation test of the oracle: a verified program corrupted to store
+ * into a cell nothing reads keeps its live-outs and differs only in
+ * final memory. Simulated cells (the sim pass's check) and
+ * counts-only cells (mt-run's interpretation) must both reject it.
+ */
+TEST(PassManager, FinalMemoryMismatchIsFatal)
+{
+    Workload w = makeKs();
+    const int64_t spare = w.mem_cells++; // a cell nothing reads
+
+    MtProgram corrupted;
+    const PassManager standard = PassManager::standardPipeline();
+    PassManager pm;
+    for (const PassManager::Pass &p : standard.passes()) {
+        pm.addPass(p.name, p.run);
+        if (p.name != "verify-mt")
+            continue;
+        pm.addPass("corrupt", [&](PipelineContext &ctx, PassStats &) {
+            auto art = std::make_shared<ProgramArtifact>(*ctx.prog);
+            storeBeforeRet(art->prog.threads[0], spare);
+            corrupted = art->prog;
+            ctx.prog = art;
+        });
+    }
+
+    for (bool simulate : {true, false}) {
+        SCOPED_TRACE(simulate ? "simulated" : "counts-only");
+        PipelineOptions po;
+        po.scheduler = Scheduler::Dswp;
+        po.simulate = simulate;
+        PipelineContext ctx(w, po);
+        try {
+            pm.run(ctx);
+            ADD_FAILURE() << "corrupted program accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("MT output mismatch"),
+                      std::string::npos)
+                << e.what();
+        }
+
+        // The corruption is invisible to live-outs: only the final
+        // memory tells.
+        MemoryImage st_mem;
+        st_mem.alloc(w.mem_cells);
+        w.fill(st_mem, /*ref=*/true);
+        MemoryImage mt_mem = st_mem;
+        auto st = interpret(ctx.ir->func, w.ref_args, st_mem);
+        auto mt = interpretMt(corrupted, w.ref_args, mt_mem);
+        EXPECT_EQ(mt.live_outs, st.live_outs);
+        EXPECT_FALSE(mt_mem == st_mem);
+    }
 }
 
 TEST(ArtifactCache, ComputeOnceAndCounters)
@@ -142,25 +280,18 @@ TEST(ArtifactCache, SharedPrefixHitsAcrossCocoToggle)
     second.cache = &cache;
     PassManager::standardPipeline().run(second);
 
-    auto statOf = [&](const PipelineContext &ctx, const char *pass)
-        -> const PassStats & {
-        for (const auto &ps : ctx.pass_stats)
-            if (ps.pass == pass)
-                return ps;
-        ADD_FAILURE() << "no pass " << pass;
-        return ctx.pass_stats.front();
-    };
-
+    // In a simulated cell mt-run holds only the single-threaded
+    // reference, which every cell of the workload shares.
     for (const char *shared :
-         {"edge-split", "profile", "pdg", "partition"}) {
+         {"edge-split", "profile", "pdg", "partition", "mt-run"}) {
         EXPECT_FALSE(statOf(first, shared).cached) << shared;
         EXPECT_TRUE(statOf(second, shared).cached) << shared;
     }
     // The COCO cell's placement (and everything after) is a miss.
-    for (const char *distinct : {"placement", "mtcg", "mt-run"})
+    for (const char *distinct : {"placement", "mtcg", "sim"})
         EXPECT_FALSE(statOf(second, distinct).cached) << distinct;
-    // ...but the single-threaded reference run/sim is shared too.
-    EXPECT_GT(cache.counters().hits, 0u);
+    // ...but the single-threaded simulation is shared too.
+    EXPECT_EQ(counterOf(second, "sim", "stsim_cached"), 1);
 }
 
 /** Option changes land on different keys — invalidation by

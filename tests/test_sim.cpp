@@ -261,7 +261,7 @@ TEST(CmpSimulator, ProducerConsumerPipeline)
     ASSERT_EQ(r.live_outs.size(), 1u);
     EXPECT_EQ(r.live_outs[0], 99 * 100 / 2);
     EXPECT_TRUE(r.queues_drained);
-    EXPECT_GT(r.core[0].comm_instrs, 0u);
+    EXPECT_GT(r.core[0].counts.communication(), 0u);
 }
 
 TEST(CmpSimulator, QueueCapacityOneSerializes)
@@ -307,8 +307,9 @@ TEST(CmpSimulator, QueueCapacityOneSerializes)
     EXPECT_EQ(r.live_outs[0], 9);
 }
 
-// Third-oracle property: the timing simulator's functional results
-// agree with the reference interpreter for MTCG-generated code.
+// Oracle property: the timing simulator's functional results
+// (live-outs, final memory, queue drain) agree with the reference
+// interpreter for MTCG-generated code.
 TEST(CmpSimulatorProperty, AgreesWithInterpreter)
 {
     Rng rng(112233);

@@ -2,7 +2,9 @@
 
 #include "driver/pass_manager.hpp"
 #include "ir/builder.hpp"
+#include "runtime/interpreter.hpp"
 #include "sim/cmp_simulator.hpp"
+#include "support/error.hpp"
 #include "workloads/workload.hpp"
 
 namespace gmt
@@ -20,20 +22,19 @@ refMemory(const Workload &w)
     return mem;
 }
 
-SimResult
-runEngine(const MtProgram &prog, const std::vector<int64_t> &args,
-          MemoryImage mem, const MachineConfig &m, SimEngine e)
-{
-    CmpSimulator sim(m, e);
-    return sim.run(prog, args, mem);
-}
-
 /**
- * The differential-testing contract: across the full benchmark
- * matrix (11 workloads x {DSWP, GREMIO} x {COCO off, on}), the fast
- * engine's SimResult — cycles, per-core stall accounting, cache
- * counters, everything architectural — equals the reference loop's,
- * for both the MT program and the single-threaded baseline.
+ * The differential-testing contract, across the full benchmark
+ * matrix (11 workloads x {DSWP, GREMIO} x {COCO off, on}):
+ *  - the fast engine's SimResult — cycles, per-core instruction
+ *    counts and stall accounting, cache counters, everything
+ *    architectural — equals the reference loop's, for both the MT
+ *    program and the single-threaded baseline;
+ *  - either engine is an MT oracle and counter the pipeline can rely
+ *    on instead of the MT interpreter: its final memory equals the ST
+ *    interpreter's, and each core's counts equal interpretMt's
+ *    ThreadStats for that thread under round-robin and under random
+ *    interleavings (the schedules are race-free, so the interleaving
+ *    cannot change any thread's instruction stream).
  */
 TEST(SimFastDifferential, FullMatrixBitIdentical)
 {
@@ -49,16 +50,41 @@ TEST(SimFastDifferential, FullMatrixBitIdentical)
                 SCOPED_TRACE(ctx.cellId());
                 const MachineConfig &m = po.machine;
 
-                SimResult mt_fast =
-                    runEngine(ctx.prog->prog, w.ref_args, refMemory(w),
-                              m, SimEngine::Fast);
-                SimResult mt_ref =
-                    runEngine(ctx.prog->prog, w.ref_args, refMemory(w),
-                              m, SimEngine::Reference);
+                MemoryImage st_truth = refMemory(w);
+                auto st = interpret(ctx.ir->func, w.ref_args, st_truth);
+
+                MemoryImage fast_mem = refMemory(w);
+                MemoryImage ref_mem = refMemory(w);
+                SimResult mt_fast = CmpSimulator(m, SimEngine::Fast)
+                                        .run(ctx.prog->prog,
+                                             w.ref_args, fast_mem);
+                SimResult mt_ref = CmpSimulator(m, SimEngine::Reference)
+                                       .run(ctx.prog->prog, w.ref_args,
+                                            ref_mem);
                 EXPECT_TRUE(mt_fast == mt_ref);
                 EXPECT_EQ(mt_fast.engine.iterations +
                               mt_fast.engine.skipped,
                           mt_fast.cycles);
+                EXPECT_EQ(mt_fast.live_outs, st.live_outs);
+                EXPECT_TRUE(fast_mem == st_truth);
+                EXPECT_TRUE(ref_mem == st_truth);
+                EXPECT_TRUE(mt_fast.queues_drained);
+
+                const std::pair<SchedulePolicy, uint64_t> runs[] = {
+                    {SchedulePolicy::RoundRobin, 0},
+                    {SchedulePolicy::Random, 1},
+                    {SchedulePolicy::Random, 2},
+                    {SchedulePolicy::Random, 3}};
+                for (const auto &[policy, seed] : runs) {
+                    MemoryImage mem = refMemory(w);
+                    MtRunResult mt = interpretMt(
+                        ctx.prog->prog, w.ref_args, mem, policy, seed);
+                    ASSERT_EQ(mt.stats.size(), mt_fast.core.size());
+                    for (size_t c = 0; c < mt.stats.size(); ++c)
+                        EXPECT_TRUE(mt_fast.core[c].counts ==
+                                    mt.stats[c])
+                            << "core " << c << " seed " << seed;
+                }
 
                 MemoryImage st_mem_fast = refMemory(w);
                 MemoryImage st_mem_ref = refMemory(w);
@@ -275,6 +301,75 @@ TEST(SimFastWedge, DeadlockDetectedLikeReference)
     CmpSimulator ref_sim(m, SimEngine::Reference);
     EXPECT_THROW(fast_sim.run(prog, {}, mem1), FatalError);
     EXPECT_THROW(ref_sim.run(prog, {}, mem2), FatalError);
+}
+
+/** One block that loops forever through a division chain: it
+ *  issues every few cycles (so the wedge check never fires) and
+ *  stalls in between (so the fast engine skips). */
+MtProgram
+divSpin()
+{
+    FunctionBuilder b("spin");
+    Reg x = b.param();
+    BlockId loop = b.newBlock("loop");
+    b.setBlock(loop);
+    Reg q = b.div(x, x);
+    b.addInto(x, x, q);
+    b.jmp(loop);
+    MtProgram prog;
+    prog.threads.push_back(b.finish());
+    return prog;
+}
+
+/** Run @p prog under @p budget and return the FatalError text ("" if
+ *  the run finished). */
+std::string
+budgetError(const MtProgram &prog, SimEngine e, uint64_t budget)
+{
+    MemoryImage mem;
+    try {
+        CmpSimulator(MachineConfig::paperDefault(), e)
+            .run(prog, {1}, mem, budget);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+/**
+ * The livelock budget: a program that keeps issuing but never
+ * finishes is stopped by both engines at the same cycle, with an
+ * error that names it; the skip engine never jumps past the budget.
+ * A run that finishes in exactly the budget passes.
+ */
+TEST(SimBudget, LivelockStopsAtTheBudgetOnBothEngines)
+{
+    MtProgram spin = divSpin();
+    for (SimEngine e : {SimEngine::Fast, SimEngine::Reference}) {
+        SCOPED_TRACE(simEngineName(e));
+        // More than one loop period of budgets: some end inside a
+        // skipped operand stall, some on an issuing cycle.
+        for (uint64_t budget = 1000; budget < 1032; ++budget) {
+            std::string err = budgetError(spin, e, budget);
+            EXPECT_NE(err.find("cycle budget"), std::string::npos)
+                << err;
+            EXPECT_TRUE(
+                err.ends_with("at cycle " + std::to_string(budget)))
+                << err;
+        }
+
+        MtProgram ping = pingPong(0);
+        MemoryImage mem;
+        SimResult full = CmpSimulator(MachineConfig::paperDefault(), e)
+                             .run(ping, {50}, mem);
+        MemoryImage mem2;
+        EXPECT_TRUE(CmpSimulator(MachineConfig::paperDefault(), e)
+                        .run(ping, {50}, mem2, full.cycles) == full);
+        MemoryImage mem3;
+        EXPECT_THROW(CmpSimulator(MachineConfig::paperDefault(), e)
+                         .run(ping, {50}, mem3, full.cycles - 1),
+                     FatalError);
+    }
 }
 
 } // namespace

@@ -8,7 +8,12 @@
  * happens-before race check, MT==ST output equivalence, queue drain,
  * comm-plan validation — and additionally require the fast and
  * reference timing engines to agree field-for-field on the
- * PipelineResult. The MT verifier runs first as a structured oracle:
+ * PipelineResult, and every executor of the generated program (the MT
+ * interpreter under round-robin and random interleaving, the fast
+ * simulator) to match the ST reference and each other's per-thread
+ * counts: the premise that lets the pipeline run a simulated cell's
+ * program once, in the simulator. The MT verifier runs first as a
+ * structured oracle:
  * any error diagnostic (e.g. hb-data-race) becomes the failure
  * signature, keyed by its stable code, so the reducer shrinks against
  * the code rather than a free-text message and the repro filename is
@@ -47,6 +52,8 @@
 #include "driver/stats.hpp"
 #include "mtverify/mtverify.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/interpreter.hpp"
+#include "sim/cmp_simulator.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/generate.hpp"
@@ -164,7 +171,7 @@ struct Signature
 {
     std::string cell;
     std::string kind;   ///< "mtverify", "fatal", "panic",
-                        ///< "engine-divergence"
+                        ///< "engine-divergence", "executor-divergence"
     std::string prefix; ///< diag code for "mtverify"; otherwise the
                         ///< leading message text, digits stripped
 
@@ -203,6 +210,56 @@ cellOptions(const CellConfig &cfg, const FuzzOptions &fuzz,
 }
 
 /**
+ * Run @p prog (codegen of @p st_func) on every executor: the MT
+ * interpreter under round-robin and random interleaving and the fast
+ * timing simulator. Each must reproduce the ST reference (live-outs,
+ * final memory, queue drain) and the same per-thread counts. Returns
+ * the first divergence, or "" when they all agree.
+ */
+std::string
+executorDivergence(const Workload &w, const Function &st_func,
+                   const MtProgram &prog, const MachineConfig &machine)
+{
+    auto input = [&w]() {
+        MemoryImage mem;
+        mem.alloc(w.mem_cells);
+        if (w.fill)
+            w.fill(mem, /*ref=*/true);
+        return mem;
+    };
+    MemoryImage st_mem = input();
+    const auto st = interpret(st_func, w.ref_args, st_mem);
+
+    std::vector<ThreadStats> rr_counts;
+    for (SchedulePolicy policy :
+         {SchedulePolicy::RoundRobin, SchedulePolicy::Random}) {
+        const std::string name = policy == SchedulePolicy::RoundRobin
+                                     ? "round-robin interpreter"
+                                     : "random interpreter";
+        MemoryImage mem = input();
+        MtRunResult mt =
+            interpretMt(prog, w.ref_args, mem, policy, /*seed=*/1);
+        if (mt.deadlock || !mt.queues_drained ||
+            mt.live_outs != st.live_outs || !(mem == st_mem))
+            return name + " output differs from the ST reference";
+        if (policy == SchedulePolicy::RoundRobin)
+            rr_counts = mt.stats;
+        else if (mt.stats != rr_counts)
+            return name + " counts differ from round-robin";
+    }
+
+    MemoryImage mem = input();
+    SimResult sim = CmpSimulator(machine).run(prog, w.ref_args, mem);
+    if (!sim.queues_drained || sim.live_outs != st.live_outs ||
+        !(mem == st_mem))
+        return "simulator output differs from the ST reference";
+    for (size_t t = 0; t < sim.core.size(); ++t)
+        if (!(sim.core[t].counts == rr_counts.at(t)))
+            return "simulator counts differ from the interpreter";
+    return "";
+}
+
+/**
  * Run one (workload, config) cell under both timing engines with
  * every oracle armed. Returns true and fills @p sig on violation.
  */
@@ -215,14 +272,13 @@ runCell(const Workload &w, const CellConfig &cfg,
         // Structured verification oracle first: run codegen alone and
         // the full MT verifier (happens-before included) over it, so a
         // finding carries its stable diagnostic code instead of the
-        // pipeline's free-text fatal. Codegen artifacts are cached, so
-        // the runPipeline calls below do not repeat the work.
+        // pipeline's free-text fatal. The codegen artifacts also feed
+        // the executor check below.
+        PipelineOptions po = cellOptions(cfg, fuzz, SimEngine::Fast);
+        po.verify_mt = false; // verified right here instead
+        PipelineContext ctx(w, po);
+        PassManager::codegenPipeline().run(ctx);
         {
-            PipelineOptions po =
-                cellOptions(cfg, fuzz, SimEngine::Fast);
-            po.verify_mt = false; // verified right here instead
-            PipelineContext ctx(w, po);
-            PassManager::codegenPipeline().run(ctx);
             MtVerifyInput in;
             in.orig = &ctx.ir->func;
             in.pdg = &ctx.pdg->pdg;
@@ -251,6 +307,14 @@ runCell(const Workload &w, const CellConfig &cfg,
         if (!(fast == ref)) {
             sig->kind = "engine-divergence";
             sig->prefix = "fast and reference timing disagree";
+            return true;
+        }
+
+        std::string diverged = executorDivergence(
+            w, ctx.ir->func, ctx.prog->prog, po.machine);
+        if (!diverged.empty()) {
+            sig->kind = "executor-divergence";
+            sig->prefix = diverged;
             return true;
         }
     } catch (const FatalError &e) {
