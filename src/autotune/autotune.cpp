@@ -32,7 +32,6 @@ struct Working
 {
     AutotuneSchedule s;
     DecodedProgram decoded;
-    bool has_decoded = false;
     std::vector<ThreadStats> counts;
 };
 
@@ -47,9 +46,7 @@ simulateChecked(const AutotuneInputs &in, Working &w,
     MemoryImage mem = in.make_memory();
     CmpSimulator sim(in.machine, in.engine);
     sim.setProfile(profile);
-    SimResult r = w.has_decoded
-                      ? sim.run(w.decoded, *in.ref_args, mem)
-                      : sim.run(w.s.prog, *in.ref_args, mem);
+    SimResult r = sim.run(w.decoded, *in.ref_args, mem);
     checkSimOutput(r, mem, *in.st_live_outs, *in.st_final_mem, "MT",
                    in.cell + ", autotune " + what);
     w.counts.clear();
@@ -452,10 +449,7 @@ evalCandidate(const AutotuneInputs &in, const Candidate &c,
         return false;
     }
 
-    if (in.engine == SimEngine::Fast) {
-        out.decoded = decodeProgram(out.s.prog);
-        out.has_decoded = true;
-    }
+    out.decoded = decodeProgram(out.s.prog);
     out.s.cycles =
         simulateChecked(in, out, nullptr, c.kind + " candidate").cycles;
     return true;
@@ -513,10 +507,7 @@ autotuneSchedule(const AutotuneInputs &in,
 
     Working cur;
     cur.s = baseline;
-    if (in.engine == SimEngine::Fast) {
-        cur.decoded = decodeProgram(cur.s.prog);
-        cur.has_decoded = true;
-    }
+    cur.decoded = decodeProgram(cur.s.prog);
 
     // PDG SCCs: the atomic migration units (a split SCC would create
     // a cross-thread dependence cycle).

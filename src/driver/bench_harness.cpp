@@ -23,8 +23,8 @@ usage(const char *argv0, int exit_code)
         stderr,
         "usage: %s [--jobs N] [--serial] [--coco-jobs N] "
         "[--no-cache] [--stats FILE] [--only W1,W2,...] [--quiet] "
-        "[--no-mtverify] [--sim fast|reference] [--trace FILE] "
-        "[--workload-dir DIR] [--provenance FILE]\n",
+        "[--no-mtverify] [--trace FILE] [--workload-dir DIR] "
+        "[--provenance FILE]\n",
         argv0);
     std::exit(exit_code);
 }
@@ -77,20 +77,6 @@ parseBenchOptions(int argc, char **argv)
             opts.quiet = true;
         else if (arg == "--no-mtverify")
             opts.verify_mt = false;
-        else if (arg == "--sim") {
-            std::string engine = value();
-            if (engine == "fast")
-                opts.sim_engine = SimEngine::Fast;
-            else if (engine == "reference")
-                opts.sim_engine = SimEngine::Reference;
-            else {
-                std::fprintf(stderr,
-                             "%s: --sim wants 'fast' or 'reference', "
-                             "got '%s'\n",
-                             argv[0], engine.c_str());
-                usage(argv[0], 2);
-            }
-        }
         else if (arg == "--trace")
             opts.trace_path = value();
         else if (arg == "--workload-dir")
@@ -179,7 +165,6 @@ BenchHarness::runAll(const std::vector<ExperimentCell> &cells)
     for (ExperimentCell &cell : batch) {
         if (!opts_.verify_mt)
             cell.opts.verify_mt = false;
-        cell.opts.sim_engine = opts_.sim_engine;
         if (opts_.coco_jobs > 0)
             cell.opts.coco_jobs = opts_.coco_jobs;
         if (!opts_.provenance_path.empty())

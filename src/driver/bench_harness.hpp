@@ -16,8 +16,6 @@
  *   --only CSV      restrict to the named workloads (e.g. ks,mcf)
  *   --quiet         suppress the run summary line
  *   --no-mtverify   skip the static verify-mt pass on generated code
- *   --sim ENGINE    timing engine: fast (default) or reference (the
- *                   lock-step loop, for differential testing)
  *   --trace FILE    write a Chrome trace-event JSON timeline (pass
  *                   spans + per-core simulator lanes; load the file
  *                   in Perfetto / chrome://tracing)
@@ -54,7 +52,6 @@ struct BenchOptions
     std::vector<std::string> only; ///< empty = all workloads
     bool quiet = false;
     bool verify_mt = true;
-    SimEngine sim_engine = SimEngine::Fast;
     std::string trace_path;      ///< empty = no trace
     std::string workload_dir;    ///< empty = built-ins only
     std::string provenance_path; ///< empty = no provenance file

@@ -733,35 +733,24 @@ passSim(PipelineContext &ctx, PassStats &ps)
     {
         PassStats sub;
         auto ir = ctx.ir;
-        if (engine == SimEngine::Fast) {
-            // Decoding is machine-independent: one artifact per
-            // workload serves every machine config.
-            ctx.st_decoded = ctx.cached<StDecodedArtifact>(
-                "stdecode|" + w.cacheKey(),
-                [&, ir]() -> std::shared_ptr<const StDecodedArtifact> {
-                    MtProgram p;
-                    p.threads.push_back(ir->func);
-                    p.num_queues = 0;
-                    auto art = std::make_shared<StDecodedArtifact>();
-                    art->prog = decodeProgram(p);
-                    return art;
-                },
-                sub);
-        }
+        // Decoding is machine-independent: one artifact per workload
+        // serves every machine config.
+        ctx.st_decoded = ctx.cached<StDecodedArtifact>(
+            "stdecode|" + w.cacheKey(),
+            [ir]() -> std::shared_ptr<const StDecodedArtifact> {
+                auto art = std::make_shared<StDecodedArtifact>();
+                art->prog.threads.push_back(decodeThread(ir->func));
+                return art;
+            },
+            sub);
         auto st_dec = ctx.st_decoded;
         ctx.st_sim = ctx.cached<StSimArtifact>(
             "stsim|" + w.cacheKey() + '|' + core_mkey,
-            [&, ir, st_ref,
+            [&, st_ref,
              st_dec]() -> std::shared_ptr<const StSimArtifact> {
                 MemoryImage mem = workloadMemory(w, /*ref=*/true);
-                SimResult st_sim;
-                if (st_dec) {
-                    CmpSimulator sim(cfg, engine);
-                    st_sim = sim.run(st_dec->prog, w.ref_args, mem);
-                } else {
-                    st_sim = simulateSingleThreaded(
-                        ir->func, w.ref_args, mem, cfg, engine);
-                }
+                SimResult st_sim = CmpSimulator(cfg, engine).run(
+                    st_dec->prog, w.ref_args, mem);
                 checkSimOutput(st_sim, mem, st_ref->live_outs,
                                st_ref->final_mem, "ST", cell);
                 emitSimRecord(ctx, "st", st_sim);
@@ -775,11 +764,11 @@ passSim(PipelineContext &ctx, PassStats &ps)
     }
 
     auto prog = ctx.prog;
-    if (engine == SimEngine::Fast) {
+    {
         PassStats sub;
         ctx.mt_decoded = ctx.cached<MtDecodedArtifact>(
             "decoded|" + queueAllocKey(ctx),
-            [&, prog]() -> std::shared_ptr<const MtDecodedArtifact> {
+            [prog]() -> std::shared_ptr<const MtDecodedArtifact> {
                 auto art = std::make_shared<MtDecodedArtifact>();
                 art->prog = decodeProgram(prog->prog);
                 return art;
@@ -792,13 +781,10 @@ passSim(PipelineContext &ctx, PassStats &ps)
     auto mt_dec = ctx.mt_decoded;
     ctx.mt_sim = ctx.cached<MtSimArtifact>(
         "mtsim|" + queueAllocKey(ctx) + '|' + mkey,
-        [&, prog, st_ref,
-         mt_dec]() -> std::shared_ptr<const MtSimArtifact> {
+        [&, st_ref, mt_dec]() -> std::shared_ptr<const MtSimArtifact> {
             MemoryImage mem = workloadMemory(w, /*ref=*/true);
-            CmpSimulator sim(cfg, engine);
-            auto mt_sim = mt_dec
-                              ? sim.run(mt_dec->prog, w.ref_args, mem)
-                              : sim.run(prog->prog, w.ref_args, mem);
+            SimResult mt_sim = CmpSimulator(cfg, engine).run(
+                mt_dec->prog, w.ref_args, mem);
             checkSimOutput(mt_sim, mem, st_ref->live_outs,
                            st_ref->final_mem, "MT", cell);
             emitSimRecord(ctx, "mt", mt_sim);
@@ -926,12 +912,10 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
         art->queue_of = s.queue_of;
         ctx.prog = art;
     }
-    if (ctx.opts.sim_engine == SimEngine::Fast) {
+    {
         auto art = std::make_shared<MtDecodedArtifact>();
         art->prog = decodeProgram(s.prog);
         ctx.mt_decoded = art;
-    } else {
-        ctx.mt_decoded = nullptr;
     }
     {
         auto art = std::make_shared<MtSimArtifact>();
@@ -1050,9 +1034,7 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
             TimelineBuilder timeline;
             sim.setProfile(&profile);
             sim.setTimeline(&timeline);
-            SimResult r = mt_dec
-                              ? sim.run(mt_dec->prog, w.ref_args, mem)
-                              : sim.run(prog->prog, w.ref_args, mem);
+            SimResult r = sim.run(mt_dec->prog, w.ref_args, mem);
             GMT_ASSERT(!mt_sim || r.cycles == mt_sim->cycles,
                        "instrumented rerun diverged from the sim "
                        "pass for ",

@@ -155,7 +155,7 @@ struct MtRunArtifact
 };
 
 /**
- * Pre-decoded instruction streams for the fast timing engine.
+ * Pre-decoded instruction streams for the timing simulator.
  * Decoding is machine-independent (sim/decoded_program.hpp), so the
  * artifacts are keyed on the program alone and shared across every
  * point of a machine-parameter sweep (ablate_comm_latency etc.).

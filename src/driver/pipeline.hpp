@@ -55,10 +55,10 @@ struct PipelineOptions
     bool simulate = true;
 
     /**
-     * Timing-simulator engine: the event-driven fast path by
-     * default, or the lock-step reference loop (--sim=reference in
-     * the bench harness) for differential testing. Results are
-     * bit-identical by contract.
+     * Timing-simulator mode: the issue loop with wait records and
+     * cycle skipping by default, or the same loop sweeping every
+     * cycle (SimEngine::Reference), which differential tests and
+     * gmt-fuzz select. Results are bit-identical by contract.
      */
     SimEngine sim_engine = SimEngine::Fast;
 

@@ -5,14 +5,15 @@
  * @file
  * Functional model of the synchronization array [19]: a set of
  * fixed-depth blocking queues addressed by produce/consume. This class
- * models only values and occupancy; timing lives in sim/.
+ * models only values and occupancy; timing lives in sim/
+ * (sync_array_timing.hpp wraps this ring).
  *
  * The paper's configuration: 256 queues of a single element for
  * GREMIO, 32-element queues for DSWP's pipeline decoupling.
  *
  * Storage is one flat ring-buffer arena (num_queues x capacity) and
- * the hot produce/consume paths are inline: the MT interpreter calls
- * them once per communication instruction.
+ * the hot produce/consume paths are inline: the MT interpreter and the
+ * timing simulator call them once per communication instruction.
  */
 
 #include <cstddef>
@@ -32,9 +33,6 @@ class SyncArray
      */
     SyncArray(int num_queues, int capacity);
 
-    int numQueues() const { return static_cast<int>(queues_.size()); }
-    int capacity() const { return capacity_; }
-
     /** Try to enqueue; @return false if the queue is full. */
     bool produce(int queue, int64_t value)
     {
@@ -44,7 +42,6 @@ class SyncArray
         slots_[static_cast<size_t>(queue) * capacity_ + q.tail] = value;
         q.tail = (q.tail + 1 == capacity_) ? 0 : q.tail + 1;
         ++q.count;
-        ++total_produced_;
         return true;
     }
 
@@ -72,9 +69,6 @@ class SyncArray
     /** True if every queue is empty (deadlock-freedom postcondition). */
     bool allDrained() const;
 
-    /** Total produce operations accepted (for stats). */
-    uint64_t totalProduced() const { return total_produced_; }
-
   private:
     struct Ring
     {
@@ -84,7 +78,6 @@ class SyncArray
     std::vector<Ring> queues_;
     std::vector<int64_t> slots_; ///< num_queues x capacity arena
     int capacity_;
-    uint64_t total_produced_ = 0;
 };
 
 } // namespace gmt

@@ -13,41 +13,17 @@ namespace gmt
 namespace
 {
 
-/** In-flight architectural state of one core (reference engine). */
-struct RefCore
-{
-    const Function *f = nullptr;
-    std::vector<int64_t> regs;
-    std::vector<uint64_t> reg_ready; ///< cycle the value is usable
-    BlockId block = kNoBlock;
-    int pos = 0;
-    bool done = false;
-};
-
-int
-latencyOf(const MachineConfig &cfg, Opcode op)
-{
-    switch (op) {
-      case Opcode::Mul:
-        return cfg.mul_latency;
-      case Opcode::Div:
-      case Opcode::Rem:
-        return cfg.div_latency;
-      default:
-        return cfg.alu_latency;
-    }
-}
-
 /**
- * In-flight state of one core on the fast path. Beyond the
- * architectural state, the core memoizes why it last failed to issue
- * (its wait record): a core blocked on an operand knows the exact
- * cycle it becomes actionable, and a core blocked on a queue records
- * the queue's version stamp so the matching produce/consume (the
- * only events that can unblock it) re-arm it. The wait records are
- * what the cycle-skip engine reads to find the next event.
+ * In-flight state of one core. Beyond the architectural state, the
+ * core memoizes why it last failed to issue (its wait record): a core
+ * blocked on an operand knows the exact cycle it becomes actionable,
+ * and a core blocked on a queue records the queue's version stamp so
+ * the matching produce/consume (the only events that can unblock it)
+ * re-arm it. The wait records are what the cycle-skip engine reads to
+ * find the next event; the lock-step build writes them but never
+ * reads them.
  */
-struct FastCore
+struct SimCore
 {
     enum class Wait : uint8_t {
         None,       ///< must sweep next cycle (no proof of stall)
@@ -58,7 +34,7 @@ struct FastCore
 
     const DecodedThread *t = nullptr;
     std::vector<int64_t> regs;
-    std::vector<uint64_t> reg_ready;
+    std::vector<uint64_t> reg_ready; ///< cycle the value is usable
     int32_t ip = 0;
     bool done = false;
     uint64_t done_at = 0; ///< cycle the core retired its Ret
@@ -69,7 +45,7 @@ struct FastCore
     uint64_t wait_version = 0;
 };
 
-/** Wedge threshold shared by both engines (cycles with no progress). */
+/** Wedge threshold (cycles with no progress). */
 constexpr uint64_t kWedgeCycles = 100000;
 
 [[noreturn]] void
@@ -98,356 +74,56 @@ msSince(SimClock::time_point t0)
         .count();
 }
 
-} // namespace
-
-const char *
-simEngineName(SimEngine e)
-{
-    return e == SimEngine::Fast ? "fast" : "reference";
-}
-
-CmpSimulator::CmpSimulator(const MachineConfig &config, SimEngine engine)
-    : config_(config), engine_(engine)
-{
-}
-
-SimResult
-CmpSimulator::run(const MtProgram &prog,
-                  const std::vector<int64_t> &args, MemoryImage &mem,
-                  uint64_t max_cycles)
-{
-    if (engine_ == SimEngine::Reference)
-        return runReference(prog, args, mem, max_cycles);
-    return run(decodeProgram(prog), args, mem, max_cycles);
-}
-
-SimResult
-CmpSimulator::runReference(const MtProgram &prog,
-                           const std::vector<int64_t> &args,
-                           MemoryImage &mem, uint64_t max_cycles)
-{
-    auto t0 = SimClock::now();
-    const int nc = static_cast<int>(prog.threads.size());
-    GMT_ASSERT(nc >= 1);
-    if (nc > config_.num_cores)
-        fatal("program has ", nc, " threads but the machine has ",
-              config_.num_cores, " cores");
-
-    MachineConfig cfg = config_;
-    cfg.queue_capacity = prog.queue_capacity;
-    // A real compiler multiplexes queues through a queue allocator
-    // (paper footnote 1); the model grows the array when a plan uses
-    // more than the architected 256.
-    cfg.sa_queues = std::max(cfg.sa_queues, prog.num_queues);
-
-    MemoryHierarchy hierarchy(cfg, nc);
-    SyncArrayTiming sa(cfg);
-
-    SimResult result;
-    result.core.assign(nc, {});
-
-    if (profile_) {
-        std::vector<int> blocks_per_core;
-        blocks_per_core.reserve(nc);
-        for (const Function &f : prog.threads)
-            blocks_per_core.push_back(f.numBlocks());
-        profile_->init(blocks_per_core, prog.num_queues);
-    }
-    if (timeline_)
-        timeline_->init(nc, prog.num_queues);
-
-    std::vector<RefCore> cores(nc);
-    for (int c = 0; c < nc; ++c) {
-        const Function &f = prog.threads[c];
-        cores[c].f = &f;
-        cores[c].regs.assign(f.numRegs(), 0);
-        cores[c].reg_ready.assign(f.numRegs(), 0);
-        GMT_ASSERT(args.size() == f.params().size());
-        for (size_t i = 0; i < args.size(); ++i)
-            cores[c].regs[f.params()[i]] = args[i];
-        cores[c].block = f.entry();
-    }
-
-    uint64_t now = 0;
-    uint64_t last_progress = 0;
-    int live = nc;
-
-    while (live > 0) {
-        if (now >= max_cycles)
-            outOfCycles(now);
-        sa.beginCycle();
-        bool progressed = false;
-
-        for (int c = 0; c < nc; ++c) {
-            RefCore &cs = cores[c];
-            CoreStats &st = result.core[c];
-            if (cs.done) {
-                ++st.idle_done;
-                if (timeline_)
-                    timeline_->noteCore(c, CoreState::Idle, now);
-                continue;
-            }
-            const Function &f = *cs.f;
-            int issued = 0;
-            int mem_issued = 0;
-            int free_ops = 0; // Jmp pseudo-ops retired this cycle
-            bool stalled = false;
-            // The (at most one) stall counter charged this cycle;
-            // the timeline's state when nothing issued.
-            CoreState cause = CoreState::Compute;
-            bool charged = false;
-
-            while (!cs.done && !stalled &&
-                   issued < cfg.issue_width && free_ops < 64) {
-                const BasicBlock &bb = f.block(cs.block);
-                const Instr &in = f.instr(bb.instrs()[cs.pos]);
-
-                // Scoreboard: stall-on-use.
-                uint64_t ready = 0;
-                int nsrc = numSrcs(in.op);
-                if (nsrc >= 1 && in.src1 != kNoReg)
-                    ready = std::max(ready, cs.reg_ready[in.src1]);
-                if (nsrc >= 2 && in.src2 != kNoReg)
-                    ready = std::max(ready, cs.reg_ready[in.src2]);
-                if (in.op == Opcode::Ret) {
-                    for (Reg r : f.liveOuts())
-                        ready = std::max(ready, cs.reg_ready[r]);
-                }
-                if (ready > now) {
-                    if (issued == 0) {
-                        ++st.stall_operand;
-                        if (profile_)
-                            profile_->chargeOperand(c, cs.block, 1);
-                        cause = CoreState::StallOperand;
-                        charged = true;
-                    }
-                    break;
-                }
-
-                bool needs_mem_port = usesMemoryPort(in.op);
-                if (needs_mem_port && mem_issued >= cfg.mem_ports) {
-                    if (issued == 0) {
-                        ++st.stall_mem_port;
-                        if (profile_)
-                            profile_->chargeMemPort(c, cs.block, 1);
-                        cause = CoreState::StallMemPort;
-                        charged = true;
-                    }
-                    break;
-                }
-
-                int next_slot = -1;
-                switch (in.op) {
-                  case Opcode::Load: {
-                    int64_t addr = cs.regs[in.src1] + in.imm;
-                    int lat = hierarchy.loadLatency(c, addr);
-                    cs.regs[in.dst] = mem.read(addr);
-                    cs.reg_ready[in.dst] = now + lat;
-                    break;
-                  }
-                  case Opcode::Store: {
-                    int64_t addr = cs.regs[in.src1] + in.imm;
-                    hierarchy.storeLatency(c, addr);
-                    mem.write(addr, cs.regs[in.src2]);
-                    break;
-                  }
-                  case Opcode::Produce:
-                  case Opcode::ProduceSync: {
-                    if (!sa.canProduce(in.queue)) {
-                        ++st.stall_queue_full;
-                        if (profile_)
-                            profile_->chargeQueueFull(c, cs.block,
-                                                      in.queue, 1);
-                        cause = CoreState::StallQueueFull;
-                        charged = true;
-                        stalled = true;
-                        continue;
-                    }
-                    if (!sa.portAvailable()) {
-                        ++st.stall_sa_port;
-                        if (profile_)
-                            profile_->chargeSaPort(c, cs.block,
-                                                   in.queue, 1);
-                        cause = CoreState::StallSaPort;
-                        charged = true;
-                        sa.notePortConflict();
-                        stalled = true;
-                        continue;
-                    }
-                    int64_t v = in.op == Opcode::Produce
-                                    ? cs.regs[in.src1]
-                                    : 1;
-                    sa.produce(in.queue, v);
-                    if (profile_)
-                        profile_->noteProduce(in.queue);
-                    if (timeline_)
-                        timeline_->noteQueue(in.queue, now,
-                                             sa.occupancy(in.queue));
-                    break;
-                  }
-                  case Opcode::Consume:
-                  case Opcode::ConsumeSync: {
-                    if (!sa.canConsume(in.queue)) {
-                        ++st.stall_queue_empty;
-                        if (profile_)
-                            profile_->chargeQueueEmpty(c, cs.block,
-                                                       in.queue, 1);
-                        cause = CoreState::StallQueueEmpty;
-                        charged = true;
-                        stalled = true;
-                        continue;
-                    }
-                    if (!sa.portAvailable()) {
-                        ++st.stall_sa_port;
-                        if (profile_)
-                            profile_->chargeSaPort(c, cs.block,
-                                                   in.queue, 1);
-                        cause = CoreState::StallSaPort;
-                        charged = true;
-                        sa.notePortConflict();
-                        stalled = true;
-                        continue;
-                    }
-                    int64_t v = sa.consume(in.queue);
-                    if (profile_)
-                        profile_->noteConsume(in.queue);
-                    if (timeline_)
-                        timeline_->noteQueue(in.queue, now,
-                                             sa.occupancy(in.queue));
-                    if (in.op == Opcode::Consume) {
-                        cs.regs[in.dst] = v;
-                        cs.reg_ready[in.dst] = now + sa.latency();
-                    }
-                    break;
-                  }
-                  case Opcode::Br:
-                    next_slot = (cs.regs[in.src1] != 0) ? 0 : 1;
-                    break;
-                  case Opcode::Jmp:
-                    // Free pseudo-op (fall-through after layout): no
-                    // issue slot, no instruction count.
-                    cs.block = f.block(cs.block).succs()[0];
-                    cs.pos = 0;
-                    ++free_ops;
-                    progressed = true;
-                    continue;
-                  case Opcode::Ret:
-                    cs.done = true;
-                    --live;
-                    for (Reg r : f.liveOuts())
-                        result.live_outs.push_back(cs.regs[r]);
-                    break;
-                  default: {
-                    int64_t a =
-                        in.src1 != kNoReg ? cs.regs[in.src1] : 0;
-                    int64_t b =
-                        in.src2 != kNoReg ? cs.regs[in.src2] : 0;
-                    cs.regs[in.dst] = evalAlu(in.op, a, b, in.imm);
-                    cs.reg_ready[in.dst] =
-                        now + latencyOf(cfg, in.op);
-                    break;
-                  }
-                }
-
-                ++issued;
-                if (needs_mem_port)
-                    ++mem_issued;
-                st.counts.count(statClassOf(in.op, in.duplicated));
-                progressed = true;
-                if (cs.done)
-                    break;
-                if (next_slot >= 0) {
-                    cs.block = f.block(cs.block).succs()[next_slot];
-                    cs.pos = 0;
-                } else {
-                    ++cs.pos;
-                }
-            }
-
-            if (timeline_) {
-                // issued > 0 wins (a queue stall after issuing still
-                // counts the cycle as compute); a cycle with neither
-                // issues nor a charge retired only free Jmps.
-                CoreState s = (issued > 0 || !charged)
-                                  ? CoreState::Compute
-                                  : cause;
-                timeline_->noteCore(c, s, now);
-            }
-        }
-
-        if (progressed)
-            last_progress = now;
-        if (now - last_progress > kWedgeCycles)
-            wedged(now);
-        ++now;
-    }
-
-    result.cycles = now;
-    result.queues_drained = sa.allDrained();
-    result.sa_port_conflicts = sa.portConflicts();
-    for (int c = 0; c < nc; ++c) {
-        result.l1_hits += hierarchy.l1(c).hits();
-        result.l1_misses += hierarchy.l1(c).misses();
-        result.l2_hits += hierarchy.l2(c).hits();
-        result.l2_misses += hierarchy.l2(c).misses();
-    }
-    result.l3_hits = hierarchy.l3().hits();
-    result.l3_misses = hierarchy.l3().misses();
-    result.engine.engine = SimEngine::Reference;
-    result.engine.iterations = now;
-    result.engine.skipped = 0;
-    result.engine.wall_ms = msSince(t0);
-    MetricsRegistry &mr = MetricsRegistry::global();
-    mr.counter("sim.runs").add();
-    mr.counter("sim.cycles").add(result.cycles);
-    return result;
-}
-
 /*
- * The event-driven fast path. Three mechanisms, each provably
- * behaviour-preserving (the full argument lives in DESIGN.md):
+ * The one issue loop, built twice from the kSkip flag. Both builds
+ * walk the pre-decoded streams (decoded_program.hpp) and share every
+ * issue rule, stall charge, profile and timeline note, the closed
+ * form of idle_done and the final tallies. The flag guards exactly
+ * the two event-driven mechanisms (the full argument lives in
+ * DESIGN.md); without it (SimEngine::Reference) the loop sweeps every
+ * live core on every cycle, the lock-step reference both mechanisms
+ * are tested against.
  *
- *  1. Pre-decoded streams: the inner issue loop walks a flat
- *     DecodedInstr array; control flow follows pre-resolved indices.
- *     Jmp records are kept (not collapsed) so the reference loop's
- *     free-op accounting — including its 64-per-cycle cap — is
- *     reproduced exactly.
- *
- *  2. Wait records: a core that failed to issue remembers why. An
+ *  1. Wait records: a core that failed to issue remembers why. An
  *     operand stall is actionable at a known cycle (reg_ready only
  *     changes when the core itself issues); a queue stall is
  *     actionable only after the queue's version stamp changes (only
  *     produce/consume — i.e. another core's progress — can change
  *     the occupancy). Until then the core charges the same stall
- *     counter the reference sweep would recompute, without decoding
- *     anything.
+ *     counter a sweep would recompute, without decoding anything.
  *
- *  3. Cycle skipping: in a cycle where no core made progress and
+ *  2. Cycle skipping: in a cycle where no core made progress and
  *     every live core holds a wait record, the next cycles are
  *     provably identical no-progress sweeps until the earliest
  *     operand wake-up (queue waits cannot resolve on their own: no
  *     progress means no produce/consume). `now` jumps there and the
  *     per-core stall counters are bulk-incremented by the skipped
- *     span, so every CoreStats field equals the reference's. The
- *     jump is capped at the wedge boundary (last_progress +
+ *     span, so every CoreStats field equals the lock-step sweep's.
+ *     The jump is capped at the wedge boundary (last_progress +
  *     kWedgeCycles + 1): a deadlocked program reaches the boundary,
  *     sweeps one fruitless cycle, and dies on the same cycle number
- *     with the same message as the reference loop. It is likewise
+ *     with the same message as the lock-step loop. It is likewise
  *     capped at the cycle budget (max_cycles).
+ *
+ * The template has internal linkage on purpose: GCC keeps the cold
+ * error paths of a COMDAT (external) instantiation inside the hot
+ * function instead of splitting them out.
  */
+template <bool kSkip>
 SimResult
-CmpSimulator::run(const DecodedProgram &prog,
-                  const std::vector<int64_t> &args, MemoryImage &mem,
-                  uint64_t max_cycles)
+simulate(const MachineConfig &config, SimProfile *profile,
+         TimelineBuilder *timeline, const DecodedProgram &prog,
+         const std::vector<int64_t> &args, MemoryImage &mem,
+         uint64_t max_cycles)
 {
     auto t0 = SimClock::now();
     const int nc = static_cast<int>(prog.threads.size());
     GMT_ASSERT(nc >= 1);
-    if (nc > config_.num_cores)
+    if (nc > config.num_cores)
         fatal("program has ", nc, " threads but the machine has ",
-              config_.num_cores, " cores");
+              config.num_cores, " cores");
 
-    MachineConfig cfg = config_;
+    MachineConfig cfg = config;
     cfg.queue_capacity = prog.queue_capacity;
     cfg.sa_queues = std::max(cfg.sa_queues, prog.num_queues);
 
@@ -457,17 +133,17 @@ CmpSimulator::run(const DecodedProgram &prog,
     SimResult result;
     result.core.assign(nc, {});
 
-    if (profile_) {
+    if (profile) {
         std::vector<int> blocks_per_core;
         blocks_per_core.reserve(nc);
         for (const DecodedThread &t : prog.threads)
             blocks_per_core.push_back(t.num_blocks);
-        profile_->init(blocks_per_core, prog.num_queues);
+        profile->init(blocks_per_core, prog.num_queues);
     }
-    if (timeline_)
-        timeline_->init(nc, prog.num_queues);
+    if (timeline)
+        timeline->init(nc, prog.num_queues);
 
-    std::vector<FastCore> cores(nc);
+    std::vector<SimCore> cores(nc);
     for (int c = 0; c < nc; ++c) {
         const DecodedThread &t = prog.threads[c];
         cores[c].t = &t;
@@ -496,50 +172,55 @@ CmpSimulator::run(const DecodedProgram &prog,
         bool progressed = false;
 
         for (int c = 0; c < nc; ++c) {
-            FastCore &cs = cores[c];
+            SimCore &cs = cores[c];
             CoreStats &st = result.core[c];
             // idle_done has a closed form (cycles - 1 - done_at),
             // filled in after the loop; done cores cost nothing here.
             if (cs.done)
                 continue;
 
-            // Still provably blocked: charge the stall the reference
-            // sweep would recompute and move on. The blocked
+            // Wait records: still provably blocked, so charge the
+            // stall a sweep would recompute and move on. The blocked
             // instruction is code[ip] (ip never moves while blocked),
-            // so block_of[ip] is the block the reference would charge.
-            if (cs.wait == FastCore::Wait::Operand && now < cs.wake) {
-                ++st.stall_operand;
-                if (profile_)
-                    profile_->chargeOperand(
-                        c, cs.t->block_of[cs.ip], 1);
-                if (timeline_)
-                    timeline_->noteCore(c, CoreState::StallOperand,
-                                        now);
-                continue;
+            // so block_of[ip] is the block a sweep would charge.
+            if constexpr (kSkip) {
+                if (cs.wait == SimCore::Wait::Operand &&
+                    now < cs.wake) {
+                    ++st.stall_operand;
+                    if (profile)
+                        profile->chargeOperand(
+                            c, cs.t->block_of[cs.ip], 1);
+                    if (timeline)
+                        timeline->noteCore(
+                            c, CoreState::StallOperand, now);
+                    continue;
+                }
+                if (cs.wait == SimCore::Wait::QueueFull &&
+                    sa.version(cs.wait_queue) == cs.wait_version) {
+                    ++st.stall_queue_full;
+                    if (profile)
+                        profile->chargeQueueFull(
+                            c, cs.t->block_of[cs.ip], cs.wait_queue,
+                            1);
+                    if (timeline)
+                        timeline->noteCore(
+                            c, CoreState::StallQueueFull, now);
+                    continue;
+                }
+                if (cs.wait == SimCore::Wait::QueueEmpty &&
+                    sa.version(cs.wait_queue) == cs.wait_version) {
+                    ++st.stall_queue_empty;
+                    if (profile)
+                        profile->chargeQueueEmpty(
+                            c, cs.t->block_of[cs.ip], cs.wait_queue,
+                            1);
+                    if (timeline)
+                        timeline->noteCore(
+                            c, CoreState::StallQueueEmpty, now);
+                    continue;
+                }
             }
-            if (cs.wait == FastCore::Wait::QueueFull &&
-                sa.version(cs.wait_queue) == cs.wait_version) {
-                ++st.stall_queue_full;
-                if (profile_)
-                    profile_->chargeQueueFull(
-                        c, cs.t->block_of[cs.ip], cs.wait_queue, 1);
-                if (timeline_)
-                    timeline_->noteCore(c, CoreState::StallQueueFull,
-                                        now);
-                continue;
-            }
-            if (cs.wait == FastCore::Wait::QueueEmpty &&
-                sa.version(cs.wait_queue) == cs.wait_version) {
-                ++st.stall_queue_empty;
-                if (profile_)
-                    profile_->chargeQueueEmpty(
-                        c, cs.t->block_of[cs.ip], cs.wait_queue, 1);
-                if (timeline_)
-                    timeline_->noteCore(c, CoreState::StallQueueEmpty,
-                                        now);
-                continue;
-            }
-            cs.wait = FastCore::Wait::None;
+            cs.wait = SimCore::Wait::None;
 
             const DecodedInstr *code = cs.t->code.data();
             int issued = 0;
@@ -547,7 +228,7 @@ CmpSimulator::run(const DecodedProgram &prog,
             int free_ops = 0; // Jmp pseudo-ops retired this cycle
             bool stalled = false;
             // The (at most one) stall counter charged this cycle;
-            // mirrors the reference engine's timeline state.
+            // the timeline's state when nothing issued.
             CoreState cause = CoreState::Compute;
             bool charged = false;
 
@@ -568,13 +249,13 @@ CmpSimulator::run(const DecodedProgram &prog,
                 if (ready > now) {
                     if (issued == 0) {
                         ++st.stall_operand;
-                        if (profile_)
-                            profile_->chargeOperand(
+                        if (profile)
+                            profile->chargeOperand(
                                 c, cs.t->block_of[cs.ip], 1);
                         cause = CoreState::StallOperand;
                         charged = true;
                     }
-                    cs.wait = FastCore::Wait::Operand;
+                    cs.wait = SimCore::Wait::Operand;
                     cs.wake = ready;
                     break;
                 }
@@ -582,8 +263,8 @@ CmpSimulator::run(const DecodedProgram &prog,
                 if (d.mem_port && mem_issued >= cfg.mem_ports) {
                     if (issued == 0) {
                         ++st.stall_mem_port;
-                        if (profile_)
-                            profile_->chargeMemPort(
+                        if (profile)
+                            profile->chargeMemPort(
                                 c, cs.t->block_of[cs.ip], 1);
                         cause = CoreState::StallMemPort;
                         charged = true;
@@ -610,12 +291,12 @@ CmpSimulator::run(const DecodedProgram &prog,
                   case Opcode::ProduceSync: {
                     if (!sa.canProduce(d.queue)) {
                         ++st.stall_queue_full;
-                        if (profile_)
-                            profile_->chargeQueueFull(
+                        if (profile)
+                            profile->chargeQueueFull(
                                 c, cs.t->block_of[cs.ip], d.queue, 1);
                         cause = CoreState::StallQueueFull;
                         charged = true;
-                        cs.wait = FastCore::Wait::QueueFull;
+                        cs.wait = SimCore::Wait::QueueFull;
                         cs.wait_queue = d.queue;
                         cs.wait_version = sa.version(d.queue);
                         stalled = true;
@@ -623,8 +304,8 @@ CmpSimulator::run(const DecodedProgram &prog,
                     }
                     if (!sa.portAvailable()) {
                         ++st.stall_sa_port;
-                        if (profile_)
-                            profile_->chargeSaPort(
+                        if (profile)
+                            profile->chargeSaPort(
                                 c, cs.t->block_of[cs.ip], d.queue, 1);
                         cause = CoreState::StallSaPort;
                         charged = true;
@@ -636,10 +317,10 @@ CmpSimulator::run(const DecodedProgram &prog,
                                     ? cs.regs[d.src1]
                                     : 1;
                     sa.produce(d.queue, v);
-                    if (profile_)
-                        profile_->noteProduce(d.queue);
-                    if (timeline_)
-                        timeline_->noteQueue(d.queue, now,
+                    if (profile)
+                        profile->noteProduce(d.queue);
+                    if (timeline)
+                        timeline->noteQueue(d.queue, now,
                                              sa.occupancy(d.queue));
                     break;
                   }
@@ -647,12 +328,12 @@ CmpSimulator::run(const DecodedProgram &prog,
                   case Opcode::ConsumeSync: {
                     if (!sa.canConsume(d.queue)) {
                         ++st.stall_queue_empty;
-                        if (profile_)
-                            profile_->chargeQueueEmpty(
+                        if (profile)
+                            profile->chargeQueueEmpty(
                                 c, cs.t->block_of[cs.ip], d.queue, 1);
                         cause = CoreState::StallQueueEmpty;
                         charged = true;
-                        cs.wait = FastCore::Wait::QueueEmpty;
+                        cs.wait = SimCore::Wait::QueueEmpty;
                         cs.wait_queue = d.queue;
                         cs.wait_version = sa.version(d.queue);
                         stalled = true;
@@ -660,8 +341,8 @@ CmpSimulator::run(const DecodedProgram &prog,
                     }
                     if (!sa.portAvailable()) {
                         ++st.stall_sa_port;
-                        if (profile_)
-                            profile_->chargeSaPort(
+                        if (profile)
+                            profile->chargeSaPort(
                                 c, cs.t->block_of[cs.ip], d.queue, 1);
                         cause = CoreState::StallSaPort;
                         charged = true;
@@ -670,10 +351,10 @@ CmpSimulator::run(const DecodedProgram &prog,
                         continue;
                     }
                     int64_t v = sa.consume(d.queue);
-                    if (profile_)
-                        profile_->noteConsume(d.queue);
-                    if (timeline_)
-                        timeline_->noteQueue(d.queue, now,
+                    if (profile)
+                        profile->noteConsume(d.queue);
+                    if (timeline)
+                        timeline->noteQueue(d.queue, now,
                                              sa.occupancy(d.queue));
                     if (d.op == Opcode::Consume) {
                         cs.regs[d.dst] = v;
@@ -721,11 +402,11 @@ CmpSimulator::run(const DecodedProgram &prog,
                 cs.ip = next_ip;
             }
 
-            if (timeline_) {
+            if (timeline) {
                 CoreState s = (issued > 0 || !charged)
                                   ? CoreState::Compute
                                   : cause;
-                timeline_->noteCore(c, s, now);
+                timeline->noteCore(c, s, now);
             }
         }
 
@@ -734,82 +415,84 @@ CmpSimulator::run(const DecodedProgram &prog,
         if (now - last_progress > kWedgeCycles)
             wedged(now);
 
-        if (!progressed && live > 0) {
-            // Cycle-skip engine: find the next actionable cycle.
-            uint64_t next_event = UINT64_MAX;
-            bool skippable = true;
-            for (int c = 0; c < nc && skippable; ++c) {
-                const FastCore &cs = cores[c];
-                if (cs.done)
-                    continue;
-                switch (cs.wait) {
-                  case FastCore::Wait::Operand:
-                    next_event = std::min(next_event, cs.wake);
-                    break;
-                  case FastCore::Wait::QueueFull:
-                  case FastCore::Wait::QueueEmpty:
-                    // Only another core's progress can re-arm it; no
-                    // event of its own.
-                    break;
-                  case FastCore::Wait::None:
-                    // No proof the next cycle looks the same (port
-                    // budgets reset); sweep it.
-                    skippable = false;
-                    break;
-                }
-            }
-            if (skippable) {
-                // Never skip past the wedge boundary: if next_event
-                // is beyond it (or does not exist — all cores queue
-                // blocked), the sweep at the boundary makes no
-                // progress and dies exactly like the reference. Nor
-                // past the cycle budget, which then fires at the same
-                // cycle as the reference's.
-                uint64_t target = last_progress + kWedgeCycles + 1;
-                if (next_event < target)
-                    target = next_event;
-                target = std::min(target, max_cycles);
-                if (target > now + 1) {
-                    // Cycles (now, target) are identical no-progress
-                    // sweeps: bulk-charge the same counter — and the
-                    // same (block, queue) attribution — each would
-                    // have charged one at a time.
-                    uint64_t span = target - now - 1;
-                    for (int c = 0; c < nc; ++c) {
-                        FastCore &cs = cores[c];
-                        CoreStats &st = result.core[c];
-                        CoreState s;
-                        if (cs.done)
-                            continue; // closed form, see below
-                        else if (cs.wait == FastCore::Wait::Operand) {
-                            st.stall_operand += span;
-                            if (profile_)
-                                profile_->chargeOperand(
-                                    c, cs.t->block_of[cs.ip], span);
-                            s = CoreState::StallOperand;
-                        } else if (cs.wait ==
-                                   FastCore::Wait::QueueFull) {
-                            st.stall_queue_full += span;
-                            if (profile_)
-                                profile_->chargeQueueFull(
-                                    c, cs.t->block_of[cs.ip],
-                                    cs.wait_queue, span);
-                            s = CoreState::StallQueueFull;
-                        } else {
-                            st.stall_queue_empty += span;
-                            if (profile_)
-                                profile_->chargeQueueEmpty(
-                                    c, cs.t->block_of[cs.ip],
-                                    cs.wait_queue, span);
-                            s = CoreState::StallQueueEmpty;
-                        }
-                        if (timeline_)
-                            timeline_->noteCoreSpan(c, s, now + 1,
-                                                    target);
+        if constexpr (kSkip) {
+            if (!progressed && live > 0) {
+                // Cycle-skip engine: find the next actionable cycle.
+                uint64_t next_event = UINT64_MAX;
+                bool skippable = true;
+                for (int c = 0; c < nc && skippable; ++c) {
+                    const SimCore &cs = cores[c];
+                    if (cs.done)
+                        continue;
+                    switch (cs.wait) {
+                      case SimCore::Wait::Operand:
+                        next_event = std::min(next_event, cs.wake);
+                        break;
+                      case SimCore::Wait::QueueFull:
+                      case SimCore::Wait::QueueEmpty:
+                        // Only another core's progress can re-arm it; no
+                        // event of its own.
+                        break;
+                      case SimCore::Wait::None:
+                        // No proof the next cycle looks the same (port
+                        // budgets reset); sweep it.
+                        skippable = false;
+                        break;
                     }
-                    skipped += span;
-                    now = target;
-                    continue;
+                }
+                if (skippable) {
+                    // Never skip past the wedge boundary: if next_event
+                    // is beyond it (or does not exist — all cores queue
+                    // blocked), the sweep at the boundary makes no
+                    // progress and dies exactly like the lock-step
+                    // build. Nor past the cycle budget, which then fires
+                    // at the same cycle as the lock-step build's.
+                    uint64_t target = last_progress + kWedgeCycles + 1;
+                    if (next_event < target)
+                        target = next_event;
+                    target = std::min(target, max_cycles);
+                    if (target > now + 1) {
+                        // Cycles (now, target) are identical no-progress
+                        // sweeps: bulk-charge the same counter — and the
+                        // same (block, queue) attribution — each would
+                        // have charged one at a time.
+                        uint64_t span = target - now - 1;
+                        for (int c = 0; c < nc; ++c) {
+                            SimCore &cs = cores[c];
+                            CoreStats &st = result.core[c];
+                            CoreState s;
+                            if (cs.done)
+                                continue; // closed form, see below
+                            else if (cs.wait == SimCore::Wait::Operand) {
+                                st.stall_operand += span;
+                                if (profile)
+                                    profile->chargeOperand(
+                                        c, cs.t->block_of[cs.ip], span);
+                                s = CoreState::StallOperand;
+                            } else if (cs.wait ==
+                                       SimCore::Wait::QueueFull) {
+                                st.stall_queue_full += span;
+                                if (profile)
+                                    profile->chargeQueueFull(
+                                        c, cs.t->block_of[cs.ip],
+                                        cs.wait_queue, span);
+                                s = CoreState::StallQueueFull;
+                            } else {
+                                st.stall_queue_empty += span;
+                                if (profile)
+                                    profile->chargeQueueEmpty(
+                                        c, cs.t->block_of[cs.ip],
+                                        cs.wait_queue, span);
+                                s = CoreState::StallQueueEmpty;
+                            }
+                            if (timeline)
+                                timeline->noteCoreSpan(c, s, now + 1,
+                                                        target);
+                        }
+                        skipped += span;
+                        now = target;
+                        continue;
+                    }
                 }
             }
         }
@@ -820,12 +503,12 @@ CmpSimulator::run(const DecodedProgram &prog,
     result.queues_drained = sa.allDrained();
     result.sa_port_conflicts = sa.portConflicts();
     for (int c = 0; c < nc; ++c) {
-        // The reference sweep charges a done core one idle_done per
+        // A sweep would charge a done core one idle_done per
         // remaining cycle; that is exactly the cycles after its Ret
-        // up to (and including) the last swept cycle, cycles - 1.
+        // up to (and including) the last simulated cycle, cycles - 1.
         result.core[c].idle_done = now - 1 - cores[c].done_at;
-        if (timeline_)
-            timeline_->noteCoreSpan(c, CoreState::Idle,
+        if (timeline)
+            timeline->noteCoreSpan(c, CoreState::Idle,
                                     cores[c].done_at + 1, now);
         result.l1_hits += hierarchy.l1(c).hits();
         result.l1_misses += hierarchy.l1(c).misses();
@@ -834,7 +517,7 @@ CmpSimulator::run(const DecodedProgram &prog,
     }
     result.l3_hits = hierarchy.l3().hits();
     result.l3_misses = hierarchy.l3().misses();
-    result.engine.engine = SimEngine::Fast;
+    result.engine.engine = kSkip ? SimEngine::Fast : SimEngine::Reference;
     result.engine.iterations = iterations;
     result.engine.skipped = skipped;
     result.engine.wall_ms = msSince(t0);
@@ -843,6 +526,39 @@ CmpSimulator::run(const DecodedProgram &prog,
     mr.counter("sim.cycles").add(result.cycles);
     mr.counter("sim.skipped_cycles").add(skipped);
     return result;
+}
+
+} // namespace
+
+const char *
+simEngineName(SimEngine e)
+{
+    return e == SimEngine::Fast ? "fast" : "reference";
+}
+
+CmpSimulator::CmpSimulator(const MachineConfig &config, SimEngine engine)
+    : config_(config), engine_(engine)
+{
+}
+
+SimResult
+CmpSimulator::run(const MtProgram &prog,
+                  const std::vector<int64_t> &args, MemoryImage &mem,
+                  uint64_t max_cycles)
+{
+    return run(decodeProgram(prog), args, mem, max_cycles);
+}
+
+SimResult
+CmpSimulator::run(const DecodedProgram &prog,
+                  const std::vector<int64_t> &args, MemoryImage &mem,
+                  uint64_t max_cycles)
+{
+    return engine_ == SimEngine::Fast
+               ? simulate<true>(config_, profile_, timeline_, prog, args,
+                                mem, max_cycles)
+               : simulate<false>(config_, profile_, timeline_, prog,
+                                 args, mem, max_cycles);
 }
 
 void
@@ -880,12 +596,10 @@ simulateSingleThreaded(const Function &f,
                        MemoryImage &mem, const MachineConfig &config,
                        SimEngine engine)
 {
-    MtProgram prog;
-    prog.threads.push_back(f); // copy
-    prog.num_queues = 0;
+    DecodedProgram prog;
+    prog.threads.push_back(decodeThread(f));
     prog.queue_capacity = config.queue_capacity;
-    CmpSimulator sim(config, engine);
-    return sim.run(prog, args, mem);
+    return CmpSimulator(config, engine).run(prog, args, mem);
 }
 
 } // namespace gmt

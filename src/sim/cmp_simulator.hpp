@@ -17,21 +17,21 @@
  * interleaving: the counts equal interpretMt's under any policy
  * (asserted across the benchmark matrix by tests/test_sim_fast.cpp).
  *
- * Two engines produce bit-identical SimResults (asserted across the
- * whole benchmark matrix by tests/test_sim_fast.cpp):
+ * One issue loop holds the timing model. It walks pre-decoded flat
+ * instruction streams (decoded_program.hpp) and is built twice from
+ * one compile-time flag, with bit-identical SimResults (asserted
+ * across the whole benchmark matrix by tests/test_sim_fast.cpp):
  *
- *  - SimEngine::Reference — the original lock-step loop: advance
- *    `now` one cycle at a time, re-fetching every core's next
- *    instruction through the Function/BasicBlock indirections.
- *  - SimEngine::Fast — the event-driven fast path (the default):
- *    pre-decoded flat instruction streams (decoded_program.hpp), a
- *    cycle-skip engine that jumps `now` to the next actionable event
- *    when every live core is provably stalled (bulk-incrementing the
- *    per-core stall counters by the skipped span so the accounting
- *    stays exact), and queue version stamps (sync_array_timing.hpp)
- *    that re-arm queue-blocked cores on the matching produce/consume
- *    instead of polling occupancy every cycle. DESIGN.md ("The
- *    event-driven simulator") gives the skip-safety argument.
+ *  - SimEngine::Fast (the default) keeps a wait record per stalled
+ *    core — an operand's ready cycle, or a queue's version stamp
+ *    (sync_array_timing.hpp) that the matching produce/consume bumps
+ *    — and jumps `now` to the next actionable event when every live
+ *    core is provably stalled, bulk-incrementing the per-core stall
+ *    counters by the skipped span so the accounting stays exact.
+ *  - SimEngine::Reference runs the same loop without both mechanisms:
+ *    every live core is swept on every cycle. It is the test
+ *    reference for them. DESIGN.md ("The event-driven simulator")
+ *    gives the skip-safety argument.
  *
  * Model summary (substitutions documented in DESIGN.md):
  *  - in-order issue of up to issue_width instructions/cycle, at most
@@ -66,10 +66,10 @@
 namespace gmt
 {
 
-/** Which simulation engine to run (results are bit-identical). */
+/** How the issue loop advances time (results are bit-identical). */
 enum class SimEngine {
-    Fast,      ///< event-driven: pre-decoded streams + cycle skipping
-    Reference, ///< the original per-cycle lock-step loop
+    Fast,      ///< wait records + cycle skipping
+    Reference, ///< sweep every live core on every cycle
 };
 
 const char *simEngineName(SimEngine e);
@@ -90,8 +90,8 @@ struct CoreStats
 
 /**
  * How the engine got through the run — meta-instrumentation, not
- * architectural state. Excluded from SimResult equality: the fast
- * path sweeps fewer cycles than it simulates, and that is the point.
+ * architectural state. Excluded from SimResult equality: skipping
+ * sweeps fewer cycles than it simulates, and that is the point.
  */
 struct SimEngineStats
 {
@@ -151,24 +151,20 @@ class CmpSimulator
                           SimEngine engine = SimEngine::Fast);
 
     /**
-     * Simulate @p prog to completion with the configured engine
-     * (the fast engine decodes first; pass a DecodedProgram to
-     * amortize the decode across runs).
+     * Decode @p prog and simulate it to completion (pass a
+     * DecodedProgram to amortize the decode across runs).
      * @param prog threads to run, one per core (threads <= cores).
      * @param args live-in values, broadcast to all threads.
      * @param mem  shared data memory (mutated).
      * @param max_cycles livelock budget: a run still live at this
      *        cycle raises a FatalError naming it (both engines stop at
-     *        the same cycle; the skip engine never jumps past it).
+     *        the same cycle; skipping never jumps past it).
      */
     SimResult run(const MtProgram &prog,
                   const std::vector<int64_t> &args, MemoryImage &mem,
                   uint64_t max_cycles = 500'000'000);
 
-    /**
-     * Fast engine over a pre-decoded program (ignores the configured
-     * engine: decoded streams only exist on the fast path).
-     */
+    /** Simulate a pre-decoded program with the configured engine. */
     SimResult run(const DecodedProgram &prog,
                   const std::vector<int64_t> &args, MemoryImage &mem,
                   uint64_t max_cycles = 500'000'000);
@@ -177,11 +173,11 @@ class CmpSimulator
      * Attach a stall-attribution profile. The simulator sizes it at
      * the start of the next run and charges every stall cycle to the
      * (core, block[, queue]) that lost it — at the same architectural
-     * events on both engines, so profiles are engine-independent and
-     * sum exactly to the CoreStats aggregates (the conservation
-     * invariant; see obs/stall_profile.hpp). Nullptr detaches; the
-     * uninstrumented hot loop costs one predictable branch per charge
-     * site.
+     * events with or without skipping, so profiles are
+     * engine-independent and sum exactly to the CoreStats aggregates
+     * (the conservation invariant; see obs/stall_profile.hpp).
+     * Nullptr detaches; the uninstrumented hot loop costs one
+     * predictable branch per charge site.
      */
     void setProfile(SimProfile *profile) { profile_ = profile; }
 
@@ -197,10 +193,6 @@ class CmpSimulator
     }
 
   private:
-    SimResult runReference(const MtProgram &prog,
-                           const std::vector<int64_t> &args,
-                           MemoryImage &mem, uint64_t max_cycles);
-
     MachineConfig config_;
     SimEngine engine_;
     SimProfile *profile_ = nullptr;
@@ -225,8 +217,8 @@ void checkSimOutput(const SimResult &r, const MemoryImage &mem,
                     const std::string &cell);
 
 /**
- * Convenience: simulate the single-threaded original as a 1-thread
- * MtProgram on one core (the paper's speedup baseline).
+ * Convenience: decode the single-threaded original and simulate it on
+ * one core (the paper's speedup baseline).
  */
 SimResult simulateSingleThreaded(const Function &f,
                                  const std::vector<int64_t> &args,

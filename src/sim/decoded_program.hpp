@@ -3,14 +3,17 @@
 
 /**
  * @file
- * Pre-decoded instruction streams for the timing simulator's fast
- * path: each thread of an MtProgram is flattened into one dense
- * array of DecodedInstr records with the per-issue work hoisted to
- * decode time — operand count, latency class, memory-port flag,
+ * Pre-decoded instruction streams, the only program form the timing
+ * simulator runs: each thread of an MtProgram is flattened into one
+ * dense array of DecodedInstr records with the per-issue work hoisted
+ * to decode time — operand count, latency class, memory-port flag,
  * ThreadStats count class, and the decoded successor indices of
  * Br/Jmp terminators — so the simulator's inner loop is a flat array
  * walk instead of chasing Function -> BasicBlock -> instrs()[pos] ->
- * Instr on every issue attempt.
+ * Instr on every issue attempt. Both simulator engines read the same
+ * decode, so an engine comparison cannot catch a decode bug;
+ * tests/test_sim_fast.cpp re-derives every record from its Function
+ * instead.
  *
  * Decoding is purely structural: a DecodedProgram is independent of
  * the MachineConfig (latency *classes*, not latencies, are recorded),
@@ -73,7 +76,7 @@ struct DecodedThread
     int num_blocks = 0;
 };
 
-/** A whole MtProgram, ready for the fast engine. */
+/** A whole MtProgram, ready for the simulator. */
 struct DecodedProgram
 {
     std::vector<DecodedThread> threads;

@@ -4,13 +4,10 @@ namespace gmt
 {
 
 SyncArrayTiming::SyncArrayTiming(const MachineConfig &config)
-    : config_(config), queues_(config.sa_queues),
-      slots_(static_cast<size_t>(config.sa_queues) *
-                 config.queue_capacity,
-             0),
+    : config_(config), num_queues_(config.sa_queues),
+      queues_(config.sa_queues, config.queue_capacity),
       versions_(config.sa_queues, 0)
 {
-    GMT_ASSERT(config.queue_capacity > 0);
 }
 
 } // namespace gmt

@@ -9,21 +9,25 @@
  * between the two cores", paper §4). Occupancy gates produce (full)
  * and consume (empty); the port budget resets every cycle.
  *
- * Wakeup support for the event-driven simulator: every produce or
+ * Values and occupancy live in a runtime/SyncArray, the same ring
+ * the MT interpreter uses; this class adds only the per-cycle port
+ * budget, per-queue version stamps, the port-conflict count and the
+ * queue count its range asserts check.
+ *
+ * Wakeup support for the simulator's wait records: every produce or
  * consume bumps the queue's version stamp, so a core blocked on an
  * empty/full queue records (queue, version) once and is re-armed by
  * the matching produce/consume — a changed stamp — instead of
- * re-polling the queue's occupancy every cycle. A nonempty-queue
- * count makes allDrained() O(1) per call.
+ * re-polling the queue's occupancy every cycle.
  *
- * Storage is one flat ring-buffer arena and every per-access method
- * is inline: the simulators call them once per communication
- * instruction and once per cycle (beginCycle).
+ * Every per-access method is inline: the simulator calls them once
+ * per communication instruction and once per cycle (beginCycle).
  */
 
 #include <cstdint>
 #include <vector>
 
+#include "runtime/sync_array.hpp"
 #include "sim/machine_config.hpp"
 #include "support/error.hpp"
 
@@ -48,30 +52,23 @@ class SyncArrayTiming
     /** Can queue @p q accept a produce this cycle? */
     bool canProduce(int q) const
     {
-        GMT_ASSERT(q >= 0 && q < static_cast<int>(queues_.size()),
-                   "sync array has only ", queues_.size(), " queues");
-        return queues_[q].count < config_.queue_capacity;
+        GMT_ASSERT(q >= 0 && q < num_queues_,
+                   "sync array has only ", num_queues_, " queues");
+        return !queues_.full(q);
     }
 
     /** Does queue @p q hold a consumable value this cycle? */
     bool canConsume(int q) const
     {
-        GMT_ASSERT(q >= 0 && q < static_cast<int>(queues_.size()));
-        return queues_[q].count > 0;
+        GMT_ASSERT(q >= 0 && q < num_queues_);
+        return !queues_.empty(q);
     }
 
     /** Perform the produce (consumes a port). */
     void produce(int q, int64_t value)
     {
         GMT_ASSERT(canProduce(q) && portAvailable());
-        Ring &r = queues_[q];
-        if (r.count == 0)
-            ++nonempty_;
-        slots_[static_cast<size_t>(q) * config_.queue_capacity +
-               r.tail] = value;
-        r.tail =
-            (r.tail + 1 == config_.queue_capacity) ? 0 : r.tail + 1;
-        ++r.count;
+        queues_.produce(q, value);
         ++versions_[q];
         ++ports_used_;
     }
@@ -80,15 +77,8 @@ class SyncArrayTiming
     int64_t consume(int q)
     {
         GMT_ASSERT(canConsume(q) && portAvailable());
-        Ring &r = queues_[q];
-        int64_t v = slots_[static_cast<size_t>(q) *
-                               config_.queue_capacity +
-                           r.head];
-        r.head =
-            (r.head + 1 == config_.queue_capacity) ? 0 : r.head + 1;
-        --r.count;
-        if (r.count == 0)
-            --nonempty_;
+        int64_t v = 0;
+        queues_.consume(q, v);
         ++versions_[q];
         ++ports_used_;
         return v;
@@ -99,11 +89,11 @@ class SyncArrayTiming
     /** Current occupancy of queue @p q (timeline sampling). */
     int occupancy(int q) const
     {
-        GMT_ASSERT(q >= 0 && q < static_cast<int>(queues_.size()));
-        return queues_[q].count;
+        GMT_ASSERT(q >= 0 && q < num_queues_);
+        return queues_.occupancy(q);
     }
 
-    bool allDrained() const { return nonempty_ == 0; }
+    bool allDrained() const { return queues_.allDrained(); }
 
     /**
      * Version stamp of queue @p q, bumped by every produce and
@@ -112,7 +102,7 @@ class SyncArrayTiming
      */
     uint64_t version(int q) const
     {
-        GMT_ASSERT(q >= 0 && q < static_cast<int>(queues_.size()));
+        GMT_ASSERT(q >= 0 && q < num_queues_);
         return versions_[q];
     }
 
@@ -122,16 +112,12 @@ class SyncArrayTiming
     void notePortConflict() { ++port_conflicts_; }
 
   private:
-    struct Ring
-    {
-        int head = 0, tail = 0, count = 0;
-    };
-
     MachineConfig config_;
-    std::vector<Ring> queues_;
-    std::vector<int64_t> slots_; ///< sa_queues x capacity arena
+    /** Bound of the range asserts. An int rather than a vector size:
+     *  the simulator's hot loop then keeps fewer values live. */
+    int num_queues_;
+    SyncArray queues_;
     std::vector<uint64_t> versions_;
-    int nonempty_ = 0;
     int ports_used_ = 0;
     uint64_t port_conflicts_ = 0;
 };

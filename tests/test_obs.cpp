@@ -299,8 +299,8 @@ TEST(TraceWriter, EmptyCollectorIsStillValid)
 // ---------------------------------------------------------------------------
 // Stall attribution: conservation + engine equivalence over the full
 // benchmark matrix. This is the tentpole invariant: every stall cycle
-// the simulator charges anywhere must be charged exactly once, on
-// both engines, and the two engines' attributions must be
+// the simulator charges anywhere must be charged exactly once, with
+// cycle skipping on and off, and the two attributions must be
 // bit-identical (same architectural events, same charges).
 
 MemoryImage
@@ -363,7 +363,7 @@ TEST(StallConservation, FullMatrixBothEngines)
                               ref.profile, stallTotals(ref.result)),
                           "");
 
-                // Differential: both engines attribute identically.
+                // Differential: skip on and off attribute identically.
                 EXPECT_TRUE(fast.result == ref.result);
                 EXPECT_TRUE(fast.profile == ref.profile);
                 EXPECT_TRUE(fast.timeline == ref.timeline);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "driver/pass_manager.hpp"
 #include "ir/builder.hpp"
 #include "runtime/interpreter.hpp"
 #include "sim/cmp_simulator.hpp"
 #include "support/error.hpp"
+#include "workloads/generate.hpp"
 #include "workloads/workload.hpp"
 
 namespace gmt
@@ -22,14 +25,106 @@ refMemory(const Workload &w)
     return mem;
 }
 
+/** The latency classes, restated here rather than taken from the
+ *  decoder: every opcode not listed is an ALU op. */
+LatClass
+expectedLatClass(Opcode op)
+{
+    static const std::pair<Opcode, LatClass> kLong[] = {
+        {Opcode::Mul, LatClass::Mul},
+        {Opcode::Div, LatClass::Div},
+        {Opcode::Rem, LatClass::Div}};
+    for (const auto &[o, lat] : kLong)
+        if (o == op)
+            return lat;
+    return LatClass::Alu;
+}
+
+/**
+ * Re-derive every record of @p t from @p f, the function it was
+ * decoded from. Both engines simulate the same decode, so comparing
+ * them cannot catch a decode bug; this check can. Returns the first
+ * mismatch, or "" when the decode is faithful.
+ */
+std::string
+decodeMismatch(const Function &f, const DecodedThread &t)
+{
+    if (t.num_regs != f.numRegs() || t.params != f.params() ||
+        t.live_outs != f.liveOuts() || t.num_blocks != f.numBlocks())
+        return "thread header differs";
+    // Blocks are laid out in id order: the first flat index of each.
+    std::vector<int32_t> first(f.numBlocks());
+    int32_t n = 0;
+    for (BlockId b = 0; b < f.numBlocks(); ++b) {
+        first[b] = n;
+        n += static_cast<int32_t>(f.block(b).instrs().size());
+    }
+    if (t.entry != first[f.entry()])
+        return "entry differs";
+    if (t.code.size() != static_cast<size_t>(n) ||
+        t.block_of.size() != static_cast<size_t>(n))
+        return "length differs";
+    int32_t i = 0;
+    for (BlockId b = 0; b < f.numBlocks(); ++b) {
+        const std::vector<BlockId> &succs = f.block(b).succs();
+        for (InstrId id : f.block(b).instrs()) {
+            const Instr &in = f.instr(id);
+            const DecodedInstr &d = t.code[i];
+            const std::string at = "index " + std::to_string(i) +
+                                   " (" +
+                                   std::string(opcodeName(in.op)) +
+                                   "): ";
+            if (d.op != in.op || d.dst != in.dst ||
+                d.src1 != in.src1 || d.src2 != in.src2 ||
+                d.queue != in.queue || d.imm != in.imm)
+                return at + "operands differ";
+            if (d.nsrc != numSrcs(in.op))
+                return at + "nsrc differs";
+            if (d.mem_port != usesMemoryPort(in.op))
+                return at + "mem_port differs";
+            if (d.stat != statClassOf(in.op, in.duplicated))
+                return at + "stat differs";
+            if (d.lat != expectedLatClass(in.op))
+                return at + "latency class differs";
+            if (t.block_of[i] != b)
+                return at + "block_of differs";
+            if ((in.op == Opcode::Jmp || in.op == Opcode::Br) &&
+                d.next != first[succs.at(0)])
+                return at + "taken target differs";
+            if (in.op == Opcode::Br && d.br_not != first[succs.at(1)])
+                return at + "fall-through target differs";
+            ++i;
+        }
+    }
+    return "";
+}
+
+/** decodeMismatch over every thread of @p prog. */
+std::string
+decodeMismatch(const MtProgram &prog, const DecodedProgram &dp)
+{
+    if (dp.num_queues != prog.num_queues ||
+        dp.queue_capacity != prog.queue_capacity ||
+        dp.threads.size() != prog.threads.size())
+        return "program header differs";
+    for (size_t t = 0; t < prog.threads.size(); ++t) {
+        std::string m = decodeMismatch(prog.threads[t], dp.threads[t]);
+        if (!m.empty())
+            return "thread " + std::to_string(t) + ": " + m;
+    }
+    return "";
+}
+
 /**
  * The differential-testing contract, across the full benchmark
  * matrix (11 workloads x {DSWP, GREMIO} x {COCO off, on}):
- *  - the fast engine's SimResult — cycles, per-core instruction
+ *  - the decode of every MT thread and of the single-threaded
+ *    baseline re-derives from its Function (decodeMismatch);
+ *  - the skipping engine's SimResult — cycles, per-core instruction
  *    counts and stall accounting, cache counters, everything
- *    architectural — equals the reference loop's, for both the MT
+ *    architectural — equals the lock-step sweep's, for both the MT
  *    program and the single-threaded baseline;
- *  - either engine is an MT oracle and counter the pipeline can rely
+ *  - the simulator is an MT oracle and counter the pipeline can rely
  *    on instead of the MT interpreter: its final memory equals the ST
  *    interpreter's, and each core's counts equal interpretMt's
  *    ThreadStats for that thread under round-robin and under random
@@ -53,14 +148,18 @@ TEST(SimFastDifferential, FullMatrixBitIdentical)
                 MemoryImage st_truth = refMemory(w);
                 auto st = interpret(ctx.ir->func, w.ref_args, st_truth);
 
+                const DecodedProgram dp = decodeProgram(ctx.prog->prog);
+                EXPECT_EQ(decodeMismatch(ctx.prog->prog, dp), "");
+                EXPECT_EQ(decodeMismatch(ctx.ir->func,
+                                         decodeThread(ctx.ir->func)),
+                          "");
+
                 MemoryImage fast_mem = refMemory(w);
                 MemoryImage ref_mem = refMemory(w);
                 SimResult mt_fast = CmpSimulator(m, SimEngine::Fast)
-                                        .run(ctx.prog->prog,
-                                             w.ref_args, fast_mem);
+                                        .run(dp, w.ref_args, fast_mem);
                 SimResult mt_ref = CmpSimulator(m, SimEngine::Reference)
-                                       .run(ctx.prog->prog, w.ref_args,
-                                            ref_mem);
+                                       .run(dp, w.ref_args, ref_mem);
                 EXPECT_TRUE(mt_fast == mt_ref);
                 EXPECT_EQ(mt_fast.engine.iterations +
                               mt_fast.engine.skipped,
@@ -102,8 +201,48 @@ TEST(SimFastDifferential, FullMatrixBitIdentical)
 }
 
 /**
+ * The decode check on generated cells (workloads/generate.hpp). The
+ * DSWP and GREMIO programs cut from these seeds hold every opcode the
+ * generator emits, Rem included, which no benchmark workload uses
+ * (the matrix above covers the memory-sync queue ops instead).
+ */
+TEST(DecodedProgram, GeneratedCellsRederive)
+{
+    std::set<Opcode> seen;
+    for (uint64_t seed : {0u, 1u, 2u, 3u}) {
+        Workload w = generateWorkload(seed);
+        for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio}) {
+            PipelineOptions po;
+            po.scheduler = sched;
+            po.use_coco = true;
+            PipelineContext ctx(w, po);
+            PassManager::codegenPipeline().run(ctx);
+            SCOPED_TRACE(ctx.cellId());
+            EXPECT_EQ(decodeMismatch(ctx.ir->func,
+                                     decodeThread(ctx.ir->func)),
+                      "");
+            EXPECT_EQ(decodeMismatch(ctx.prog->prog,
+                                     decodeProgram(ctx.prog->prog)),
+                      "");
+            for (const Function &f : ctx.prog->prog.threads)
+                for (InstrId i = 0; i < f.numInstrs(); ++i)
+                    seen.insert(f.instr(i).op);
+        }
+    }
+    for (Opcode op :
+         {Opcode::Const, Opcode::Mov, Opcode::Add, Opcode::Sub,
+          Opcode::Mul, Opcode::Div, Opcode::Rem, Opcode::And,
+          Opcode::Or, Opcode::Xor, Opcode::Shl, Opcode::Shr,
+          Opcode::Min, Opcode::Max, Opcode::Abs, Opcode::CmpEq,
+          Opcode::CmpLt, Opcode::CmpGt, Opcode::Load, Opcode::Store,
+          Opcode::Br, Opcode::Jmp, Opcode::Ret, Opcode::Produce,
+          Opcode::Consume})
+        EXPECT_TRUE(seen.count(op)) << opcodeName(op) << " not covered";
+}
+
+/**
  * Cycle skipping must fire on long-latency dependence chains and the
- * bulk-incremented stall counters must equal the reference's
+ * bulk-incremented stall counters must equal the lock-step sweep's
  * cycle-by-cycle accounting.
  */
 TEST(SimFastSkip, BulkStallAccountingOnLatencyChain)
@@ -199,7 +338,7 @@ pingPong(int n_values)
 /**
  * Queue wakeup: with capacity-1 queues the producer repeatedly blocks
  * on a full queue and the consumer on an empty one. The version-stamp
- * memo must re-arm each side exactly when the reference's re-poll
+ * memo must re-arm each side exactly when the lock-step re-poll
  * would succeed, keeping every stall counter identical.
  */
 TEST(SimFastWakeup, CapacityOnePingPongBitIdentical)
@@ -234,7 +373,8 @@ TEST(DecodedProgram, BranchTargetsAndLatencyClasses)
     Reg two = b.constI(2);
     Reg m = b.mul(x, two);
     Reg d = b.div(m, two);
-    Reg c = b.cmpLt(d, two);
+    Reg r = b.rem(d, two);
+    Reg c = b.cmpLt(r, two);
     b.br(c, then_b, done);
     b.setBlock(then_b);
     b.jmp(done);
@@ -243,6 +383,7 @@ TEST(DecodedProgram, BranchTargetsAndLatencyClasses)
     Function f = b.finish();
 
     DecodedThread t = decodeThread(f);
+    EXPECT_EQ(decodeMismatch(f, t), "");
     ASSERT_EQ(t.code.size(),
               static_cast<size_t>(f.numInstrs()));
     int muls = 0, divs = 0, brs = 0, jmps = 0;
@@ -265,16 +406,33 @@ TEST(DecodedProgram, BranchTargetsAndLatencyClasses)
         }
     }
     EXPECT_EQ(muls, 1);
-    EXPECT_EQ(divs, 1);
+    EXPECT_EQ(divs, 2); // div and rem
     EXPECT_EQ(brs, 1);
     EXPECT_EQ(jmps, 1);
 }
 
+/** Run @p prog under @p budget and return the FatalError text ("" if
+ *  the run finished). */
+std::string
+simError(const MtProgram &prog, SimEngine e,
+         const std::vector<int64_t> &args,
+         uint64_t budget = 500'000'000)
+{
+    MemoryImage mem;
+    try {
+        CmpSimulator(MachineConfig::paperDefault(), e)
+            .run(prog, args, mem, budget);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
 /**
  * The wedge detector must fire identically under skipping: a
- * two-thread deadlock (both consume first) dies at the same cycle in
- * both engines rather than being masked by (or tripping early in)
- * the skip engine.
+ * two-thread deadlock (both consume first) dies with the same message
+ * at the same cycle in both engines rather than being masked by (or
+ * tripping early in) the skip engine.
  */
 TEST(SimFastWedge, DeadlockDetectedLikeReference)
 {
@@ -295,12 +453,9 @@ TEST(SimFastWedge, DeadlockDetectedLikeReference)
         b.ret({});
         prog.threads.push_back(b.finish());
     }
-    MachineConfig m = MachineConfig::paperDefault();
-    MemoryImage mem1, mem2;
-    CmpSimulator fast_sim(m, SimEngine::Fast);
-    CmpSimulator ref_sim(m, SimEngine::Reference);
-    EXPECT_THROW(fast_sim.run(prog, {}, mem1), FatalError);
-    EXPECT_THROW(ref_sim.run(prog, {}, mem2), FatalError);
+    std::string fast = simError(prog, SimEngine::Fast, {});
+    EXPECT_NE(fast.find("wedged"), std::string::npos) << fast;
+    EXPECT_EQ(fast, simError(prog, SimEngine::Reference, {}));
 }
 
 /** One block that loops forever through a division chain: it
@@ -321,21 +476,6 @@ divSpin()
     return prog;
 }
 
-/** Run @p prog under @p budget and return the FatalError text ("" if
- *  the run finished). */
-std::string
-budgetError(const MtProgram &prog, SimEngine e, uint64_t budget)
-{
-    MemoryImage mem;
-    try {
-        CmpSimulator(MachineConfig::paperDefault(), e)
-            .run(prog, {1}, mem, budget);
-    } catch (const FatalError &err) {
-        return err.what();
-    }
-    return "";
-}
-
 /**
  * The livelock budget: a program that keeps issuing but never
  * finishes is stopped by both engines at the same cycle, with an
@@ -350,7 +490,7 @@ TEST(SimBudget, LivelockStopsAtTheBudgetOnBothEngines)
         // More than one loop period of budgets: some end inside a
         // skipped operand stall, some on an issuing cycle.
         for (uint64_t budget = 1000; budget < 1032; ++budget) {
-            std::string err = budgetError(spin, e, budget);
+            std::string err = simError(spin, e, {1}, budget);
             EXPECT_NE(err.find("cycle budget"), std::string::npos)
                 << err;
             EXPECT_TRUE(

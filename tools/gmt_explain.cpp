@@ -7,8 +7,7 @@
  * the record:
  *
  *   gmt-explain --workload W [--scheduler dswp|gremio] [--no-coco]
- *               [--threads N] [--max-queues N] [--sim fast|reference]
- *               [--autotune]
+ *               [--threads N] [--max-queues N] [--autotune]
  *               [--instr N | --queue N | --costliest] [--top N]
  *               [--diff [--diff-scheduler S] [--diff-coco on|off]
  *                       [--diff-threads N] [--diff-max-queues N]
@@ -66,7 +65,6 @@ struct ExplainOptions
     bool coco = true;
     int num_threads = 2;
     int max_queues = 0;
-    SimEngine sim_engine = SimEngine::Fast;
     bool autotune = false;
 
     int instr = -1;
@@ -93,8 +91,8 @@ usage(const char *argv0, int exit_code)
     std::fprintf(
         stderr,
         "usage: %s --workload W [--scheduler dswp|gremio] [--no-coco] "
-        "[--threads N] [--max-queues N] [--sim fast|reference] "
-        "[--autotune] [--instr N | --queue N | --costliest] [--top N] "
+        "[--threads N] [--max-queues N] [--autotune] "
+        "[--instr N | --queue N | --costliest] [--top N] "
         "[--diff [--diff-scheduler dswp|gremio] [--diff-coco on|off] "
         "[--diff-threads N] [--diff-max-queues N] "
         "[--diff-autotune on|off] [--expect-zero]] "
@@ -139,15 +137,7 @@ parseArgs(int argc, char **argv)
             opts.num_threads = std::atoi(value().c_str());
         else if (arg == "--max-queues")
             opts.max_queues = std::atoi(value().c_str());
-        else if (arg == "--sim") {
-            std::string v = value();
-            if (v == "fast")
-                opts.sim_engine = SimEngine::Fast;
-            else if (v == "reference")
-                opts.sim_engine = SimEngine::Reference;
-            else
-                usage(argv[0], 2);
-        } else if (arg == "--autotune")
+        else if (arg == "--autotune")
             opts.autotune = true;
         else if (arg == "--instr")
             opts.instr = std::atoi(value().c_str());
@@ -314,7 +304,6 @@ main(int argc, char **argv)
     po.use_coco = opts.coco;
     po.num_threads = opts.num_threads;
     po.max_queues = opts.max_queues;
-    po.sim_engine = opts.sim_engine;
     po.profile_stalls = true;
     po.record_provenance = true;
     po.autotune = opts.autotune;

@@ -6,10 +6,11 @@
  * run the full pipeline over the DSWP/GREMIO x COCO on/off matrix with
  * every oracle armed — static MT verification including the
  * happens-before race check, MT==ST output equivalence, queue drain,
- * comm-plan validation — and additionally require the fast and
- * reference timing engines to agree field-for-field on the
+ * comm-plan validation — and additionally require the timing
+ * simulator with cycle skipping on (SimEngine::Fast) and off
+ * (SimEngine::Reference) to agree field-for-field on the
  * PipelineResult, and every executor of the generated program (the MT
- * interpreter under round-robin and random interleaving, the fast
+ * interpreter under round-robin and random interleaving, the
  * simulator) to match the ST reference and each other's per-thread
  * counts: the premise that lets the pipeline run a simulated cell's
  * program once, in the simulator. The MT verifier runs first as a
@@ -29,7 +30,7 @@
  * --autotune additionally runs the feedback-directed autotuner on
  * every cell: the loop statically verifies (incl. happens-before)
  * each accepted intermediate schedule and oracles the final one
- * against the single-threaded reference, and the fast/reference
+ * against the single-threaded reference, and the skip on/off
  * equality check then covers the tuned result.
  *
  * Seeds are batched one task per seed on the shared ThreadPool; the
@@ -79,7 +80,7 @@ struct FuzzOptions
      * Close the feedback loop on every cell: the pipeline runs the
      * autotuner (which statically verifies — happens-before included
      * — each accepted intermediate schedule and oracles the final
-     * one against the ST reference), and the fast/reference equality
+     * one against the ST reference), and the skip on/off equality
      * check below then applies to the final tuned schedule, baseline
      * cycles and iteration/move counts included.
      */
@@ -211,7 +212,7 @@ cellOptions(const CellConfig &cfg, const FuzzOptions &fuzz,
 
 /**
  * Run @p prog (codegen of @p st_func) on every executor: the MT
- * interpreter under round-robin and random interleaving and the fast
+ * interpreter under round-robin and random interleaving and the
  * timing simulator. Each must reproduce the ST reference (live-outs,
  * final memory, queue drain) and the same per-thread counts. Returns
  * the first divergence, or "" when they all agree.
@@ -260,7 +261,7 @@ executorDivergence(const Workload &w, const Function &st_func,
 }
 
 /**
- * Run one (workload, config) cell under both timing engines with
+ * Run one (workload, config) cell with cycle skipping on and off and
  * every oracle armed. Returns true and fills @p sig on violation.
  */
 bool

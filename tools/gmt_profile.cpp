@@ -13,9 +13,8 @@
  * COCO-on vs COCO-off delta: the paper's Figure 1 story, measured.
  *
  *   gmt-profile [--only W1,W2,...] [--scheduler dswp|gremio|both]
- *               [--threads N] [--max-queues N] [--sim fast|reference]
- *               [--top N] [--jobs N] [--json FILE] [--trace FILE]
- *               [--quiet]
+ *               [--threads N] [--max-queues N] [--top N] [--jobs N]
+ *               [--json FILE] [--trace FILE] [--quiet]
  *
  * --json writes JSONL records (type:"profile" per cell, type:"queue"
  * / type:"block" per ranked row, type:"coco-delta" per pair, and one
@@ -48,7 +47,6 @@ struct ProfileOptions
                                       Scheduler::Gremio};
     int num_threads = 2;
     int max_queues = 0;
-    SimEngine sim_engine = SimEngine::Fast;
     int top = 5;
     int jobs = 0;
     bool autotune = false;
@@ -63,9 +61,8 @@ usage(const char *argv0, int exit_code)
     std::fprintf(
         stderr,
         "usage: %s [--only W1,W2,...] [--scheduler dswp|gremio|both] "
-        "[--threads N] [--max-queues N] [--sim fast|reference] "
-        "[--top N] [--jobs N] [--autotune] [--json FILE] "
-        "[--trace FILE] [--quiet]\n",
+        "[--threads N] [--max-queues N] [--top N] [--jobs N] "
+        "[--autotune] [--json FILE] [--trace FILE] [--quiet]\n",
         argv0);
     std::exit(exit_code);
 }
@@ -116,14 +113,6 @@ parseArgs(int argc, char **argv)
             opts.num_threads = std::atoi(value().c_str());
         } else if (arg == "--max-queues") {
             opts.max_queues = std::atoi(value().c_str());
-        } else if (arg == "--sim") {
-            std::string v = value();
-            if (v == "fast")
-                opts.sim_engine = SimEngine::Fast;
-            else if (v == "reference")
-                opts.sim_engine = SimEngine::Reference;
-            else
-                usage(argv[0], 2);
         } else if (arg == "--top") {
             opts.top = std::atoi(value().c_str());
         } else if (arg == "--jobs") {
@@ -351,7 +340,6 @@ main(int argc, char **argv)
                 po.use_coco = coco;
                 po.num_threads = opts.num_threads;
                 po.max_queues = opts.max_queues;
-                po.sim_engine = opts.sim_engine;
                 po.profile_stalls = true;
                 // --autotune closes the feedback loop on the COCO-on
                 // cell, so the pair's delta also shows what the tuner
@@ -450,7 +438,6 @@ main(int argc, char **argv)
         summary.num("schema", int64_t{1})
             .str("type", "profile-summary")
             .num("cells", static_cast<int64_t>(cells.size()))
-            .str("engine", simEngineName(opts.sim_engine))
             .str("conservation", "ok");
         sink->write(summary);
         // Republish the global registry (coco solver counters etc.)
