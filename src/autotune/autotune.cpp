@@ -17,6 +17,7 @@
 #include "partition/gremio.hpp"
 #include "sim/decoded_program.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace gmt
 {
@@ -81,6 +82,7 @@ struct Candidate
     ThreadPartition partition;
     CommPlan plan;
     int plan_iters = 0;
+    PlacementProvenance plan_prov; ///< record of the call behind plan
 };
 
 /** PDG arcs matching one queue placement descriptor under @p part. */
@@ -168,25 +170,28 @@ repartition(const AutotuneInputs &in, const PartitionFeedback &fb)
     return dswpPartition(*in.pdg, *in.profile, o);
 }
 
-/** COCO (or default MTCG) plan for a candidate partition. */
+/** COCO (or default MTCG) plan for @p c's partition, with its
+ *  record. */
 bool
-planFor(const AutotuneInputs &in, const ThreadPartition &part,
-        const EdgeProfile &profile, CommPlan &plan, int &iters,
-        std::string &reject)
+planFor(const AutotuneInputs &in, Candidate &c,
+        const EdgeProfile &profile, std::string &reject)
 {
     if (!in.use_coco) {
-        plan = defaultMtcgPlan(*in.f, *in.pdg, part, *in.cd);
-        iters = 0;
+        c.plan = defaultMtcgPlan(*in.f, *in.pdg, c.partition, *in.cd);
+        c.plan_iters = 0;
+        c.plan_prov = defaultPlanProvenance(c.plan, profile);
     } else {
         CocoExec exec;
         exec.pool = in.pool;
         exec.jobs = in.coco_jobs;
-        CocoResult res = cocoOptimize(*in.f, *in.pdg, part, *in.cd,
-                                      profile, in.coco, exec);
-        plan = std::move(res.plan);
-        iters = res.iterations;
+        CocoResult res = cocoOptimize(*in.f, *in.pdg, c.partition,
+                                      *in.cd, profile, in.coco, exec);
+        c.plan = std::move(res.plan);
+        c.plan_iters = res.iterations;
+        c.plan_prov = std::move(res.provenance);
     }
-    auto problems = validatePlan(*in.f, *in.pdg, part, *in.cd, plan);
+    auto problems =
+        validatePlan(*in.f, *in.pdg, c.partition, *in.cd, c.plan);
     if (!problems.empty()) {
         reject = "invalid-plan";
         return false;
@@ -234,8 +239,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
         c.partition = cur.s.partition;
         EdgeProfile prof = boosted(fb.cut_boost);
         std::string reject;
-        if (planFor(in, c.partition, prof, c.plan, c.plan_iters,
-                    reject)) {
+        if (planFor(in, c, prof, reject)) {
             out.push_back(std::move(c));
         } else {
             AutotuneMove m;
@@ -269,8 +273,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
             reject = "duplicate";
         } else {
             tried_partitions.push_back(c.partition.assign);
-            if (planFor(in, c.partition, *in.profile, c.plan,
-                        c.plan_iters, reject))
+            if (planFor(in, c, *in.profile, reject))
                 out.push_back(std::move(c));
         }
         if (!reject.empty()) {
@@ -378,8 +381,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                     }
                     if (reject.empty()) {
                         tried_partitions.push_back(c.partition.assign);
-                        if (planFor(in, c.partition, *in.profile,
-                                    c.plan, c.plan_iters, reject))
+                        if (planFor(in, c, *in.profile, reject))
                             out.push_back(std::move(c));
                     }
                     if (!reject.empty()) {
@@ -413,24 +415,11 @@ evalCandidate(const AutotuneInputs &in, const Candidate &c,
     out.s.partition = c.partition;
     out.s.plan = c.plan;
     out.s.plan_coco_iterations = c.plan_iters;
+    out.s.plan_prov = c.plan_prov;
     out.s.prog =
         runMtcg(*in.f, *in.pdg, c.partition, c.plan, *in.cd, mo);
-    out.s.queue_of.resize(c.plan.placements.size());
-    for (size_t i = 0; i < out.s.queue_of.size(); ++i)
-        out.s.queue_of[i] = static_cast<int>(i);
-    if (in.max_queues > 0) {
-        QueueAllocation alloc =
-            allocateQueues(c.plan, in.max_queues);
-        for (Function &tf : out.s.prog.threads) {
-            for (InstrId i = 0; i < tf.numInstrs(); ++i) {
-                Instr &ins = tf.instr(i);
-                if (isCommunication(ins.op))
-                    ins.queue = alloc.queue_of[ins.queue];
-            }
-        }
-        out.s.prog.num_queues = alloc.num_queues;
-        out.s.queue_of = alloc.queue_of;
-    }
+    out.s.queue_of = assignQueues(c.plan, in.max_queues, out.s.prog,
+                                  out.s.queue_prov);
 
     // Every intermediate schedule must pass the static verifier (HB
     // race check included); a failing candidate is rejected, never
@@ -471,6 +460,42 @@ profileSchedule(const AutotuneInputs &in, Working &w)
               violation);
     return buildStallReport(profile, r.cycles, w.s.plan, w.s.queue_of,
                             w.s.prog);
+}
+
+/** Decision record of a tuned partition: one unit per PDG SCC. The
+ *  assignment is SCC-atomic by construction (the partitioners keep
+ *  SCCs whole and migrations move whole SCCs), so the components are
+ *  the honest unit structure of any partition the loop holds. */
+PartitionProvenance
+sccPartitionProvenance(const AutotuneInputs &in, const SccResult &sccs,
+                       const ThreadPartition &part)
+{
+    PartitionProvenance p;
+    p.algorithm = std::string(in.gremio ? "GREMIO" : "DSWP") +
+                  "+autotune";
+    p.num_threads = in.num_threads;
+    p.unit_of.assign(sccs.component.begin(), sccs.component.end());
+    p.thread_of.assign(part.assign.begin(), part.assign.end());
+    p.units.resize(static_cast<size_t>(sccs.numComponents()));
+    for (int c = 0; c < sccs.numComponents(); ++c) {
+        UnitDecision &d = p.units[static_cast<size_t>(c)];
+        d.unit = c;
+        d.order = c;
+        d.thread = -1;
+    }
+    for (InstrId i = 0; i < in.f->numInstrs(); ++i) {
+        UnitDecision &d =
+            p.units[static_cast<size_t>(sccs.component[i])];
+        int t = part.threadOf(i);
+        GMT_ASSERT(d.thread == -1 || d.thread == t,
+                   "autotune partition splits an SCC for ", in.cell);
+        d.thread = t;
+        d.work += in.profile->blockWeight(in.f->instr(i).block);
+        ++d.num_members;
+        if (d.first_instr < 0)
+            d.first_instr = i;
+    }
+    return p;
 }
 
 int
@@ -639,10 +664,6 @@ autotuneSchedule(const AutotuneInputs &in,
         }
 
         cur = std::move(evals[static_cast<size_t>(best)]);
-        result.final_block_boost =
-            cands[static_cast<size_t>(best)].kind == "recut"
-                ? fb.cut_boost
-                : std::vector<uint64_t>{};
 
         if (opts.on_accept)
             opts.on_accept(cur.s);
@@ -664,6 +685,8 @@ autotuneSchedule(const AutotuneInputs &in,
         result.mem_sync += st.produce_syncs + st.consume_syncs;
     }
     result.final_schedule = std::move(cur.s);
+    result.partition_prov =
+        sccPartitionProvenance(in, sccs, result.final_schedule.partition);
 
     MetricsRegistry &mr = MetricsRegistry::global();
     mr.counter("autotune.iterations")
@@ -674,23 +697,6 @@ autotuneSchedule(const AutotuneInputs &in,
         .add(static_cast<uint64_t>(result.moves_rejected));
     return result;
 }
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 autotuneMovesJson(const AutotuneResult &r)
@@ -723,116 +729,6 @@ autotuneMovesJson(const AutotuneResult &r)
     }
     os << "]}";
     return os.str();
-}
-
-Provenance
-autotuneProvenance(const AutotuneInputs &in, const AutotuneResult &r,
-                   const std::string &cell,
-                   const std::string &workload,
-                   const std::string &scheduler)
-{
-    const AutotuneSchedule &s = r.final_schedule;
-    Provenance p;
-    p.cell = cell;
-    p.workload = workload;
-    p.scheduler = scheduler;
-    p.coco = in.use_coco;
-    p.num_threads = in.num_threads;
-
-    // Partition units: the tuned assignment is SCC-atomic by
-    // construction (partitioners keep SCCs whole; migrations move
-    // whole SCCs), so the PDG's components are the honest unit
-    // structure of the final partition.
-    Digraph g = in.pdg->asDigraph();
-    SccResult sccs = computeSccs(g);
-    p.partition.algorithm = scheduler + "+autotune";
-    p.partition.num_threads = in.num_threads;
-    p.partition.unit_of.assign(sccs.component.begin(),
-                               sccs.component.end());
-    p.partition.thread_of.assign(s.partition.assign.begin(),
-                                 s.partition.assign.end());
-    p.partition.units.resize(
-        static_cast<size_t>(sccs.numComponents()));
-    for (int c = 0; c < sccs.numComponents(); ++c) {
-        UnitDecision &d =
-            p.partition.units[static_cast<size_t>(c)];
-        d.unit = c;
-        d.order = c;
-        d.thread = -1;
-        d.first_instr = -1;
-    }
-    for (InstrId i = 0; i < in.f->numInstrs(); ++i) {
-        UnitDecision &d = p.partition.units[static_cast<size_t>(
-            sccs.component[i])];
-        int t = s.partition.threadOf(i);
-        GMT_ASSERT(d.thread == -1 || d.thread == t,
-                   "autotune partition splits an SCC for ", cell);
-        d.thread = t;
-        d.work += in.profile->blockWeight(in.f->instr(i).block);
-        ++d.num_members;
-        if (d.first_instr < 0)
-            d.first_instr = i;
-    }
-
-    // Placement decisions: re-derive the final plan with the serial
-    // instrumented COCO run under the final boost, asserted equal.
-    if (in.use_coco) {
-        EdgeProfile prof =
-            r.final_block_boost.empty()
-                ? *in.profile
-                : in.profile->withBlockBoost(r.final_block_boost);
-        CocoExec exec;
-        exec.provenance = &p.placement;
-        CocoResult coco = cocoOptimize(*in.f, *in.pdg, s.partition,
-                                       *in.cd, prof, in.coco, exec);
-        GMT_ASSERT(coco.plan == s.plan,
-                   "autotune provenance placement rerun diverged for ",
-                   cell);
-    } else {
-        p.placement.source = "mtcg-default";
-        for (size_t i = 0; i < s.plan.placements.size(); ++i) {
-            const CommPlacement &pl = s.plan.placements[i];
-            PlacementDecision d;
-            d.index = static_cast<int>(i);
-            d.is_mem = pl.kind == CommKind::MemorySync;
-            d.reg = pl.reg;
-            d.src_thread = pl.src_thread;
-            d.dst_thread = pl.dst_thread;
-            d.rule = "mtcg-default";
-            for (const auto &pt : pl.points)
-                d.points.push_back(
-                    {pt.block, pt.pos,
-                     static_cast<int64_t>(
-                         in.profile->pointWeight(pt)),
-                     0});
-            p.placement.placements.push_back(std::move(d));
-        }
-    }
-
-    // Queue decisions (same derivation as the obs-provenance pass).
-    if (in.max_queues <= 0) {
-        p.queues.max_queues = 0;
-        p.queues.num_queues = s.prog.num_queues;
-        for (size_t i = 0; i < s.queue_of.size(); ++i) {
-            const CommPlacement &pl = s.plan.placements[i];
-            QueueDecision d;
-            d.queue = s.queue_of[i];
-            d.src_thread = pl.src_thread;
-            d.dst_thread = pl.dst_thread;
-            d.rule = "identity";
-            d.pair_placements = 1;
-            d.pair_queues = 1;
-            d.placements.push_back(static_cast<int>(i));
-            p.queues.queues.push_back(std::move(d));
-        }
-    } else {
-        QueueAllocation alloc =
-            allocateQueues(s.plan, in.max_queues, &p.queues);
-        GMT_ASSERT(alloc.queue_of == s.queue_of,
-                   "autotune provenance queue rerun diverged for ",
-                   cell);
-    }
-    return p;
 }
 
 } // namespace gmt

@@ -31,6 +31,12 @@
  * ties in canonical candidate order, so the tuned schedule, the move
  * log, and the trajectory are byte-identical at any job count and
  * cache state.
+ *
+ * A schedule carries the decision records of the calls that built it
+ * (COCO's or the default plan's placement record, the queue
+ * binding's), so the tuned schedule's provenance is the record of the
+ * candidate accepted last; the result adds the SCC-unit record of the
+ * final partition.
  */
 
 #include <cstdint>
@@ -63,6 +69,13 @@ struct AutotuneSchedule
     MtProgram prog;
     std::vector<int> queue_of;
     uint64_t cycles = 0;
+
+    /** Decision records of the calls that built `plan` and
+     *  `queue_of`. The autotune pass fills the baseline's from its
+     *  cell's artifacts; a caller that never reads them may leave
+     *  them empty. */
+    PlacementProvenance plan_prov;
+    QueueProvenance queue_prov;
 };
 
 /** Autotuner knobs (result axes; keyed by the driver). */
@@ -126,12 +139,9 @@ struct AutotuneResult
     /** Simulated cycles: baseline, then after each accepted move. */
     std::vector<uint64_t> trajectory;
 
-    /**
-     * Block boost under which the final plan's cuts were solved
-     * (empty = the base profile). Needed to re-derive placement
-     * provenance for the tuned schedule.
-     */
-    std::vector<uint64_t> final_block_boost;
+    /** Decision record of final_schedule.partition: one unit per PDG
+     *  SCC (algorithm "DSWP+autotune" / "GREMIO+autotune"). */
+    PartitionProvenance partition_prov;
 
     // Dynamic instruction counts of the final schedule, from its
     // checked simulation (the round-1 profile run of the baseline
@@ -198,20 +208,6 @@ AutotuneResult autotuneSchedule(const AutotuneInputs &in,
  * determinism tests compare and gmt-explain prints.
  */
 std::string autotuneMovesJson(const AutotuneResult &r);
-
-/**
- * Build the full decision-provenance record of the tuned schedule:
- * partition units synthesized from the tuned assignment's PDG SCCs,
- * placement decisions re-derived by an instrumented serial COCO run
- * under the final boost (asserted equal to the final plan), queue
- * decisions from the allocator. @p cell names the record
- * ("workload/SCHED[+COCO]+AT").
- */
-Provenance autotuneProvenance(const AutotuneInputs &in,
-                              const AutotuneResult &r,
-                              const std::string &cell,
-                              const std::string &workload,
-                              const std::string &scheduler);
 
 } // namespace gmt
 

@@ -396,26 +396,19 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     // Decision records shadowing the accumulators (same keys, same
     // order), kept across iterations so a decision can tell which
     // iteration its final point set first appeared in.
-    const bool record = exec.provenance != nullptr;
     std::vector<std::pair<RegKey, PlacementDecision>> reg_decs;
     std::vector<std::pair<PairKey, PlacementDecision>> mem_decs;
-    auto prevRegDec = [&](const RegKey &k) -> const PlacementDecision * {
+    // Last iteration's decision under key @p k in @p decs (sorted).
+    auto prevDec = [](const auto &decs,
+                      const auto &k) -> const PlacementDecision * {
         auto it = std::lower_bound(
-            reg_decs.begin(), reg_decs.end(), k,
-            [](const auto &e, const RegKey &key) {
-                return e.first < key;
-            });
-        return it != reg_decs.end() && it->first == k ? &it->second
-                                                      : nullptr;
+            decs.begin(), decs.end(), k,
+            [](const auto &e, const auto &key) { return e.first < key; });
+        return it != decs.end() && it->first == k ? &it->second
+                                                  : nullptr;
     };
-    auto prevMemDec = [&](const PairKey &k) -> const PlacementDecision * {
-        auto it = std::lower_bound(
-            mem_decs.begin(), mem_decs.end(), k,
-            [](const auto &e, const PairKey &key) {
-                return e.first < key;
-            });
-        return it != mem_decs.end() && it->first == k ? &it->second
-                                                      : nullptr;
+    auto byKey = [](const auto &a, const auto &b) {
+        return a.first < b.first;
     };
 
     std::vector<int> needers;
@@ -666,6 +659,44 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             return slot;
         };
 
+        // Decision record of problem @p i: the cut's per-point
+        // breakdown when its points were taken (@p from_cut), else the
+        // chosen points at their profile weight. The iteration carries
+        // over from @p prev while rule and points are unchanged.
+        auto decide = [&](size_t i, const CachedCut *used_cut,
+                          bool from_cut, const PointList &points,
+                          const PlacementDecision *prev) {
+            const CutProblem &p = problems[i];
+            PlacementDecision d;
+            d.is_mem = p.is_mem;
+            d.reg = p.r;
+            d.src_thread = p.ts;
+            d.dst_thread = p.tt;
+            d.problem = static_cast<int>(i);
+            if (p.is_mem)
+                d.num_deps = static_cast<int>(p.deps->size());
+            d.rule = from_cut ? "coco-cut" : "coco-default";
+            if (used_cut) {
+                d.cut_cost = used_cut->cost;
+                d.graph_nodes = used_cut->graph_nodes;
+                d.graph_arcs = used_cut->graph_arcs;
+            }
+            if (from_cut) {
+                d.points = used_cut->breakdown;
+            } else {
+                for (const auto &pt : points)
+                    d.points.push_back(
+                        {pt.block, pt.pos,
+                         static_cast<int64_t>(profile.pointWeight(pt)),
+                         0});
+            }
+            d.iteration = prev && prev->rule == d.rule &&
+                                  prev->points == d.points
+                              ? prev->iteration
+                              : result.iterations;
+            return d;
+        };
+
         int cur_pair = -1;
         uint64_t pair_entry_vtt = 0;
         const ThreadLiveness *live = nullptr;
@@ -720,36 +751,9 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                                               needers);
                 }
                 const RegKey key{p.ts, p.tt, p.r};
-                if (record) {
-                    PlacementDecision d;
-                    d.is_mem = false;
-                    d.reg = p.r;
-                    d.src_thread = p.ts;
-                    d.dst_thread = p.tt;
-                    d.problem = static_cast<int>(i);
-                    d.rule = from_cut ? "coco-cut" : "coco-default";
-                    if (used_cut) {
-                        d.cut_cost = used_cut->cost;
-                        d.graph_nodes = used_cut->graph_nodes;
-                        d.graph_arcs = used_cut->graph_arcs;
-                    }
-                    if (from_cut) {
-                        d.points = used_cut->breakdown;
-                    } else {
-                        for (const auto &pt : points)
-                            d.points.push_back(
-                                {pt.block, pt.pos,
-                                 static_cast<int64_t>(
-                                     profile.pointWeight(pt)),
-                                 0});
-                    }
-                    const PlacementDecision *prev = prevRegDec(key);
-                    d.iteration = prev && prev->rule == d.rule &&
-                                          prev->points == d.points
-                                      ? prev->iteration
-                                      : result.iterations;
-                    new_reg_dec.push_back({key, std::move(d)});
-                }
+                new_reg_dec.push_back(
+                    {key, decide(i, used_cut, from_cut, points,
+                                 prevDec(reg_decs, key))});
                 new_reg.push_back({key, points});
                 for (const auto &pt : points)
                     grow(p.tt, pt);
@@ -777,34 +781,9 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                     points = normalize(std::move(points));
                 }
                 const PairKey key{p.ts, p.tt};
-                if (record) {
-                    PlacementDecision d;
-                    d.is_mem = true;
-                    d.src_thread = p.ts;
-                    d.dst_thread = p.tt;
-                    d.problem = static_cast<int>(i);
-                    d.num_deps = static_cast<int>(p.deps->size());
-                    d.rule = used_cut ? "coco-cut" : "coco-default";
-                    if (used_cut) {
-                        d.cut_cost = used_cut->cost;
-                        d.graph_nodes = used_cut->graph_nodes;
-                        d.graph_arcs = used_cut->graph_arcs;
-                        d.points = used_cut->breakdown;
-                    } else {
-                        for (const auto &pt : points)
-                            d.points.push_back(
-                                {pt.block, pt.pos,
-                                 static_cast<int64_t>(
-                                     profile.pointWeight(pt)),
-                                 0});
-                    }
-                    const PlacementDecision *prev = prevMemDec(key);
-                    d.iteration = prev && prev->rule == d.rule &&
-                                          prev->points == d.points
-                                      ? prev->iteration
-                                      : result.iterations;
-                    new_mem_dec.push_back({key, std::move(d)});
-                }
+                new_mem_dec.push_back(
+                    {key, decide(i, used_cut, used_cut != nullptr,
+                                 points, prevDec(mem_decs, key))});
                 new_mem.push_back({key, points});
                 for (const auto &pt : points)
                     grow(p.tt, pt);
@@ -814,26 +793,12 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         // Pair order is quasi-topological, not key-sorted; restore
         // the canonical ascending-key order the old map accumulators
         // iterated in (keys are unique, so plain sort by key).
-        std::sort(new_reg.begin(), new_reg.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        std::sort(new_mem.begin(), new_mem.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        if (record) {
-            std::sort(new_reg_dec.begin(), new_reg_dec.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.first < b.first;
-                      });
-            std::sort(new_mem_dec.begin(), new_mem_dec.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.first < b.first;
-                      });
-            reg_decs = std::move(new_reg_dec);
-            mem_decs = std::move(new_mem_dec);
-        }
+        std::sort(new_reg.begin(), new_reg.end(), byKey);
+        std::sort(new_mem.begin(), new_mem.end(), byKey);
+        std::sort(new_reg_dec.begin(), new_reg_dec.end(), byKey);
+        std::sort(new_mem_dec.begin(), new_mem_dec.end(), byKey);
+        reg_decs = std::move(new_reg_dec);
+        mem_decs = std::move(new_mem_dec);
 
         bool converged =
             (new_reg == reg_placements) && (new_mem == mem_placements);
@@ -847,47 +812,31 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     // pick up their final plan index here (or land in elided when no
     // points survived); reg_decs/mem_decs share the accumulators' key
     // sequence, so positions line up one to one.
-    if (record) {
-        GMT_ASSERT(reg_decs.size() == reg_placements.size() &&
-                   mem_decs.size() == mem_placements.size());
-        exec.provenance->source = "coco";
-        exec.provenance->iterations = result.iterations;
-    }
-    for (size_t k = 0; k < reg_placements.size(); ++k) {
-        const auto &[key, points] = reg_placements[k];
-        auto [ts, tt, r] = key;
-        if (record) {
-            PlacementDecision d = std::move(reg_decs[k].second);
-            if (points.empty()) {
-                exec.provenance->elided.push_back(std::move(d));
-            } else {
-                d.index =
-                    static_cast<int>(result.plan.placements.size());
-                exec.provenance->placements.push_back(std::move(d));
-            }
+    GMT_ASSERT(reg_decs.size() == reg_placements.size() &&
+               mem_decs.size() == mem_placements.size());
+    PlacementProvenance &prov = result.provenance;
+    prov.source = "coco";
+    prov.iterations = result.iterations;
+    auto place = [&](PlacementDecision &d, CommPlacement pl) {
+        if (pl.points.empty()) {
+            prov.elided.push_back(std::move(d));
+            return;
         }
-        if (points.empty())
-            continue;
-        result.plan.placements.push_back(
-            {CommKind::RegisterData, r, ts, tt, points});
+        d.index = static_cast<int>(result.plan.placements.size());
+        prov.placements.push_back(std::move(d));
+        result.plan.placements.push_back(std::move(pl));
+    };
+    for (size_t k = 0; k < reg_placements.size(); ++k) {
+        auto &[key, points] = reg_placements[k];
+        auto [ts, tt, r] = key;
+        place(reg_decs[k].second,
+              {CommKind::RegisterData, r, ts, tt, std::move(points)});
     }
     for (size_t k = 0; k < mem_placements.size(); ++k) {
-        const auto &[key, points] = mem_placements[k];
+        auto &[key, points] = mem_placements[k];
         auto [ts, tt] = key;
-        if (record) {
-            PlacementDecision d = std::move(mem_decs[k].second);
-            if (points.empty()) {
-                exec.provenance->elided.push_back(std::move(d));
-            } else {
-                d.index =
-                    static_cast<int>(result.plan.placements.size());
-                exec.provenance->placements.push_back(std::move(d));
-            }
-        }
-        if (points.empty())
-            continue;
-        result.plan.placements.push_back(
-            {CommKind::MemorySync, kNoReg, ts, tt, points});
+        place(mem_decs[k].second,
+              {CommKind::MemorySync, kNoReg, ts, tt, std::move(points)});
     }
     return result;
 }

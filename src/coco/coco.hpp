@@ -66,14 +66,6 @@ struct CocoExec
 
     /** Optional Chrome-trace collector for per-solve spans. */
     TraceCollector *trace = nullptr;
-
-    /**
-     * Optional decision-provenance sink: per-placement rule,
-     * Algorithm-2 iteration, cut problem id, and arc-cost breakdown,
-     * recorded exclusively on the serial apply walk — identical at
-     * any job count (the min cut is unique).
-     */
-    PlacementProvenance *provenance = nullptr;
 };
 
 /** Result of the optimizer. */
@@ -100,6 +92,15 @@ struct CocoResult
     /** Cut problems the apply walk built and solved in this call.
      *  warm_starts + cold_rebuilds = cut problems answered. */
     uint64_t cold_rebuilds = 0;
+
+    /**
+     * Why each placement of `plan` is where it is: rule, Algorithm-2
+     * iteration, cut problem id and arc-cost breakdown per placement,
+     * plus the elided decisions. Built on every call by the serial
+     * apply walk, so it is identical at any job count (the min cut is
+     * unique).
+     */
+    PlacementProvenance provenance;
 };
 
 /**

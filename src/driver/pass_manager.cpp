@@ -471,22 +471,19 @@ passPartition(PipelineContext &ctx, PassStats &ps)
                 ctx.opts.scheduler == Scheduler::Dswp
                     ? dswpPartition(
                           pdg, ctx.profile->profile,
-                          {.num_threads = ctx.opts.num_threads})
+                          {.num_threads = ctx.opts.num_threads},
+                          &art->prov)
                     : gremioPartition(
                           pdg, ctx.profile->profile,
-                          {.num_threads = ctx.opts.num_threads});
+                          {.num_threads = ctx.opts.num_threads},
+                          &art->prov);
             auto problems = validatePartition(
                 pdg, art->partition,
                 ctx.opts.scheduler == Scheduler::Dswp);
             if (!problems.empty())
                 fatal("partition invalid for ", ctx.workload->name,
                       ": ", problems[0]);
-            for (const auto &arc : pdg.arcs()) {
-                if (arc.kind == DepKind::Memory &&
-                    art->partition.threadOf(arc.src) !=
-                        art->partition.threadOf(arc.dst))
-                    art->has_mem_deps = true;
-            }
+            art->has_mem_deps = hasCrossThreadMemDep(pdg, art->partition);
             return art;
         },
         ps);
@@ -518,6 +515,7 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
                                          ctx.opts.coco, exec);
                 art->plan = std::move(coco.plan);
                 art->coco_iterations = coco.iterations;
+                art->prov = std::move(coco.provenance);
                 auto problems =
                     validatePlan(f, pdg, ctx.partition->partition, cd,
                                  art->plan);
@@ -527,6 +525,8 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
             } else {
                 art->plan = defaultMtcgPlan(
                     f, pdg, ctx.partition->partition, cd);
+                art->prov = defaultPlanProvenance(
+                    art->plan, ctx.profile->profile);
             }
             return art;
         },
@@ -554,9 +554,8 @@ passMtcg(PipelineContext &ctx, PassStats &ps)
                                 ctx.partition->partition,
                                 ctx.plan->plan, ctx.pdg->cd, mtcg_opts);
             // max_queues == 0: placement i owns queue i.
-            art->queue_of.resize(ctx.plan->plan.placements.size());
-            for (size_t pi = 0; pi < art->queue_of.size(); ++pi)
-                art->queue_of[pi] = static_cast<int>(pi);
+            art->queue_of = assignQueues(ctx.plan->plan, 0, art->prog,
+                                         art->queues);
             return art;
         },
         ps);
@@ -579,19 +578,11 @@ passQueueAlloc(PipelineContext &ctx, PassStats &ps)
             // The MTCG artifact numbers queues by placement index, so
             // remapping instruction queue ids through the allocation
             // is exactly the multiplexed program.
-            QueueAllocation alloc = allocateQueues(
-                ctx.plan->plan, ctx.opts.max_queues);
             auto art = std::make_shared<ProgramArtifact>();
             art->prog = ctx.prog->prog;
-            for (Function &tf : art->prog.threads) {
-                for (InstrId i = 0; i < tf.numInstrs(); ++i) {
-                    Instr &in = tf.instr(i);
-                    if (isCommunication(in.op))
-                        in.queue = alloc.queue_of[in.queue];
-                }
-            }
-            art->prog.num_queues = alloc.num_queues;
-            art->queue_of = alloc.queue_of;
+            art->queue_of = assignQueues(ctx.plan->plan,
+                                         ctx.opts.max_queues, art->prog,
+                                         art->queues);
             return art;
         },
         ps);
@@ -845,12 +836,13 @@ makeAutotuneInputs(const PipelineContext &ctx)
 /**
  * Close the profile -> schedule loop (src/autotune/): run the
  * feedback autotuner from this cell's schedule, then republish the
- * tuned schedule into the partition/plan/prog/mt_run/mt_decoded/
- * mt_sim slots so every downstream pass — obs-profile, obs-provenance
- * — and the assembled result describe the tuned schedule. The
- * baseline artifacts keep their un-suffixed cache keys, so a baseline
- * cell and its autotuned twin share the entire codegen + simulation
- * prefix (which is what makes warm iterations cheap).
+ * tuned schedule and its decision records into the partition/plan/
+ * prog/mt_run/mt_decoded/mt_sim slots so every downstream pass —
+ * obs-profile, obs-provenance — and the assembled result describe the
+ * tuned schedule. The baseline artifacts keep their un-suffixed cache
+ * keys, so a baseline cell and its autotuned twin share the entire
+ * codegen + simulation prefix (which is what makes warm iterations
+ * cheap).
  */
 void
 passAutotune(PipelineContext &ctx, PassStats &ps)
@@ -879,6 +871,8 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
             baseline.prog = prog->prog;
             baseline.queue_of = prog->queue_of;
             baseline.cycles = mt_sim->cycles;
+            baseline.plan_prov = plan->prov;
+            baseline.queue_prov = prog->queues;
             auto art = std::make_shared<AutotuneArtifact>();
             art->result = autotuneSchedule(in, baseline,
                                            ctx.opts.autotune_opts);
@@ -887,31 +881,18 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
         },
         ps);
 
-    // Republish the tuned schedule downstream.
+    // Republish the tuned schedule, with its decision records,
+    // downstream.
     const AutotuneResult &r = ctx.autotune->result;
     const AutotuneSchedule &s = r.final_schedule;
-    {
-        auto art = std::make_shared<PartitionArtifact>();
-        art->partition = s.partition;
-        for (const auto &arc : ctx.pdg->pdg.arcs())
-            if (arc.kind == DepKind::Memory &&
-                art->partition.threadOf(arc.src) !=
-                    art->partition.threadOf(arc.dst))
-                art->has_mem_deps = true;
-        ctx.partition = art;
-    }
-    {
-        auto art = std::make_shared<PlanArtifact>();
-        art->plan = s.plan;
-        art->coco_iterations = s.plan_coco_iterations;
-        ctx.plan = art;
-    }
-    {
-        auto art = std::make_shared<ProgramArtifact>();
-        art->prog = s.prog;
-        art->queue_of = s.queue_of;
-        ctx.prog = art;
-    }
+    ctx.partition = std::make_shared<PartitionArtifact>(
+        PartitionArtifact{s.partition,
+                          hasCrossThreadMemDep(ctx.pdg->pdg, s.partition),
+                          r.partition_prov});
+    ctx.plan = std::make_shared<PlanArtifact>(
+        PlanArtifact{s.plan, s.plan_coco_iterations, s.plan_prov});
+    ctx.prog = std::make_shared<ProgramArtifact>(
+        ProgramArtifact{s.prog, s.queue_of, s.queue_prov});
     {
         auto art = std::make_shared<MtDecodedArtifact>();
         art->prog = decodeProgram(s.prog);
@@ -1072,12 +1053,12 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
 }
 
 /**
- * Re-derive every scheduling decision with instrumented serial
- * re-runs of the deciding algorithms, each asserted equal to the
- * pipeline's own (possibly cache-hit) artifact — so the published
- * record provably describes this cell's schedule no matter which run
- * populated the cache, and is byte-identical across job counts,
- * cache states, and warm/cold max-flow.
+ * Assemble the cell's decision provenance from the records its
+ * artifacts carry: each was built by the call that decided the
+ * artifact (partitioner, COCO or the default plan, the queue
+ * binding), or republished with the tuned schedule by the autotune
+ * pass. One call makes a record and its artifact, so the record
+ * describes exactly the schedule the cell ran.
  */
 void
 passObsProvenance(PipelineContext &ctx, PassStats &ps)
@@ -1086,134 +1067,19 @@ passObsProvenance(PipelineContext &ctx, PassStats &ps)
         ps.add("skipped", 1);
         return;
     }
-    if (ctx.opts.autotune) {
-        // A tuned schedule is not re-derivable by the bare
-        // partitioner: build its record from the autotuner's result
-        // (SCC-synthesized units; placement re-derived by a serial
-        // instrumented COCO run under the final stall boost, asserted
-        // equal to the tuned plan).
-        GMT_ASSERT(ctx.autotune, "autotune pass must run first");
-        auto at = ctx.autotune;
-        const std::string cell = ctx.cellId();
-        const std::string wname = ctx.workload->name;
-        const std::string sched = schedulerName(ctx.opts.scheduler);
-        ctx.prov = ctx.cached<ProvenanceArtifact>(
-            provenanceKey(ctx),
-            [&]() -> std::shared_ptr<const ProvenanceArtifact> {
-                auto art = std::make_shared<ProvenanceArtifact>();
-                art->prov = autotuneProvenance(makeAutotuneInputs(ctx),
-                                               at->result, cell, wname,
-                                               sched);
-                art->canonical_json = provenanceJson(art->prov);
-                return art;
-            },
-            ps);
-        ps.add("units",
-               static_cast<int64_t>(
-                   ctx.prov->prov.partition.units.size()));
-        ps.add("placements",
-               static_cast<int64_t>(
-                   ctx.prov->prov.placement.placements.size()));
-        ps.add("json_bytes",
-               static_cast<int64_t>(ctx.prov->canonical_json.size()));
-        return;
-    }
-    auto ir = ctx.ir;
-    auto profile = ctx.profile;
-    auto pdg_art = ctx.pdg;
-    auto part = ctx.partition;
-    auto plan = ctx.plan;
-    auto prog = ctx.prog;
-    const PipelineOptions opts = ctx.opts;
-    const std::string cell = ctx.cellId();
-    const std::string wname = ctx.workload->name;
     ctx.prov = ctx.cached<ProvenanceArtifact>(
         provenanceKey(ctx),
         [&]() -> std::shared_ptr<const ProvenanceArtifact> {
             auto art = std::make_shared<ProvenanceArtifact>();
             Provenance &p = art->prov;
-            p.cell = cell;
-            p.workload = wname;
-            p.scheduler = schedulerName(opts.scheduler);
-            p.coco = opts.use_coco;
-            p.num_threads = opts.num_threads;
-
-            // Partitioner decisions.
-            ThreadPartition repart =
-                opts.scheduler == Scheduler::Dswp
-                    ? dswpPartition(
-                          pdg_art->pdg, profile->profile,
-                          {.num_threads = opts.num_threads},
-                          &p.partition)
-                    : gremioPartition(
-                          pdg_art->pdg, profile->profile,
-                          {.num_threads = opts.num_threads},
-                          &p.partition);
-            GMT_ASSERT(repart.assign == part->partition.assign,
-                       "provenance partition rerun diverged for ",
-                       cell);
-
-            // Placement decisions.
-            if (opts.use_coco) {
-                CocoExec exec; // all inline: the serial apply walk
-                exec.provenance = &p.placement;
-                auto coco = cocoOptimize(
-                    ir->func, pdg_art->pdg, part->partition,
-                    pdg_art->cd, profile->profile, opts.coco, exec);
-                GMT_ASSERT(coco.plan == plan->plan,
-                           "provenance placement rerun diverged for ",
-                           cell);
-            } else {
-                // Algorithm 1 has no search to replay: synthesize the
-                // rule and per-point profile weights from the plan.
-                p.placement.source = "mtcg-default";
-                const auto &placements = plan->plan.placements;
-                for (size_t i = 0; i < placements.size(); ++i) {
-                    const CommPlacement &pl = placements[i];
-                    PlacementDecision d;
-                    d.index = static_cast<int>(i);
-                    d.is_mem = pl.kind == CommKind::MemorySync;
-                    d.reg = pl.reg;
-                    d.src_thread = pl.src_thread;
-                    d.dst_thread = pl.dst_thread;
-                    d.rule = "mtcg-default";
-                    for (const auto &pt : pl.points)
-                        d.points.push_back(
-                            {pt.block, pt.pos,
-                             static_cast<int64_t>(
-                                 profile->profile.pointWeight(pt)),
-                             0});
-                    p.placement.placements.push_back(std::move(d));
-                }
-            }
-
-            // Queue decisions.
-            if (opts.max_queues <= 0) {
-                // passQueueAlloc was skipped: placement i owns
-                // queue i (paper footnote 1).
-                p.queues.max_queues = 0;
-                p.queues.num_queues = prog->prog.num_queues;
-                const auto &placements = plan->plan.placements;
-                for (size_t i = 0; i < prog->queue_of.size(); ++i) {
-                    const CommPlacement &pl = placements[i];
-                    QueueDecision d;
-                    d.queue = prog->queue_of[i];
-                    d.src_thread = pl.src_thread;
-                    d.dst_thread = pl.dst_thread;
-                    d.rule = "identity";
-                    d.pair_placements = 1;
-                    d.pair_queues = 1;
-                    d.placements.push_back(static_cast<int>(i));
-                    p.queues.queues.push_back(std::move(d));
-                }
-            } else {
-                QueueAllocation alloc = allocateQueues(
-                    plan->plan, opts.max_queues, &p.queues);
-                GMT_ASSERT(alloc.queue_of == prog->queue_of,
-                           "provenance queue rerun diverged for ",
-                           cell);
-            }
-
+            p.cell = ctx.cellId();
+            p.workload = ctx.workload->name;
+            p.scheduler = schedulerName(ctx.opts.scheduler);
+            p.coco = ctx.opts.use_coco;
+            p.num_threads = ctx.opts.num_threads;
+            p.partition = ctx.partition->prov;
+            p.placement = ctx.plan->prov;
+            p.queues = ctx.prog->queues;
             art->canonical_json = provenanceJson(p);
             return art;
         },

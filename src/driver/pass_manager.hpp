@@ -101,6 +101,9 @@ struct PartitionArtifact
 
     /** Any cross-thread memory dependence in the PDG? */
     bool has_mem_deps = false;
+
+    /** The partitioner's record (SCC units after autotune). */
+    PartitionProvenance prov;
 };
 
 struct PlanArtifact
@@ -109,6 +112,9 @@ struct PlanArtifact
 
     /** COCO repeat-until iterations (0 for the default placement). */
     int coco_iterations = 0;
+
+    /** COCO's record, or the default plan's "mtcg-default" one. */
+    PlacementProvenance prov;
 };
 
 struct ProgramArtifact
@@ -121,6 +127,10 @@ struct ProgramArtifact
      * multiplexed assignment after queue-alloc.
      */
     std::vector<int> queue_of;
+
+    /** Why each queue exists: the record assignQueues made beside
+     *  queue_of. */
+    QueueProvenance queues;
 };
 
 /** Single-threaded reference run (every MT oracle's truth). */
@@ -216,12 +226,12 @@ struct ObsProfileArtifact
 
 /**
  * The autotune pass's output (src/autotune/): the feedback loop's
- * result — final schedule, move log, trajectory — plus the canonical
- * move-log JSON (autotuneMovesJson) the determinism tests compare and
- * gmt-explain prints. The pass also republishes the tuned schedule
- * into the partition/plan/prog/mt_run/mt_sim slots, so everything
- * downstream (obs-profile, obs-provenance, the result) describes the
- * tuned schedule.
+ * result — final schedule with its decision records, move log,
+ * trajectory — plus the canonical move-log JSON (autotuneMovesJson)
+ * the determinism tests compare and gmt-explain prints. The pass also
+ * republishes the tuned schedule into the partition/plan/prog/mt_run/
+ * mt_sim slots, so everything downstream (obs-profile,
+ * obs-provenance, the result) describes the tuned schedule.
  */
 struct AutotuneArtifact
 {
@@ -230,14 +240,13 @@ struct AutotuneArtifact
 };
 
 /**
- * Decision provenance of one cell (the obs-provenance pass): the full
- * Provenance record re-derived by serial instrumented re-runs of the
- * partitioner, COCO, and the queue allocator — each asserted equal to
- * the pipeline's own artifacts, so a cache-hit cell carries exactly
- * the provenance of the run that populated the cache. canonical_json
- * is the byte representation (schema:1, fixed key order) determinism
- * tests and gmt-explain --diff compare; it excludes execution-only
- * fields (warm/cold solve), which live only in `prov`.
+ * Decision provenance of one cell (the obs-provenance pass): the
+ * partition, plan and program artifacts' records assembled into one
+ * Provenance. Each record was made by the call that built its
+ * artifact, so a cache-hit cell carries exactly the provenance of the
+ * run that populated the cache. canonical_json is the byte
+ * representation (schema:1, fixed key order) determinism tests and
+ * gmt-explain --diff compare.
  */
 struct ProvenanceArtifact
 {

@@ -113,12 +113,13 @@ struct PipelineOptions
     bool profile_stalls = false;
 
     /**
-     * Run the obs-provenance pass: re-derive every scheduling
-     * decision (partitioner steps, COCO cuts, queue shares) with
-     * instrumented serial re-runs asserted equal to the pipeline's
-     * artifacts, and publish the record as a ProvenanceArtifact
-     * (obs/provenance.hpp). Purely observational: plans, programs,
-     * and results are byte-identical with this on or off.
+     * Run the obs-provenance pass: assemble the decision records the
+     * partition, placement, mtcg and queue-alloc passes (or the
+     * autotune pass) kept beside their artifacts — partitioner steps,
+     * COCO cuts, queue shares — and publish them as a
+     * ProvenanceArtifact (obs/provenance.hpp). Purely observational:
+     * the records are kept on every run, and plans, programs, and
+     * results are byte-identical with this on or off.
      */
     bool record_provenance = false;
 

@@ -5,34 +5,10 @@
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace gmt
 {
-
-std::string
-JsonObject::escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 JsonObject::key(const std::string &k)
@@ -40,7 +16,7 @@ JsonObject::key(const std::string &k)
     if (!body_.empty())
         body_ += ',';
     body_ += '"';
-    body_ += escape(k);
+    body_ += jsonEscape(k);
     body_ += "\":";
 }
 
@@ -49,7 +25,7 @@ JsonObject::str(const std::string &k, const std::string &value)
 {
     key(k);
     body_ += '"';
-    body_ += escape(value);
+    body_ += jsonEscape(value);
     body_ += '"';
     return *this;
 }

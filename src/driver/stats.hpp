@@ -23,8 +23,7 @@ class MetricsRegistry;
 /**
  * Builder for one flat JSON object. Keys are emitted in insertion
  * order; values are strings, numbers, or booleans. Strings are
- * escaped per RFC 8259 (the subset the pipeline produces: quotes,
- * backslashes, control characters).
+ * escaped per RFC 8259 (support/json.hpp).
  */
 class JsonObject
 {
@@ -37,8 +36,6 @@ class JsonObject
 
     /** Render "{...}" (no trailing newline). */
     std::string render() const;
-
-    static std::string escape(const std::string &s);
 
   private:
     void key(const std::string &k);

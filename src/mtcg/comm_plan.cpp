@@ -157,4 +157,27 @@ defaultMtcgPlan(const Function &f, const Pdg &pdg,
     return plan;
 }
 
+PlacementProvenance
+defaultPlanProvenance(const CommPlan &plan, const EdgeProfile &profile)
+{
+    PlacementProvenance prov;
+    prov.source = "mtcg-default";
+    for (size_t i = 0; i < plan.placements.size(); ++i) {
+        const CommPlacement &pl = plan.placements[i];
+        PlacementDecision d;
+        d.index = static_cast<int>(i);
+        d.is_mem = pl.kind == CommKind::MemorySync;
+        d.reg = pl.reg;
+        d.src_thread = pl.src_thread;
+        d.dst_thread = pl.dst_thread;
+        d.rule = "mtcg-default";
+        for (const auto &pt : pl.points)
+            d.points.push_back(
+                {pt.block, pt.pos,
+                 static_cast<int64_t>(profile.pointWeight(pt)), 0});
+        prov.placements.push_back(std::move(d));
+    }
+    return prov;
+}
+
 } // namespace gmt

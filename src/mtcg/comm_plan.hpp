@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "analysis/control_dep.hpp"
+#include "analysis/edge_profile.hpp"
 #include "ir/function.hpp"
+#include "obs/provenance.hpp"
 #include "partition/partition.hpp"
 #include "pdg/pdg.hpp"
 #include "support/bit_vector.hpp"
@@ -114,6 +116,14 @@ class RelevantSets
 CommPlan defaultMtcgPlan(const Function &f, const Pdg &pdg,
                          const ThreadPartition &partition,
                          const ControlDependence &cd);
+
+/**
+ * Decision record of a defaultMtcgPlan() result: rule "mtcg-default"
+ * for every placement, each point costed at its @p profile weight.
+ * Algorithm 1 searches nothing, so the plan alone determines it.
+ */
+PlacementProvenance defaultPlanProvenance(const CommPlan &plan,
+                                          const EdgeProfile &profile);
 
 } // namespace gmt
 

@@ -77,4 +77,43 @@ allocateQueues(const CommPlan &plan, int max_queues,
     return alloc;
 }
 
+std::vector<int>
+assignQueues(const CommPlan &plan, int max_queues, MtProgram &prog,
+             QueueProvenance &prov)
+{
+    const int n = static_cast<int>(plan.placements.size());
+    GMT_ASSERT(prog.num_queues == n,
+               "assignQueues expects one queue per placement");
+    prov = QueueProvenance{};
+    if (max_queues > 0) {
+        QueueAllocation alloc = allocateQueues(plan, max_queues, &prov);
+        for (Function &tf : prog.threads) {
+            for (InstrId i = 0; i < tf.numInstrs(); ++i) {
+                Instr &in = tf.instr(i);
+                if (isCommunication(in.op))
+                    in.queue = alloc.queue_of[in.queue];
+            }
+        }
+        prog.num_queues = alloc.num_queues;
+        return alloc.queue_of;
+    }
+    // Paper footnote 1: one queue per placement.
+    std::vector<int> queue_of(static_cast<size_t>(n));
+    prov.num_queues = n;
+    for (int i = 0; i < n; ++i) {
+        const CommPlacement &pl = plan.placements[static_cast<size_t>(i)];
+        queue_of[static_cast<size_t>(i)] = i;
+        QueueDecision d;
+        d.queue = i;
+        d.src_thread = pl.src_thread;
+        d.dst_thread = pl.dst_thread;
+        d.rule = "identity";
+        d.pair_placements = 1;
+        d.pair_queues = 1;
+        d.placements.push_back(i);
+        prov.queues.push_back(std::move(d));
+    }
+    return queue_of;
+}
+
 } // namespace gmt

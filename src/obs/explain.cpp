@@ -7,26 +7,13 @@
 
 #include "ir/printer.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace gmt
 {
 
 namespace
 {
-
-// Canonical JSON string writer (same escaping discipline as
-// obs/provenance.cpp: labels and rules never need more than \" \\).
-void
-writeString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
 
 void
 writeIntArray(std::ostream &os, const std::vector<int> &v)
@@ -81,7 +68,7 @@ writePlacementDecisionJson(std::ostream &os, const PlacementDecision &d)
        << (d.is_mem ? "\"mem\"" : "\"reg\"") << ",\"reg\":" << d.reg
        << ",\"src\":" << d.src_thread << ",\"dst\":" << d.dst_thread
        << ",\"rule\":";
-    writeString(os, d.rule);
+    writeJsonString(os, d.rule);
     os << ",\"iteration\":" << d.iteration << ",\"problem\":" << d.problem
        << ",\"cut_cost\":" << d.cut_cost << ",\"points\":[";
     for (size_t i = 0; i < d.points.size(); ++i) {
@@ -262,7 +249,7 @@ writeInstrExplanationJson(std::ostream &os, const Provenance &prov,
                           const Function &f, InstrId instr)
 {
     os << "{\"schema\":1,\"type\":\"explain-instr\",\"cell\":";
-    writeString(os, prov.cell);
+    writeJsonString(os, prov.cell);
     os << ",\"instr\":" << instr;
     const bool valid = instr >= 0 && instr < f.numInstrs();
     os << ",\"valid\":" << (valid ? "true" : "false");
@@ -271,16 +258,16 @@ writeInstrExplanationJson(std::ostream &os, const Provenance &prov,
         return;
     }
     os << ",\"text\":";
-    writeString(os, instrToString(f, instr));
+    writeJsonString(os, instrToString(f, instr));
     const ProgramPoint pt = f.pointBefore(instr);
     os << ",\"block\":";
-    writeString(os, f.block(pt.block).label());
+    writeJsonString(os, f.block(pt.block).label());
     os << ",\"thread\":"
        << (instr < (InstrId)prov.partition.thread_of.size()
                ? prov.partition.thread_of[instr]
                : -1);
     os << ",\"algorithm\":";
-    writeString(os, prov.partition.algorithm);
+    writeJsonString(os, prov.partition.algorithm);
     const UnitDecision *u = prov.unitDecisionFor(instr);
     os << ",\"decision\":";
     if (u)
@@ -302,7 +289,7 @@ writeQueueExplanationJson(std::ostream &os, const Provenance &prov,
                           int queue)
 {
     os << "{\"schema\":1,\"type\":\"explain-queue\",\"cell\":";
-    writeString(os, prov.cell);
+    writeJsonString(os, prov.cell);
     os << ",\"queue\":" << queue;
     const QueueDecision *qd = prov.queueDecisionFor(queue);
     os << ",\"allocated\":" << (qd ? "true" : "false")
@@ -320,7 +307,7 @@ writeQueueExplanationJson(std::ostream &os, const Provenance &prov,
     }
     os << ",\"src\":" << qd->src_thread << ",\"dst\":" << qd->dst_thread
        << ",\"rule\":";
-    writeString(os, qd->rule);
+    writeJsonString(os, qd->rule);
     os << ",\"pair_placements\":" << qd->pair_placements
        << ",\"pair_queues\":" << qd->pair_queues << ",\"placements\":[";
     for (size_t i = 0; i < qd->placements.size(); ++i) {
@@ -483,24 +470,24 @@ writeCostliestReportJson(std::ostream &os, const CostliestReport &r,
         if (i)
             os << ",";
         os << "{\"kind\":";
-        writeString(os, e.kind);
+        writeJsonString(os, e.kind);
         os << ",\"cycles\":" << e.cycles;
         if (e.kind == "queue") {
             os << ",\"queue\":" << e.queue << ",\"rule\":";
-            writeString(os, e.queue_rule);
+            writeJsonString(os, e.queue_rule);
             os << ",\"placements\":";
             writeIntArray(os, e.placements);
             os << ",\"rules\":[";
             for (size_t k = 0; k < e.rules.size(); ++k) {
                 if (k)
                     os << ",";
-                writeString(os, e.rules[k]);
+                writeJsonString(os, e.rules[k]);
             }
             os << "]";
         } else {
             os << ",\"thread\":" << e.thread << ",\"block\":" << e.block
                << ",\"label\":";
-            writeString(os, e.label);
+            writeJsonString(os, e.label);
             os << ",\"units\":";
             writeIntArray(os, e.units);
             os << ",\"terminator_fallback\":"
@@ -599,9 +586,9 @@ void
 writeScheduleDiffJson(std::ostream &os, const ScheduleDiff &d)
 {
     os << "{\"schema\":1,\"type\":\"schedule-diff\",\"cell_a\":";
-    writeString(os, d.cell_a);
+    writeJsonString(os, d.cell_a);
     os << ",\"cell_b\":";
-    writeString(os, d.cell_b);
+    writeJsonString(os, d.cell_b);
     os << ",\"cycles_a\":" << d.cycles_a << ",\"cycles_b\":" << d.cycles_b
        << ",\"queues_a\":" << d.queues_a << ",\"queues_b\":" << d.queues_b
        << ",\"instrs\":" << d.instrs << ",\"zero\":"
@@ -627,7 +614,7 @@ writeScheduleDiffJson(std::ostream &os, const ScheduleDiff &d)
             os << ",";
         os << "{\"thread\":" << d.block_deltas[i].thread
            << ",\"label\":";
-        writeString(os, d.block_deltas[i].label);
+        writeJsonString(os, d.block_deltas[i].label);
         os << ",\"a\":" << d.block_deltas[i].stall_a << ",\"b\":"
            << d.block_deltas[i].stall_b << "}";
     }

@@ -3,6 +3,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "support/json.hpp"
+
 namespace gmt
 {
 
@@ -40,20 +42,9 @@ namespace
 // Hand-rolled writer: keys are emitted in one fixed order, arrays in
 // the deterministic orders the structs guarantee, so equal values
 // always produce equal bytes (the property the determinism tests and
-// gmt-explain --diff rely on). No string values need escaping — the
-// only strings are identifiers from a closed vocabulary plus cell
-// names, which the workload registry restricts to [A-Za-z0-9_/+-].
-
-void writeString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
+// gmt-explain --diff rely on). Strings go through the shared escaper:
+// cell and workload names come from `.gmt` files and may hold any
+// byte but whitespace.
 
 void writeCandidate(std::ostream &os, const ThreadCandidate &c)
 {
@@ -92,7 +83,7 @@ void writeIntArray(std::ostream &os, const std::vector<int> &v)
 void writePartition(std::ostream &os, const PartitionProvenance &p)
 {
     os << "{\"algorithm\":";
-    writeString(os, p.algorithm);
+    writeJsonString(os, p.algorithm);
     os << ",\"num_threads\":" << p.num_threads
        << ",\"loop_merges\":" << p.loop_merges
        << ",\"cycle_merges\":" << p.cycle_merges << ",\"unit_of\":";
@@ -120,7 +111,7 @@ void writeDecision(std::ostream &os, const PlacementDecision &d)
        << ",\"kind\":" << (d.is_mem ? "\"mem\"" : "\"reg\"")
        << ",\"reg\":" << d.reg << ",\"src\":" << d.src_thread
        << ",\"dst\":" << d.dst_thread << ",\"rule\":";
-    writeString(os, d.rule);
+    writeJsonString(os, d.rule);
     os << ",\"iteration\":" << d.iteration
        << ",\"problem\":" << d.problem
        << ",\"cut_cost\":" << d.cut_cost
@@ -138,7 +129,7 @@ void writeDecision(std::ostream &os, const PlacementDecision &d)
 void writePlacement(std::ostream &os, const PlacementProvenance &p)
 {
     os << "{\"source\":";
-    writeString(os, p.source);
+    writeJsonString(os, p.source);
     os << ",\"iterations\":" << p.iterations << ",\"placements\":[";
     for (size_t i = 0; i < p.placements.size(); ++i) {
         if (i)
@@ -158,7 +149,7 @@ void writeQueue(std::ostream &os, const QueueDecision &q)
 {
     os << "{\"queue\":" << q.queue << ",\"src\":" << q.src_thread
        << ",\"dst\":" << q.dst_thread << ",\"rule\":";
-    writeString(os, q.rule);
+    writeJsonString(os, q.rule);
     os << ",\"pair_placements\":" << q.pair_placements
        << ",\"pair_queues\":" << q.pair_queues << ",\"placements\":";
     writeIntArray(os, q.placements);
@@ -182,11 +173,11 @@ void writeQueues(std::ostream &os, const QueueProvenance &q)
 void writeProvenanceJson(std::ostream &os, const Provenance &p)
 {
     os << "{\"schema\":1,\"type\":\"provenance\",\"cell\":";
-    writeString(os, p.cell);
+    writeJsonString(os, p.cell);
     os << ",\"workload\":";
-    writeString(os, p.workload);
+    writeJsonString(os, p.workload);
     os << ",\"scheduler\":";
-    writeString(os, p.scheduler);
+    writeJsonString(os, p.scheduler);
     os << ",\"coco\":" << (p.coco ? "true" : "false")
        << ",\"num_threads\":" << p.num_threads << ",\"partition\":";
     writePartition(os, p.partition);

@@ -10,17 +10,18 @@
  * flow graph), and how the queue allocator multiplexed placements
  * onto architected queues.
  *
- * The record is strictly deterministic: it is re-derived by a serial
- * re-run of the deciding algorithms (the obs-provenance pass), so it
- * is byte-identical across job counts, cache states, and warm/cold
- * max-flow — the same guarantee the plans themselves carry. The only
- * execution-dependent bits (whether a cut was solved warm or cold)
- * live in fields explicitly excluded from the canonical
- * serialization.
+ * Each part is made by the call that took the decisions: the
+ * partitioner (or the autotuner's SCC units for a tuned partition),
+ * COCO's serial apply walk (or the default plan's "mtcg-default"
+ * record), and the queue binding. The pipeline keeps each part beside
+ * the artifact it explains, and the obs-provenance pass only
+ * assembles them. The record is strictly deterministic: byte-identical
+ * across job counts and cache states, the same guarantee the plans
+ * themselves carry.
  *
  * Sits below the partitioners / COCO / queue allocator in the library
- * graph (links gmt_ir only), so all three can fill it through an
- * optional out-parameter without new cycles.
+ * graph (links gmt_ir only), so all three can produce it without new
+ * cycles.
  */
 
 #include <cstdint>

@@ -68,4 +68,14 @@ countCrossThreadArcs(const Pdg &pdg, const ThreadPartition &p)
     return n;
 }
 
+bool
+hasCrossThreadMemDep(const Pdg &pdg, const ThreadPartition &p)
+{
+    for (const auto &arc : pdg.arcs())
+        if (arc.kind == DepKind::Memory &&
+            p.assign[arc.src] != p.assign[arc.dst])
+            return true;
+    return false;
+}
+
 } // namespace gmt

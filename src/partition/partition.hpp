@@ -96,6 +96,9 @@ std::vector<std::string> validatePartition(const Pdg &pdg,
  */
 int countCrossThreadArcs(const Pdg &pdg, const ThreadPartition &p);
 
+/** Does any PDG memory arc cross threads under @p p? */
+bool hasCrossThreadMemDep(const Pdg &pdg, const ThreadPartition &p);
+
 } // namespace gmt
 
 #endif // GMT_PARTITION_PARTITION_HPP

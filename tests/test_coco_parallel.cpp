@@ -1,10 +1,11 @@
 /**
  * @file
  * The parallel COCO contract: speculative parallel cut solving must
- * produce a comm plan identical to the serial algorithm on every
- * cell, the version-tagged cut cache that serial and parallel runs
- * share must fire and rest on a sound key, and the nested ThreadPool
- * submission parallel runs rely on must be deadlock-free.
+ * produce a comm plan and a decision record identical to the serial
+ * algorithm on every cell, the version-tagged cut cache that serial
+ * and parallel runs share must fire and rest on a sound key, and the
+ * nested ThreadPool submission parallel runs rely on must be
+ * deadlock-free.
  */
 
 #include <gtest/gtest.h>
@@ -100,6 +101,8 @@ TEST(CocoParallel, PlanIdenticalAtAnyJobCount)
                     << ctx.cellId();
                 EXPECT_EQ(serial.memory_cut_cost, par.memory_cut_cost)
                     << ctx.cellId();
+                EXPECT_EQ(serial.provenance, par.provenance)
+                    << ctx.cellId() << " jobs=" << jobs;
             }
         }
     }
@@ -127,12 +130,44 @@ TEST(CocoParallel, PlanIdenticalUnderAblations)
                 cocoOptimize(f, ctx.pdg->pdg,
                              ctx.partition->partition, ctx.pdg->cd,
                              ctx.profile->profile, opts, CocoExec{});
-            CocoResult par =
-                cocoOptimize(f, ctx.pdg->pdg,
-                             ctx.partition->partition, ctx.pdg->cd,
-                             ctx.profile->profile, opts,
-                             CocoExec{&pool, 8, nullptr});
-            expectSamePlan(serial.plan, par.plan, ctx.cellId());
+            for (int jobs : {2, 4, 8}) {
+                CocoResult par =
+                    cocoOptimize(f, ctx.pdg->pdg,
+                                 ctx.partition->partition, ctx.pdg->cd,
+                                 ctx.profile->profile, opts,
+                                 CocoExec{&pool, jobs, nullptr});
+                expectSamePlan(serial.plan, par.plan, ctx.cellId());
+                EXPECT_EQ(serial.provenance, par.provenance)
+                    << ctx.cellId() << " jobs=" << jobs;
+            }
+        }
+    }
+}
+
+// The placement record a cell publishes comes from the pipeline's own
+// COCO call, which here speculates in parallel. It must equal the
+// record of a fresh serial run on the same inputs: the provenance pass
+// publishes the cell's record as the serial algorithm's.
+TEST(CocoParallel, PipelineRecordMatchesFreshSerialRun)
+{
+    ThreadPool pool(4);
+    for (const Workload &w : allWorkloads()) {
+        for (Scheduler sched : {Scheduler::Gremio, Scheduler::Dswp}) {
+            PipelineOptions po;
+            po.scheduler = sched;
+            po.use_coco = true;
+            po.coco_jobs = 4;
+            PipelineContext ctx(w, po);
+            ctx.pool = &pool;
+            PassManager::codegenPipeline().run(ctx);
+
+            CocoResult fresh = cocoOptimize(
+                ctx.pdg->ir->func, ctx.pdg->pdg,
+                ctx.partition->partition, ctx.pdg->cd,
+                ctx.profile->profile, po.coco, CocoExec{});
+            EXPECT_EQ(ctx.plan->plan, fresh.plan) << ctx.cellId();
+            EXPECT_EQ(ctx.plan->prov, fresh.provenance) << ctx.cellId();
+            EXPECT_EQ(ctx.plan->prov.source, "coco") << ctx.cellId();
         }
     }
 }

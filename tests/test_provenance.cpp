@@ -3,16 +3,18 @@
  * Decision-provenance invariants (obs/provenance.hpp, the
  * obs-provenance pass, and obs/explain.hpp):
  *
- *  - Determinism: the canonical provenance JSON of every fig7 cell is
- *    byte-identical across runner job counts, COCO solver job counts,
- *    cache cold/warm, and a warm cache rerun.
+ *  - Determinism: the canonical provenance JSON of every fig7 cell and
+ *    of autotuned cells is byte-identical across runner job counts,
+ *    COCO solver job counts, cache cold/warm, and a warm cache rerun.
  *  - Coverage: every instruction, plan placement, and allocated queue
  *    resolves to a provenance decision, and the recorded assignments
- *    equal the pipeline's own artifacts.
+ *    equal the pipeline's own artifacts, tuned or not.
  *  - Conservation: the costliest-decisions join covers 100% of the
  *    attributed stall cycles and resolves every StallReport entry to
  *    at least one provenance record.
  *  - Self-diff: diffSchedules of a cell against itself is zero().
+ *  - Escaping: names holding control bytes still serialize to valid
+ *    JSON.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +60,52 @@ fig7Cells(const std::vector<std::string> &names, int max_queues = 0)
     return cells;
 }
 
+/**
+ * Autotuned COCO cells covering each way the loop ends, at both queue
+ * budgets the tests run (max_queues 0 and 4):
+ *  - a last accepted recut (177.mesa GREMIO at 0, ks GREMIO at 4): the
+ *    final plan was solved under the stall-boosted cut profile;
+ *  - no accepted move (183.equake DSWP): the placement and queue
+ *    records are the baseline's;
+ *  - a last accepted migration (ks GREMIO at 0, 177.mesa GREMIO at 4).
+ */
+struct TunedCell
+{
+    const char *workload;
+    Scheduler sched;
+    /** Kind of the last accepted move at max_queues 0 and 4 ("" =
+     *  none accepted). */
+    const char *last_accepted[2];
+};
+
+const TunedCell kTunedCells[] = {
+    {"177.mesa", Scheduler::Gremio, {"recut", "migrate"}},
+    {"183.equake", Scheduler::Dswp, {"", ""}},
+    {"ks", Scheduler::Gremio, {"migrate", "recut"}},
+};
+
+const Workload &
+findWorkload(const std::vector<Workload> &all, const std::string &name)
+{
+    for (const Workload &w : all)
+        if (w.name == name)
+            return w;
+    ADD_FAILURE() << "no workload " << name;
+    return all.front();
+}
+
+PipelineOptions
+tunedOptions(const TunedCell &t, int max_queues)
+{
+    PipelineOptions po;
+    po.scheduler = t.sched;
+    po.use_coco = true;
+    po.autotune = true;
+    po.max_queues = max_queues;
+    po.record_provenance = true;
+    return po;
+}
+
 /** Canonical JSON per cell under one runner configuration. */
 std::vector<std::string>
 canonicalJsons(std::vector<ExperimentCell> cells, int jobs,
@@ -81,6 +129,11 @@ canonicalJsons(std::vector<ExperimentCell> cells, int jobs,
 TEST(ProvenanceDeterminism, ByteIdenticalAcrossExecutionAxes)
 {
     auto cells = fig7Cells({"adpcmdec", "ks"});
+    std::vector<Workload> all = allWorkloads();
+    for (const TunedCell &t : kTunedCells)
+        for (int max_queues : {0, 4})
+            cells.push_back({findWorkload(all, t.workload),
+                             tunedOptions(t, max_queues)});
     auto base = canonicalJsons(cells, 1, true, 1);
     ASSERT_EQ(base.size(), cells.size());
     for (const std::string &json : base) {
@@ -151,6 +204,7 @@ struct CellRun
     std::shared_ptr<const ProgramArtifact> prog;
     std::shared_ptr<const ObsProfileArtifact> obs;
     std::shared_ptr<const ProvenanceArtifact> prov;
+    std::shared_ptr<const AutotuneArtifact> autotune;
 };
 
 CellRun
@@ -161,8 +215,53 @@ runCell(const Workload &w, PipelineOptions po, ArtifactCache *cache)
     PipelineContext ctx(w, po);
     ctx.cache = cache;
     PassManager::standardPipeline().run(ctx);
-    return {ctx.ir,  ctx.partition, ctx.plan,
-            ctx.prog, ctx.obs,      ctx.prov};
+    return {ctx.ir,  ctx.partition, ctx.plan,    ctx.prog,
+            ctx.obs, ctx.prov,      ctx.autotune};
+}
+
+/** The coverage invariants of one cell's record against its
+ *  artifacts. */
+void
+expectRecordCoversArtifacts(const CellRun &r)
+{
+    const Provenance &p = r.prov->prov;
+
+    // Partition record covers every instruction and equals the
+    // pipeline's assignment.
+    ASSERT_EQ(p.partition.thread_of, r.partition->partition.assign);
+    ASSERT_EQ(p.partition.unit_of.size(),
+              (size_t)r.ir->func.numInstrs());
+    for (InstrId i = 0; i < r.ir->func.numInstrs(); ++i) {
+        const UnitDecision *u = p.unitDecisionFor(i);
+        ASSERT_NE(u, nullptr) << p.cell << " instr " << i;
+        EXPECT_EQ(u->thread, p.partition.thread_of[i]);
+    }
+
+    // Placement record covers every plan placement with consistent
+    // endpoints.
+    const CommPlan &plan = r.plan->plan;
+    ASSERT_EQ(p.placement.placements.size(), plan.placements.size());
+    for (size_t i = 0; i < plan.placements.size(); ++i) {
+        const PlacementDecision *d = p.placementDecisionFor((int)i);
+        ASSERT_NE(d, nullptr) << p.cell << " placement " << i;
+        EXPECT_EQ(d->src_thread, plan.placements[i].src_thread);
+        EXPECT_EQ(d->dst_thread, plan.placements[i].dst_thread);
+        EXPECT_FALSE(d->rule.empty());
+        // The breakdown names exactly the plan's chosen points.
+        ASSERT_EQ(d->points.size(), plan.placements[i].points.size());
+    }
+
+    // Queue record covers every allocated queue, and the multiplex
+    // lists invert queue_of exactly.
+    ASSERT_EQ(p.queues.num_queues, r.prog->prog.num_queues);
+    std::vector<int> queue_of(plan.placements.size(), -1);
+    for (const QueueDecision &q : p.queues.queues)
+        for (int pi : q.placements)
+            queue_of[pi] = q.queue;
+    EXPECT_EQ(queue_of, r.prog->queue_of) << p.cell;
+    for (int q = 0; q < p.queues.num_queues; ++q)
+        ASSERT_NE(p.queueDecisionFor(q), nullptr)
+            << p.cell << " queue " << q;
 }
 
 TEST(ProvenanceCoverage, EveryDecisionResolvesAndMatchesArtifacts)
@@ -180,61 +279,28 @@ TEST(ProvenanceCoverage, EveryDecisionResolvesAndMatchesArtifacts)
                     po.scheduler = sched;
                     po.use_coco = coco;
                     po.max_queues = max_queues;
-                    CellRun r = runCell(w, po, &cache);
-                    const Provenance &p = r.prov->prov;
-
-                    // Partition record covers every instruction and
-                    // equals the pipeline's assignment.
-                    ASSERT_EQ(p.partition.thread_of,
-                              r.partition->partition.assign);
-                    ASSERT_EQ(p.partition.unit_of.size(),
-                              (size_t)r.ir->func.numInstrs());
-                    for (InstrId i = 0; i < r.ir->func.numInstrs();
-                         ++i) {
-                        const UnitDecision *u = p.unitDecisionFor(i);
-                        ASSERT_NE(u, nullptr) << p.cell << " instr "
-                                              << i;
-                        EXPECT_EQ(u->thread,
-                                  p.partition.thread_of[i]);
-                    }
-
-                    // Placement record covers every plan placement
-                    // with consistent endpoints.
-                    const CommPlan &plan = r.plan->plan;
-                    ASSERT_EQ(p.placement.placements.size(),
-                              plan.placements.size());
-                    for (size_t i = 0; i < plan.placements.size();
-                         ++i) {
-                        const PlacementDecision *d =
-                            p.placementDecisionFor((int)i);
-                        ASSERT_NE(d, nullptr)
-                            << p.cell << " placement " << i;
-                        EXPECT_EQ(d->src_thread,
-                                  plan.placements[i].src_thread);
-                        EXPECT_EQ(d->dst_thread,
-                                  plan.placements[i].dst_thread);
-                        EXPECT_FALSE(d->rule.empty());
-                        // The breakdown names exactly the plan's
-                        // chosen points.
-                        ASSERT_EQ(d->points.size(),
-                                  plan.placements[i].points.size());
-                    }
-
-                    // Queue record covers every allocated queue, and
-                    // the multiplex lists invert queue_of exactly.
-                    ASSERT_EQ(p.queues.num_queues,
-                              r.prog->prog.num_queues);
-                    std::vector<int> queue_of(
-                        plan.placements.size(), -1);
-                    for (const QueueDecision &q : p.queues.queues)
-                        for (int pi : q.placements)
-                            queue_of[pi] = q.queue;
-                    EXPECT_EQ(queue_of, r.prog->queue_of) << p.cell;
-                    for (int q = 0; q < p.queues.num_queues; ++q)
-                        ASSERT_NE(p.queueDecisionFor(q), nullptr)
-                            << p.cell << " queue " << q;
+                    expectRecordCoversArtifacts(runCell(w, po, &cache));
                 }
             }
+        }
+    }
+
+    // Tuned cells: the records are the ones the autotune pass
+    // republished with the schedule it accepted last.
+    for (const TunedCell &t : kTunedCells) {
+        for (int max_queues : {0, 4}) {
+            CellRun r = runCell(findWorkload(all, t.workload),
+                                tunedOptions(t, max_queues), &cache);
+            ASSERT_NE(r.autotune, nullptr);
+            std::string last;
+            for (const AutotuneMove &m : r.autotune->result.moves)
+                if (m.accepted)
+                    last = m.kind;
+            EXPECT_EQ(last, t.last_accepted[max_queues ? 1 : 0])
+                << r.prov->prov.cell << " max_queues " << max_queues;
+            EXPECT_EQ(r.prov->prov.partition.algorithm,
+                      std::string(schedulerName(t.sched)) + "+autotune");
+            expectRecordCoversArtifacts(r);
         }
     }
 }
@@ -331,6 +397,40 @@ TEST(ProvenanceExplain, PointQueriesRenderEveryValidId)
         writeQueueExplanationJson(js, p, q);
         EXPECT_EQ(js.str().rfind("{\"schema\":1,", 0), 0u);
     }
+}
+
+/** No raw control character (below 0x20) in @p json. */
+bool
+noRawControlBytes(const std::string &json)
+{
+    for (char c : json)
+        if (static_cast<unsigned char>(c) < 0x20)
+            return false;
+    return true;
+}
+
+// Workload names come from `.gmt` files and may hold any byte but
+// whitespace; the provenance and explain writers must still emit
+// valid JSON for them.
+TEST(ProvenanceJson, ControlBytesInNamesAreEscaped)
+{
+    std::vector<Workload> all = allWorkloads();
+    Workload w = findWorkload(all, "ks");
+    w.name = "k\x01s";
+    PipelineOptions po;
+    po.scheduler = Scheduler::Dswp;
+    po.use_coco = true;
+    CellRun r = runCell(w, po, nullptr);
+
+    const std::string &json = r.prov->canonical_json;
+    EXPECT_NE(json.find("\"k\\u0001s/DSWP+COCO\""), std::string::npos)
+        << json.substr(0, 120);
+    EXPECT_TRUE(noRawControlBytes(json));
+
+    std::ostringstream js;
+    writeInstrExplanationJson(js, r.prov->prov, r.ir->func, 5);
+    EXPECT_NE(js.str().find("k\\u0001s"), std::string::npos);
+    EXPECT_TRUE(noRawControlBytes(js.str()));
 }
 
 TEST(ProvenanceRecord, GremioScoresNameTheChosenThread)

@@ -26,8 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace
 {
+
+using gmt::jsonEscape;
 
 /** One parsed value of a flat JSON object. */
 struct FlatValue
@@ -245,18 +249,6 @@ summarize(const std::string &file, FlatObject obj)
         row.hit_rate = 100.0 * h->num / (h->num + m->num);
     row.raw = std::move(obj);
     return row;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 void
