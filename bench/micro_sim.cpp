@@ -14,11 +14,20 @@
  *     so the perf trajectory is tracked per commit. Both modes run
  *     the same issue loop and both pay the decode, so engine_speedup
  *     (sim_reference_wall_ms / sim_fast_wall_ms) measures wait
- *     records plus cycle skipping alone.
+ *     records plus cycle skipping alone;
+ *  3. re-runs every pre-decoded program with cycle skipping, with
+ *     nothing attached (the lean build) and with a SimProfile
+ *     attached, asserts the two SimResults and final memories are
+ *     identical, and reports the simulator's unit costs:
+ *     ns_per_simulated_cycle and ns_per_issued_instr of the lean runs,
+ *     and profiled_ns_per_simulated_cycle of the profiled ones. Each
+ *     program's time is the fastest of kUnitReps runs, which keeps the
+ *     unit costs steady on a shared host.
  *
  * Usage: micro_sim [--out FILE]   (default ./BENCH_sim.json)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -139,6 +148,56 @@ main(int argc, char **argv)
         }
     }
 
+    // Unit costs: decode once, then time the simulation alone, lean
+    // and with a profile attached.
+    constexpr int kUnitReps = 3;
+    double lean_ms = 0.0, profiled_ms = 0.0;
+    uint64_t unit_cycles = 0, issued = 0;
+    for (const Cell &c : cells) {
+        DecodedProgram st;
+        st.threads.push_back(decodeThread(c.st_func));
+        st.queue_capacity = c.machine.queue_capacity;
+        for (const DecodedProgram &prog : {decodeProgram(c.prog), st}) {
+            double lean_best = 0.0, profiled_best = 0.0;
+            for (int rep = 0; rep < kUnitReps; ++rep) {
+                MemoryImage m1 = refMemory(*c.w);
+                auto t0 = Clock::now();
+                SimResult lean =
+                    CmpSimulator(c.machine).run(prog, c.w->ref_args, m1);
+                double ms = msSince(t0);
+                lean_best = rep ? std::min(lean_best, ms) : ms;
+
+                CmpSimulator profiled_sim(c.machine);
+                SimProfile profile;
+                profiled_sim.setProfile(&profile);
+                MemoryImage m2 = refMemory(*c.w);
+                t0 = Clock::now();
+                SimResult profiled =
+                    profiled_sim.run(prog, c.w->ref_args, m2);
+                ms = msSince(t0);
+                profiled_best = rep ? std::min(profiled_best, ms) : ms;
+
+                if (!(lean == profiled) || !(m1 == m2)) {
+                    identical = false;
+                    std::fprintf(stderr,
+                                 "micro_sim: profiled run differs in "
+                                 "cell %s\n",
+                                 c.id.c_str());
+                }
+                if (rep == 0) {
+                    unit_cycles += lean.cycles;
+                    for (const CoreStats &core : lean.core)
+                        issued += core.counts.total();
+                }
+            }
+            lean_ms += lean_best;
+            profiled_ms += profiled_best;
+        }
+    }
+    auto perUnit = [](double ms, uint64_t n) {
+        return n ? ms * 1e6 / static_cast<double>(n) : 0.0;
+    };
+
     // End-to-end fig8 grid: full pipeline with artifact cache and
     // cycle skipping, the configuration the figure drivers run.
     std::vector<ExperimentCell> grid;
@@ -175,6 +234,10 @@ main(int argc, char **argv)
     o.num("swept_cycles", swept);
     o.num("skipped_cycles", skipped);
     o.num("simulated_cycles", cycles);
+    o.num("ns_per_simulated_cycle", perUnit(lean_ms, unit_cycles));
+    o.num("ns_per_issued_instr", perUnit(lean_ms, issued));
+    o.num("profiled_ns_per_simulated_cycle",
+          perUnit(profiled_ms, unit_cycles));
     o.num("fig8_wall_ms", fig8_ms);
 
     std::ofstream out(out_path);

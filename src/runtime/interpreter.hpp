@@ -45,10 +45,12 @@ struct StRunResult
 };
 
 /**
- * Evaluate a non-control, non-memory, non-queue opcode. Inline: every
- * interpreter and timing engine pays this per dynamic instruction.
+ * Evaluate a non-control, non-memory, non-queue opcode. Always
+ * inline: every interpreter and timing engine pays this per dynamic
+ * instruction, and the simulator calls it with a constant @p op from
+ * one case per opcode, where it folds to that one operation.
  */
-inline int64_t
+[[gnu::always_inline]] inline int64_t
 evalAlu(Opcode op, int64_t a, int64_t b, int64_t imm)
 {
     // The IR's i64 wraps on overflow; compute wrap-prone ops in

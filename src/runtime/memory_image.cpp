@@ -14,20 +14,10 @@ MemoryImage::alloc(int64_t cells)
     return base;
 }
 
-int64_t
-MemoryImage::read(int64_t addr) const
-{
-    if (addr < 0 || addr >= size())
-        fatal("memory read out of bounds: addr=", addr, " size=", size());
-    return cells_[static_cast<size_t>(addr)];
-}
-
 void
-MemoryImage::write(int64_t addr, int64_t value)
+MemoryImage::outOfBounds(const char *what, int64_t addr) const
 {
-    if (addr < 0 || addr >= size())
-        fatal("memory write out of bounds: addr=", addr, " size=", size());
-    cells_[static_cast<size_t>(addr)] = value;
+    fatal("memory ", what, " out of bounds: addr=", addr, " size=", size());
 }
 
 } // namespace gmt

@@ -25,8 +25,21 @@ class MemoryImage
     /** Allocate @p cells zero-initialized cells. @return base address. */
     int64_t alloc(int64_t cells);
 
-    int64_t read(int64_t addr) const;
-    void write(int64_t addr, int64_t value);
+    /** Bounds-checked load: out of range raises a FatalError. */
+    int64_t read(int64_t addr) const
+    {
+        if (static_cast<uint64_t>(addr) >= cells_.size())
+            outOfBounds("read", addr);
+        return cells_[static_cast<size_t>(addr)];
+    }
+
+    /** Bounds-checked store: out of range raises a FatalError. */
+    void write(int64_t addr, int64_t value)
+    {
+        if (static_cast<uint64_t>(addr) >= cells_.size())
+            outOfBounds("write", addr);
+        cells_[static_cast<size_t>(addr)] = value;
+    }
 
     int64_t size() const { return static_cast<int64_t>(cells_.size()); }
 
@@ -35,6 +48,9 @@ class MemoryImage
     bool operator==(const MemoryImage &) const = default;
 
   private:
+    /** "memory <what> out of bounds: addr=<addr> size=<size>". */
+    [[noreturn]] void outOfBounds(const char *what, int64_t addr) const;
+
     std::vector<int64_t> cells_;
 };
 

@@ -1,137 +1,37 @@
 #include "sim/cache.hpp"
 
+#include <bit>
+
 #include "support/error.hpp"
 
 namespace gmt
 {
 
-Cache::Cache(const CacheConfig &config) : config_(config)
+Cache::Cache(const CacheConfig &config)
+    : assoc_(config.associativity), hit_latency_(config.hit_latency)
 {
+    GMT_ASSERT(config.line_bytes > 0 && config.associativity > 0);
     int lines = config.size_bytes / config.line_bytes;
-    GMT_ASSERT(lines > 0 && config.associativity > 0);
-    num_sets_ = lines / config.associativity;
-    GMT_ASSERT(num_sets_ > 0, "cache too small for associativity");
-    lines_.assign(static_cast<size_t>(num_sets_) *
-                      config.associativity,
-                  {});
-}
-
-uint64_t
-Cache::lineOf(uint64_t addr) const
-{
-    return addr / static_cast<uint64_t>(config_.line_bytes);
-}
-
-int
-Cache::setOf(uint64_t line) const
-{
-    return static_cast<int>(line % static_cast<uint64_t>(num_sets_));
-}
-
-bool
-Cache::lookup(uint64_t addr)
-{
-    uint64_t line = lineOf(addr);
-    int set = setOf(line);
-    Line *base = &lines_[static_cast<size_t>(set) *
-                         config_.associativity];
-    for (int w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == line) {
-            base[w].lru = ++stamp_;
-            ++hits_;
-            return true;
-        }
-    }
-    ++misses_;
-    return false;
-}
-
-void
-Cache::fill(uint64_t addr)
-{
-    uint64_t line = lineOf(addr);
-    int set = setOf(line);
-    Line *base = &lines_[static_cast<size_t>(set) *
-                         config_.associativity];
-    Line *victim = &base[0];
-    for (int w = 0; w < config_.associativity; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->tag = line;
-    victim->lru = ++stamp_;
-}
-
-void
-Cache::invalidate(uint64_t addr)
-{
-    uint64_t line = lineOf(addr);
-    int set = setOf(line);
-    Line *base = &lines_[static_cast<size_t>(set) *
-                         config_.associativity];
-    for (int w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            base[w].valid = false;
-    }
+    GMT_ASSERT(lines > 0);
+    int num_sets = lines / config.associativity;
+    GMT_ASSERT(num_sets > 0, "cache too small for associativity");
+    if (!std::has_single_bit(static_cast<unsigned>(config.line_bytes)) ||
+        !std::has_single_bit(static_cast<unsigned>(num_sets)))
+        fatal("cache geometry must be a power of two: ", num_sets,
+              " sets of ", config.line_bytes, "-byte lines");
+    line_shift_ = std::countr_zero(static_cast<unsigned>(config.line_bytes));
+    set_mask_ = static_cast<uint64_t>(num_sets) - 1;
+    lines_.assign(static_cast<size_t>(num_sets) * assoc_, {});
 }
 
 MemoryHierarchy::MemoryHierarchy(const MachineConfig &config,
                                  int num_cores)
-    : config_(config), l3_(config.l3)
+    : memory_latency_(config.memory_latency), l3_(config.l3)
 {
     for (int c = 0; c < num_cores; ++c) {
         l1_.emplace_back(config.l1d);
         l2_.emplace_back(config.l2);
     }
-}
-
-int
-MemoryHierarchy::accessLatency(int core, int64_t cell, bool is_store)
-{
-    uint64_t addr = static_cast<uint64_t>(cell) * 8; // 8-byte cells
-    int latency = 0;
-    if (l1_[core].lookup(addr)) {
-        latency = l1_[core].hitLatency();
-    } else if (l2_[core].lookup(addr)) {
-        latency = l2_[core].hitLatency();
-        l1_[core].fill(addr);
-    } else if (l3_.lookup(addr)) {
-        latency = l3_.hitLatency();
-        l2_[core].fill(addr);
-        l1_[core].fill(addr);
-    } else {
-        latency = config_.memory_latency;
-        l3_.fill(addr);
-        l2_[core].fill(addr);
-        l1_[core].fill(addr);
-    }
-    if (is_store) {
-        // Snoop-based write-invalidate: other cores drop their copy.
-        for (size_t c = 0; c < l1_.size(); ++c) {
-            if (static_cast<int>(c) != core) {
-                l1_[c].invalidate(addr);
-                l2_[c].invalidate(addr);
-            }
-        }
-    }
-    return latency;
-}
-
-int
-MemoryHierarchy::loadLatency(int core, int64_t cell)
-{
-    return accessLatency(core, cell, false);
-}
-
-int
-MemoryHierarchy::storeLatency(int core, int64_t cell)
-{
-    return accessLatency(core, cell, true);
 }
 
 } // namespace gmt

@@ -75,14 +75,20 @@ msSince(SimClock::time_point t0)
 }
 
 /*
- * The one issue loop, built twice from the kSkip flag. Both builds
- * walk the pre-decoded streams (decoded_program.hpp) and share every
- * issue rule, stall charge, profile and timeline note, the closed
- * form of idle_done and the final tallies. The flag guards exactly
- * the two event-driven mechanisms (the full argument lives in
- * DESIGN.md); without it (SimEngine::Reference) the loop sweeps every
- * live core on every cycle, the lock-step reference both mechanisms
- * are tested against.
+ * The one issue loop, built four times from two compile-time flags.
+ * Every build walks the pre-decoded streams (decoded_program.hpp) and
+ * shares every issue rule, stall charge, the closed form of idle_done
+ * and the final tallies.
+ *
+ * kObs says whether a SimProfile or TimelineBuilder may be attached.
+ * Without it (no instrument attached, the common case) the profile
+ * and timeline notes are compiled out rather than tested per charge:
+ * fewer live values in the hot loop.
+ *
+ * kSkip guards exactly the two event-driven mechanisms (the full
+ * argument lives in DESIGN.md); without it (SimEngine::Reference) the
+ * loop sweeps every live core on every cycle, the lock-step reference
+ * both mechanisms are tested against.
  *
  *  1. Wait records: a core that failed to issue remembers why. An
  *     operand stall is actionable at a known cycle (reg_ready only
@@ -109,13 +115,19 @@ msSince(SimClock::time_point t0)
  * error paths of a COMDAT (external) instantiation inside the hot
  * function instead of splitting them out.
  */
-template <bool kSkip>
+template <bool kSkip, bool kObs>
 SimResult
-simulate(const MachineConfig &config, SimProfile *profile,
-         TimelineBuilder *timeline, const DecodedProgram &prog,
+simulate(const MachineConfig &config, SimProfile *profile_in,
+         TimelineBuilder *timeline_in, const DecodedProgram &prog,
          const std::vector<int64_t> &args, MemoryImage &mem,
          uint64_t max_cycles)
 {
+    // The lean build (kObs false) runs with neither instrument: both
+    // pointers are known null there, so every profile and timeline
+    // note below compiles out.
+    SimProfile *profile = kObs ? profile_in : nullptr;
+    TimelineBuilder *timeline = kObs ? timeline_in : nullptr;
+
     auto t0 = SimClock::now();
     const int nc = static_cast<int>(prog.threads.size());
     GMT_ASSERT(nc >= 1);
@@ -273,6 +285,15 @@ simulate(const MachineConfig &config, SimProfile *profile,
                 }
 
                 int32_t next_ip = cs.ip + 1;
+                auto alu = [&](Opcode op) {
+                    int64_t a =
+                        d.src1 != kNoReg ? cs.regs[d.src1] : 0;
+                    int64_t b =
+                        d.src2 != kNoReg ? cs.regs[d.src2] : 0;
+                    cs.regs[d.dst] = evalAlu(op, a, b, d.imm);
+                    cs.reg_ready[d.dst] =
+                        now + lat_table[static_cast<int>(d.lat)];
+                };
                 switch (d.op) {
                   case Opcode::Load: {
                     int64_t addr = cs.regs[d.src1] + d.imm;
@@ -380,16 +401,32 @@ simulate(const MachineConfig &config, SimProfile *profile,
                     for (Reg r : cs.t->live_outs)
                         result.live_outs.push_back(cs.regs[r]);
                     break;
-                  default: {
-                    int64_t a =
-                        d.src1 != kNoReg ? cs.regs[d.src1] : 0;
-                    int64_t b =
-                        d.src2 != kNoReg ? cs.regs[d.src2] : 0;
-                    cs.regs[d.dst] = evalAlu(d.op, a, b, d.imm);
-                    cs.reg_ready[d.dst] =
-                        now + lat_table[static_cast<int>(d.lat)];
-                    break;
-                  }
+                  // One case per ALU opcode: evalAlu sees a constant
+                  // opcode and folds to that one operation, so each
+                  // instruction is dispatched once.
+                  case Opcode::Const: alu(Opcode::Const); break;
+                  case Opcode::Mov: alu(Opcode::Mov); break;
+                  case Opcode::Add: alu(Opcode::Add); break;
+                  case Opcode::Sub: alu(Opcode::Sub); break;
+                  case Opcode::Mul: alu(Opcode::Mul); break;
+                  case Opcode::Div: alu(Opcode::Div); break;
+                  case Opcode::Rem: alu(Opcode::Rem); break;
+                  case Opcode::And: alu(Opcode::And); break;
+                  case Opcode::Or: alu(Opcode::Or); break;
+                  case Opcode::Xor: alu(Opcode::Xor); break;
+                  case Opcode::Shl: alu(Opcode::Shl); break;
+                  case Opcode::Shr: alu(Opcode::Shr); break;
+                  case Opcode::Neg: alu(Opcode::Neg); break;
+                  case Opcode::Not: alu(Opcode::Not); break;
+                  case Opcode::Min: alu(Opcode::Min); break;
+                  case Opcode::Max: alu(Opcode::Max); break;
+                  case Opcode::Abs: alu(Opcode::Abs); break;
+                  case Opcode::CmpEq: alu(Opcode::CmpEq); break;
+                  case Opcode::CmpNe: alu(Opcode::CmpNe); break;
+                  case Opcode::CmpLt: alu(Opcode::CmpLt); break;
+                  case Opcode::CmpLe: alu(Opcode::CmpLe); break;
+                  case Opcode::CmpGt: alu(Opcode::CmpGt); break;
+                  case Opcode::CmpGe: alu(Opcode::CmpGe); break;
                 }
 
                 ++issued;
@@ -554,11 +591,18 @@ CmpSimulator::run(const DecodedProgram &prog,
                   const std::vector<int64_t> &args, MemoryImage &mem,
                   uint64_t max_cycles)
 {
-    return engine_ == SimEngine::Fast
-               ? simulate<true>(config_, profile_, timeline_, prog, args,
-                                mem, max_cycles)
-               : simulate<false>(config_, profile_, timeline_, prog,
-                                 args, mem, max_cycles);
+    // Runs with no instrument attached take the lean build.
+    const bool obs = profile_ || timeline_;
+    const MachineConfig &c = config_;
+    if (engine_ == SimEngine::Fast)
+        return obs ? simulate<true, true>(c, profile_, timeline_, prog,
+                                          args, mem, max_cycles)
+                   : simulate<true, false>(c, nullptr, nullptr, prog,
+                                           args, mem, max_cycles);
+    return obs ? simulate<false, true>(c, profile_, timeline_, prog, args,
+                                       mem, max_cycles)
+               : simulate<false, false>(c, nullptr, nullptr, prog, args,
+                                        mem, max_cycles);
 }
 
 void

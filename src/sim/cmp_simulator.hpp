@@ -18,9 +18,9 @@
  * (asserted across the benchmark matrix by tests/test_sim_fast.cpp).
  *
  * One issue loop holds the timing model. It walks pre-decoded flat
- * instruction streams (decoded_program.hpp) and is built twice from
- * one compile-time flag, with bit-identical SimResults (asserted
- * across the whole benchmark matrix by tests/test_sim_fast.cpp):
+ * instruction streams (decoded_program.hpp). One compile-time flag
+ * picks the engine, with bit-identical SimResults (asserted across
+ * the whole benchmark matrix by tests/test_sim_fast.cpp):
  *
  *  - SimEngine::Fast (the default) keeps a wait record per stalled
  *    core — an operand's ready cycle, or a queue's version stamp
@@ -32,6 +32,11 @@
  *    every live core is swept on every cycle. It is the test
  *    reference for them. DESIGN.md ("The event-driven simulator")
  *    gives the skip-safety argument.
+ *
+ * A second flag compiles the stall profile and timeline notes out of
+ * runs with neither attached (the lean build every plain simulation
+ * takes); tests/test_obs.cpp asserts that attaching them changes no
+ * SimResult and no final memory.
  *
  * Model summary (substitutions documented in DESIGN.md):
  *  - in-order issue of up to issue_width instructions/cycle, at most
@@ -176,8 +181,9 @@ class CmpSimulator
      * events with or without skipping, so profiles are
      * engine-independent and sum exactly to the CoreStats aggregates
      * (the conservation invariant; see obs/stall_profile.hpp).
-     * Nullptr detaches; the uninstrumented hot loop costs one
-     * predictable branch per charge site.
+     * Nullptr detaches; a run with neither a profile nor a timeline
+     * takes the lean build of the loop, which has no charge-site
+     * tests at all.
      */
     void setProfile(SimProfile *profile) { profile_ = profile; }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/pass_manager.hpp"
@@ -318,6 +319,7 @@ struct ProfiledRun
     SimResult result;
     SimProfile profile;
     SimTimeline timeline;
+    MemoryImage mem; ///< final memory
 };
 
 ProfiledRun
@@ -331,11 +333,13 @@ runProfiled(const MtProgram &prog, const std::vector<int64_t> &args,
     sim.setTimeline(&tb);
     out.result = sim.run(prog, args, mem);
     out.timeline = tb.take();
+    out.mem = std::move(mem);
     return out;
 }
 
 TEST(StallConservation, FullMatrixBothEngines)
 {
+    uint64_t one_port_stalls = 0;
     for (const Workload &w : allWorkloads()) {
         for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio}) {
             for (bool coco : {false, true}) {
@@ -368,6 +372,38 @@ TEST(StallConservation, FullMatrixBothEngines)
                 EXPECT_TRUE(fast.profile == ref.profile);
                 EXPECT_TRUE(fast.timeline == ref.timeline);
 
+                // Instrumentation never changes a run: with nothing
+                // attached each engine takes its lean build, which must
+                // give the same result and final memory. Also checked
+                // with a single sync-array port, where produces (not
+                // only consumes) lose port arbitration, so every stall
+                // charge the matrix reaches is compared. stall_mem_port
+                // is charged only in a cycle where nothing issued, so
+                // no machine with a memory port reaches it.
+                auto checkLean = [&](const MachineConfig &mc, SimEngine e,
+                                     const ProfiledRun &run) {
+                    SCOPED_TRACE(std::string(simEngineName(e)) +
+                                 ", sa_ports " +
+                                 std::to_string(mc.sa_ports));
+                    MemoryImage mem = refMemory(w);
+                    SimResult lean = CmpSimulator(mc, e).run(
+                        ctx.prog->prog, w.ref_args, mem);
+                    EXPECT_TRUE(lean == run.result);
+                    EXPECT_TRUE(mem == run.mem);
+                };
+                checkLean(m, SimEngine::Fast, fast);
+                checkLean(m, SimEngine::Reference, ref);
+                MachineConfig one_port = m;
+                one_port.sa_ports = 1;
+                for (SimEngine e : {SimEngine::Fast, SimEngine::Reference}) {
+                    ProfiledRun run = runProfiled(ctx.prog->prog,
+                                                  w.ref_args, refMemory(w),
+                                                  one_port, e);
+                    for (const CoreStats &core : run.result.core)
+                        one_port_stalls += core.stall_sa_port;
+                    checkLean(one_port, e, run);
+                }
+
                 // Timeline sanity: per-core intervals are ordered,
                 // disjoint, and within the run.
                 for (const auto &lane : fast.timeline.core) {
@@ -398,6 +434,7 @@ TEST(StallConservation, FullMatrixBothEngines)
             }
         }
     }
+    EXPECT_GT(one_port_stalls, 0u);
 }
 
 TEST(StallConservation, DetectsLostCycle)

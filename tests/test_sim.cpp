@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/control_dep.hpp"
 #include "analysis/dominators.hpp"
@@ -11,6 +13,8 @@
 #include "pdg/pdg_builder.hpp"
 #include "runtime/interpreter.hpp"
 #include "sim/cmp_simulator.hpp"
+#include "support/error.hpp"
+#include "support/rng.hpp"
 #include "testgen.hpp"
 
 namespace gmt
@@ -74,6 +78,189 @@ TEST(MemoryHierarchy, StoreInvalidatesOtherCore)
     EXPECT_EQ(h.loadLatency(1, 100), cfg.l3.hit_latency);
 }
 
+TEST(Cache, RejectsGeometryThatIsNotAPowerOfTwo)
+{
+    EXPECT_THROW(Cache({3 * 2 * 64, 2, 64, 1}), FatalError); // 3 sets
+    EXPECT_THROW(Cache({4 * 2 * 48, 2, 48, 1}), FatalError); // 48B lines
+    EXPECT_NO_THROW(Cache({1536 * 1024, 12, 128, 12}));      // 12-way ok
+    MachineConfig cfg;
+    cfg.l2 = {3 * 8 * 128, 8, 128, 7};
+    EXPECT_THROW(MemoryHierarchy(cfg, 2), FatalError);
+}
+
+// Cache-model differential. The simulator's skip on/off differential
+// runs both builds over one cache model, so it cannot catch a bug in
+// that model; this compares it against the model as first written
+// (division arithmetic, an explicit valid bit) on random multi-core
+// load/store streams.
+
+struct RefCache
+{
+    struct Line
+    {
+        uint64_t tag = 0;
+        bool valid = false;
+        uint64_t lru = 0;
+    };
+
+    explicit RefCache(const CacheConfig &c)
+        : cfg(c), num_sets(c.size_bytes / c.line_bytes / c.associativity),
+          lines(num_sets * c.associativity)
+    {
+    }
+
+    Line *
+    setOf(uint64_t line)
+    {
+        return &lines[(line % num_sets) * cfg.associativity];
+    }
+
+    bool
+    lookup(uint64_t addr)
+    {
+        uint64_t line = addr / cfg.line_bytes;
+        Line *base = setOf(line);
+        for (int w = 0; w < cfg.associativity; ++w) {
+            if (base[w].valid && base[w].tag == line) {
+                base[w].lru = ++stamp;
+                ++hits;
+                return true;
+            }
+        }
+        ++misses;
+        return false;
+    }
+
+    void
+    fill(uint64_t addr)
+    {
+        uint64_t line = addr / cfg.line_bytes;
+        Line *base = setOf(line);
+        Line *victim = &base[0];
+        for (int w = 0; w < cfg.associativity; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].lru < victim->lru)
+                victim = &base[w];
+        }
+        *victim = {line, true, ++stamp};
+    }
+
+    void
+    invalidate(uint64_t addr)
+    {
+        uint64_t line = addr / cfg.line_bytes;
+        Line *base = setOf(line);
+        for (int w = 0; w < cfg.associativity; ++w) {
+            if (base[w].valid && base[w].tag == line)
+                base[w].valid = false;
+        }
+    }
+
+    CacheConfig cfg;
+    uint64_t num_sets;
+    std::vector<Line> lines;
+    uint64_t stamp = 0, hits = 0, misses = 0;
+};
+
+struct RefHierarchy
+{
+    RefHierarchy(const MachineConfig &m, int cores) : m(m), l3(m.l3)
+    {
+        for (int c = 0; c < cores; ++c) {
+            l1.emplace_back(m.l1d);
+            l2.emplace_back(m.l2);
+        }
+    }
+
+    int
+    access(int core, int64_t cell, bool is_store)
+    {
+        uint64_t addr = static_cast<uint64_t>(cell) * 8;
+        int latency;
+        if (l1[core].lookup(addr)) {
+            latency = m.l1d.hit_latency;
+        } else if (l2[core].lookup(addr)) {
+            latency = m.l2.hit_latency;
+            l1[core].fill(addr);
+        } else if (l3.lookup(addr)) {
+            latency = m.l3.hit_latency;
+            l2[core].fill(addr);
+            l1[core].fill(addr);
+        } else {
+            latency = m.memory_latency;
+            l3.fill(addr);
+            l2[core].fill(addr);
+            l1[core].fill(addr);
+        }
+        for (size_t c = 0; is_store && c < l1.size(); ++c) {
+            if (static_cast<int>(c) != core) {
+                l1[c].invalidate(addr);
+                l2[c].invalidate(addr);
+            }
+        }
+        return latency;
+    }
+
+    MachineConfig m;
+    std::vector<RefCache> l1, l2;
+    RefCache l3;
+};
+
+TEST(CacheDifferential, RandomMultiCoreStreamsMatchReference)
+{
+    // The paper's hierarchy, and a small one (3-way L3) whose levels
+    // all evict constantly.
+    MachineConfig small;
+    small.l1d = {1024, 2, 64, 1};
+    small.l2 = {4096, 4, 128, 5};
+    small.l3 = {12288, 3, 128, 9};
+    for (const MachineConfig &m : {MachineConfig::paperDefault(), small}) {
+        // Cells span four times the L3's footprint.
+        const int64_t span = 4 * (m.l3.size_bytes / 8);
+        for (int cores = 1; cores <= 4; ++cores) {
+            SCOPED_TRACE("l3 " + std::to_string(m.l3.size_bytes) +
+                         "B, cores " + std::to_string(cores));
+            Rng rng(1000 + cores);
+            MemoryHierarchy h(m, cores);
+            RefHierarchy ref(m, cores);
+            std::vector<int64_t> recent(64, 0);
+            int64_t cell = 0;
+            for (int i = 0; i < 40000; ++i) {
+                // A mix of uniform, streaming and reused addresses.
+                switch (rng.nextBelow(4)) {
+                  case 0: cell = rng.nextRange(0, span - 1); break;
+                  case 1: cell = (cell + 1) % span; break;
+                  default: cell = recent[rng.nextBelow(recent.size())];
+                }
+                recent[i % recent.size()] = cell;
+                int core = static_cast<int>(rng.nextBelow(cores));
+                bool store = rng.nextBool(0.3);
+                int got = store ? h.storeLatency(core, cell)
+                                : h.loadLatency(core, cell);
+                ASSERT_EQ(got, ref.access(core, cell, store))
+                    << "access " << i << " cell " << cell;
+                for (int c = 0; c < cores; ++c) {
+                    ASSERT_EQ(h.l1(c).hits(), ref.l1[c].hits);
+                    ASSERT_EQ(h.l1(c).misses(), ref.l1[c].misses);
+                    ASSERT_EQ(h.l2(c).hits(), ref.l2[c].hits);
+                    ASSERT_EQ(h.l2(c).misses(), ref.l2[c].misses);
+                }
+                ASSERT_EQ(h.l3().hits(), ref.l3.hits);
+                ASSERT_EQ(h.l3().misses(), ref.l3.misses);
+            }
+            // Every level both hit and missed: the stream reached it.
+            EXPECT_GT(h.l1(0).hits(), 0u);
+            EXPECT_GT(h.l2(0).hits(), 0u);
+            EXPECT_GT(h.l2(0).misses(), 0u);
+            EXPECT_GT(h.l3().hits(), 0u);
+            EXPECT_GT(h.l3().misses(), 0u);
+        }
+    }
+}
+
 TEST(SyncArrayTiming, PortsLimitPerCycle)
 {
     MachineConfig cfg;
@@ -134,6 +321,83 @@ buildLoopSum()
     b.setBlock(done);
     b.ret({sum});
     return b.finish();
+}
+
+/** One access at cell p: a load of it, or a store of p to it. */
+Function
+buildAccessAt(bool store)
+{
+    FunctionBuilder b(store ? "store_at" : "load_at");
+    Reg p = b.param();
+    BlockId bb = b.newBlock("b");
+    b.setBlock(bb);
+    if (store) {
+        b.store(p, 0, p, kAliasAny);
+        b.ret();
+    } else {
+        Reg v = b.load(p, 0, kAliasAny);
+        b.ret({v});
+    }
+    return b.finish();
+}
+
+/** The FatalError text @p run raises ("" if it returns). */
+template <typename F>
+std::string
+fatalText(F run)
+{
+    try {
+        run();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(MemoryBounds, EveryExecutorRaisesTheSameFatal)
+{
+    // A load and a store just below and at the end of a 4-cell image.
+    for (bool store : {false, true}) {
+        MtProgram prog;
+        prog.threads.push_back(buildAccessAt(store));
+        for (int64_t addr : {int64_t{-1}, int64_t{4}}) {
+            const std::string want =
+                std::string("memory ") + (store ? "write" : "read") +
+                " out of bounds: addr=" + std::to_string(addr) +
+                " size=4";
+            SCOPED_TRACE(want);
+            auto image = [] {
+                MemoryImage mem;
+                mem.alloc(4);
+                return mem;
+            };
+            EXPECT_EQ(fatalText([&] {
+                          MemoryImage mem = image();
+                          interpret(prog.threads[0], {addr}, mem);
+                      }),
+                      want);
+            EXPECT_EQ(fatalText([&] {
+                          MemoryImage mem = image();
+                          interpretMt(prog, {addr}, mem);
+                      }),
+                      want);
+            for (SimEngine e : {SimEngine::Fast, SimEngine::Reference}) {
+                for (bool profiled : {false, true}) {
+                    SCOPED_TRACE(std::string(simEngineName(e)) +
+                                 (profiled ? ", profiled" : ", lean"));
+                    EXPECT_EQ(fatalText([&] {
+                                  MemoryImage mem = image();
+                                  CmpSimulator sim(MachineConfig{}, e);
+                                  SimProfile profile;
+                                  if (profiled)
+                                      sim.setProfile(&profile);
+                                  sim.run(prog, {addr}, mem);
+                              }),
+                              want);
+                }
+            }
+        }
+    }
 }
 
 TEST(CmpSimulator, SingleThreadMatchesInterpreter)
