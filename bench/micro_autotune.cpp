@@ -24,10 +24,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,7 +35,7 @@
 #include "driver/pass_manager.hpp"
 #include "driver/report.hpp"
 #include "driver/stats.hpp"
-#include "obs/metrics.hpp"
+#include "support/cli.hpp"
 #include "workloads/workload.hpp"
 
 using namespace gmt;
@@ -50,11 +50,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
-            std::stringstream ss(argv[++i]);
-            std::string name;
-            while (std::getline(ss, name, ','))
-                if (!name.empty())
-                    only.push_back(name);
+            only = splitCsv(argv[++i]);
         } else if (std::strcmp(argv[i], "--warm-gate") == 0 &&
                    i + 1 < argc) {
             warm_gate = std::atof(argv[++i]);
@@ -78,13 +74,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    MetricsRegistry &m = MetricsRegistry::global();
-    const uint64_t warm0 = m.counter("coco.warm_starts").value();
-    const uint64_t cold0 = m.counter("coco.cold_rebuilds").value();
-
     ArtifactCache cache;
     bool all_converged = true;
     int iterations = 0, accepted = 0, rejected = 0, improved = 0;
+    int64_t coco_warm = 0, coco_cold = 0;
     std::vector<double> base_speedups, tuned_speedups;
     std::vector<double> cold_ms, warm_ms;
     for (const Workload &w : workloads) {
@@ -109,6 +102,10 @@ main(int argc, char **argv)
             iterations += at.iterations;
             accepted += at.moves_accepted;
             rejected += at.moves_rejected;
+            for (const PassStats &ps : ctx.pass_stats) {
+                coco_warm += ps.value("coco_warm_starts");
+                coco_cold += ps.value("coco_cold_rebuilds");
+            }
             if (r.mt_cycles < r.baseline_mt_cycles)
                 ++improved;
             base_speedups.push_back(
@@ -162,11 +159,10 @@ main(int argc, char **argv)
     o.num("warm_iter_ms", warm_iter_ms);
     o.num("warm_speedup", warm_speedup);
     // bench_report derives its hit-rate column from this pair (the
-    // global COCO cut-cache counters, bracketed around the matrix).
-    o.num("coco_warm_starts",
-          m.counter("coco.warm_starts").value() - warm0);
-    o.num("coco_cold_rebuilds",
-          m.counter("coco.cold_rebuilds").value() - cold0);
+    // cut-cache counts on the placement and autotune pass records of
+    // the cells that solved the cuts).
+    o.num("coco_warm_starts", coco_warm);
+    o.num("coco_cold_rebuilds", coco_cold);
 
     std::ofstream out(out_path);
     if (!out) {

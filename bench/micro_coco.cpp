@@ -14,14 +14,19 @@
  *     of N repetitions;
  *  3. asserts every parallel plan is identical to its serial plan
  *     (the bit-identical-output contract CI enforces on every push)
- *     and writes the numbers to BENCH_coco.json.
+ *     and writes the numbers to BENCH_coco.json. The counts are the
+ *     calls' own (CocoResult): problems and solves over one serial
+ *     sweep, cut-cache hits and inline solves over the parallel
+ *     repetitions.
  *
  * Usage: micro_coco [--jobs N] [--reps N] [--out FILE]
  *        (defaults: 8 jobs, 3 reps, ./BENCH_coco.json)
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -32,7 +37,7 @@
 #include "coco/coco.hpp"
 #include "driver/pass_manager.hpp"
 #include "driver/stats.hpp"
-#include "obs/metrics.hpp"
+#include "support/cli.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
@@ -66,18 +71,17 @@ struct Cell
  * runs inline (the seed behaviour). Results land by cell index, so
  * the output order is deterministic either way.
  */
-std::vector<CommPlan>
+std::vector<CocoResult>
 runMatrix(const std::vector<Cell> &cells, ThreadPool *pool, int jobs,
           double &wall_ms)
 {
-    std::vector<CommPlan> plans(cells.size());
+    std::vector<CocoResult> results(cells.size());
     auto run_cell = [&](size_t i) {
         const Cell &c = cells[i];
         CocoExec exec{pool, jobs, nullptr};
-        CocoResult r = cocoOptimize(
+        results[i] = cocoOptimize(
             c.pdg->ir->func, c.pdg->pdg, c.partition->partition,
             c.pdg->cd, c.profile->profile, CocoOptions{}, exec);
-        plans[i] = std::move(r.plan);
     };
     auto t0 = Clock::now();
     if (!pool) {
@@ -90,8 +94,26 @@ runMatrix(const std::vector<Cell> &cells, ThreadPool *pool, int jobs,
         group.wait();
     }
     wall_ms = msSince(t0);
-    return plans;
+    return results;
 }
+
+/** Cut counts summed over CocoResults. */
+struct CutCounts
+{
+    uint64_t problems = 0;
+    uint64_t warm_starts = 0;
+    uint64_t cold_rebuilds = 0;
+
+    void
+    add(const std::vector<CocoResult> &results)
+    {
+        for (const CocoResult &r : results) {
+            problems += r.problems;
+            warm_starts += r.warm_starts;
+            cold_rebuilds += r.cold_rebuilds;
+        }
+    }
+};
 
 bool
 samePlan(const CommPlan &a, const CommPlan &b)
@@ -109,6 +131,15 @@ samePlan(const CommPlan &a, const CommPlan &b)
     return true;
 }
 
+[[noreturn]] void
+usage(const char *argv0, int exit_code)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--jobs N] [--reps N] [--out FILE]\n",
+                 argv0);
+    std::exit(exit_code);
+}
+
 } // namespace
 
 int
@@ -121,20 +152,14 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
+            jobs = static_cast<int>(intFlag(argv[0], "--jobs", argv[++i],
+                                            2, kMaxJobs, usage));
         } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-            reps = std::atoi(argv[++i]);
+            reps = static_cast<int>(intFlag(argv[0], "--reps", argv[++i],
+                                            1, INT_MAX, usage));
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs N] [--reps N] [--out FILE]\n",
-                         argv[0]);
-            return 2;
+            usage(argv[0], 2);
         }
-    }
-    if (jobs < 2 || reps < 1) {
-        std::fprintf(stderr, "%s: wants --jobs >= 2, --reps >= 1\n",
-                     argv[0]);
-        return 2;
     }
 
     // Materialize the fig7 matrix inputs (codegen is not measured).
@@ -151,17 +176,14 @@ main(int argc, char **argv)
         }
     }
 
-    MetricsRegistry &m = MetricsRegistry::global();
-
     // Counting pass (also warms allocators and page cache): one
-    // serial sweep, bracketed by the solver counters.
-    uint64_t problems0 = m.counter("coco.problems").value();
-    uint64_t solves0 = m.counter("coco.solves").value();
+    // serial sweep. Serially every cut is built and solved on the
+    // apply walk, so its cold rebuilds are the matrix's solves.
     double warm_ms = 0.0;
-    std::vector<CommPlan> serial_plans =
+    std::vector<CocoResult> serial =
         runMatrix(cells, nullptr, 1, warm_ms);
-    uint64_t problems = m.counter("coco.problems").value() - problems0;
-    uint64_t solves = m.counter("coco.solves").value() - solves0;
+    CutCounts serial_counts;
+    serial_counts.add(serial);
 
     // Timed passes: best of --reps for each mode.
     double serial_ms = warm_ms;
@@ -171,27 +193,24 @@ main(int argc, char **argv)
         serial_ms = std::min(serial_ms, ms);
     }
 
+    // Apply-walk cut-cache hits vs inline solves in the parallel runs.
     ThreadPool pool(jobs);
-    uint64_t warm0 = m.counter("coco.warm_starts").value();
-    uint64_t cold0 = m.counter("coco.cold_rebuilds").value();
+    CutCounts parallel_counts;
     double parallel_ms = 0.0;
-    std::vector<CommPlan> parallel_plans =
+    std::vector<CocoResult> parallel =
         runMatrix(cells, &pool, jobs, parallel_ms);
+    parallel_counts.add(parallel);
     for (int r = 1; r < reps; ++r) {
         double ms = 0.0;
-        runMatrix(cells, &pool, jobs, ms);
+        parallel_counts.add(runMatrix(cells, &pool, jobs, ms));
         parallel_ms = std::min(parallel_ms, ms);
     }
-    // Apply-walk cut-cache hits vs inline solves in the parallel runs.
-    uint64_t warm_starts = m.counter("coco.warm_starts").value() - warm0;
-    uint64_t cold_rebuilds =
-        m.counter("coco.cold_rebuilds").value() - cold0;
 
     // The contract: the parallel solver's plan is bit-identical to
     // the serial one, cell by cell.
     bool identical = true;
     for (size_t i = 0; i < cells.size(); ++i) {
-        if (!samePlan(serial_plans[i], parallel_plans[i])) {
+        if (!samePlan(serial[i].plan, parallel[i].plan)) {
             identical = false;
             std::fprintf(stderr,
                          "micro_coco: plan mismatch in cell %s\n",
@@ -206,16 +225,13 @@ main(int argc, char **argv)
     o.boolean("identical", identical);
     o.num("cells", static_cast<int64_t>(cells.size()));
     o.num("jobs", static_cast<int64_t>(jobs));
-    o.num("problems", problems);
-    o.num("solves", solves);
+    o.num("problems", serial_counts.problems);
+    o.num("solves", serial_counts.cold_rebuilds);
     o.num("serial_wall_ms", serial_ms);
     o.num("parallel_wall_ms", parallel_ms);
     o.num("speedup", speedup);
-    o.num("coco_warm_starts", warm_starts);
-    o.num("coco_cold_rebuilds", cold_rebuilds);
-    o.num("arena_reuse", m.counter("coco.arena_reuse").value());
-    o.num("liveness_memo_hits",
-          m.counter("coco.liveness_memo_hits").value());
+    o.num("coco_warm_starts", parallel_counts.warm_starts);
+    o.num("coco_cold_rebuilds", parallel_counts.cold_rebuilds);
 
     std::ofstream out(out_path);
     if (!out) {

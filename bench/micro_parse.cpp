@@ -17,7 +17,9 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "driver/stats.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "workloads/serialize.hpp"
 
@@ -44,6 +47,15 @@ msSince(Clock::time_point t0)
         .count();
 }
 
+[[noreturn]] void
+usage(const char *argv0, int exit_code)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--dir DIR] [--reps N] [--out FILE]\n",
+                 argv0);
+    std::exit(exit_code);
+}
+
 } // namespace
 
 int
@@ -56,14 +68,12 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
             dir = argv[++i];
         } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-            reps = std::atoi(argv[++i]);
+            reps = static_cast<int>(intFlag(argv[0], "--reps", argv[++i],
+                                            1, INT_MAX, usage));
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--dir DIR] [--reps N] [--out FILE]\n",
-                         argv[0]);
-            return 2;
+            usage(argv[0], 2);
         }
     }
 

@@ -10,7 +10,6 @@
 #include "mtcg/mtcg.hpp"
 #include "mtcg/queue_alloc.hpp"
 #include "mtverify/mtverify.hpp"
-#include "obs/metrics.hpp"
 #include "obs/stall_profile.hpp"
 #include "obs/stall_report.hpp"
 #include "partition/dswp.hpp"
@@ -171,10 +170,11 @@ repartition(const AutotuneInputs &in, const PartitionFeedback &fb)
 }
 
 /** COCO (or default MTCG) plan for @p c's partition, with its
- *  record. */
+ *  record. COCO's cut-cache counts go onto @p result. */
 bool
 planFor(const AutotuneInputs &in, Candidate &c,
-        const EdgeProfile &profile, std::string &reject)
+        const EdgeProfile &profile, std::string &reject,
+        AutotuneResult &result)
 {
     if (!in.use_coco) {
         c.plan = defaultMtcgPlan(*in.f, *in.pdg, c.partition, *in.cd);
@@ -189,6 +189,8 @@ planFor(const AutotuneInputs &in, Candidate &c,
         c.plan = std::move(res.plan);
         c.plan_iters = res.iterations;
         c.plan_prov = std::move(res.provenance);
+        result.coco_warm_starts += res.warm_starts;
+        result.coco_cold_rebuilds += res.cold_rebuilds;
     }
     auto problems =
         validatePlan(*in.f, *in.pdg, c.partition, *in.cd, c.plan);
@@ -208,7 +210,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                    std::vector<std::vector<int>> &tried_partitions,
                    const AutotuneOptions &opts,
                    std::vector<AutotuneMove> &invalid_moves,
-                   int iteration)
+                   int iteration, AutotuneResult &result)
 {
     std::vector<Candidate> out;
     uint64_t total_stall = report.totalStallCycles();
@@ -239,7 +241,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
         c.partition = cur.s.partition;
         EdgeProfile prof = boosted(fb.cut_boost);
         std::string reject;
-        if (planFor(in, c, prof, reject)) {
+        if (planFor(in, c, prof, reject, result)) {
             out.push_back(std::move(c));
         } else {
             AutotuneMove m;
@@ -273,7 +275,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
             reject = "duplicate";
         } else {
             tried_partitions.push_back(c.partition.assign);
-            if (planFor(in, c, *in.profile, reject))
+            if (planFor(in, c, *in.profile, reject, result))
                 out.push_back(std::move(c));
         }
         if (!reject.empty()) {
@@ -381,7 +383,8 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                     }
                     if (reject.empty()) {
                         tried_partitions.push_back(c.partition.assign);
-                        if (planFor(in, c, *in.profile, reject))
+                        if (planFor(in, c, *in.profile, reject,
+                                    result))
                             out.push_back(std::move(c));
                     }
                     if (!reject.empty()) {
@@ -578,7 +581,7 @@ autotuneSchedule(const AutotuneInputs &in,
         std::vector<AutotuneMove> invalid;
         std::vector<Candidate> cands = generateCandidates(
             in, cur, report, fb, sccs, tried_partitions, opts, invalid,
-            it);
+            it, result);
 
         // Invalid candidates (never simulated) are recorded first —
         // their order within the round is canonical too.
@@ -687,14 +690,6 @@ autotuneSchedule(const AutotuneInputs &in,
     result.final_schedule = std::move(cur.s);
     result.partition_prov =
         sccPartitionProvenance(in, sccs, result.final_schedule.partition);
-
-    MetricsRegistry &mr = MetricsRegistry::global();
-    mr.counter("autotune.iterations")
-        .add(static_cast<uint64_t>(result.iterations));
-    mr.counter("autotune.moves_accepted")
-        .add(static_cast<uint64_t>(result.moves_accepted));
-    mr.counter("autotune.moves_rejected")
-        .add(static_cast<uint64_t>(result.moves_rejected));
     return result;
 }
 

@@ -151,6 +151,11 @@ struct AutotuneResult
     uint64_t reg_comm = 0;
     uint64_t mem_sync = 0;
 
+    /** Cut-cache counts (CocoResult::warm_starts / cold_rebuilds)
+     *  summed over the loop's own cocoOptimize calls. */
+    uint64_t coco_warm_starts = 0;
+    uint64_t coco_cold_rebuilds = 0;
+
     /** Execution-only: wall time of each feedback round; round 0 is
      *  cold (baseline profiling and decode), later rounds reuse
      *  those artifacts and skip duplicate candidates. */
@@ -195,8 +200,7 @@ struct AutotuneInputs
 
 /**
  * Run the feedback loop starting from @p baseline (the standard
- * pipeline's schedule and its simulated cycles). Also bumps the
- * autotune.* metrics counters.
+ * pipeline's schedule and its simulated cycles).
  */
 AutotuneResult autotuneSchedule(const AutotuneInputs &in,
                                 const AutotuneSchedule &baseline,

@@ -13,7 +13,6 @@
 #include "coco/thread_liveness.hpp"
 #include "graph/multi_cut.hpp"
 #include "graph/scc.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_writer.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
@@ -102,12 +101,11 @@ class ArenaPool
 {
   public:
     std::unique_ptr<CutArena>
-    acquire(Counter &reuse_hits)
+    acquire()
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (free_.empty())
             return std::make_unique<CutArena>();
-        reuse_hits.add();
         auto arena = std::move(free_.back());
         free_.pop_back();
         return arena;
@@ -128,8 +126,8 @@ class ArenaPool
 /** RAII checkout. */
 struct ArenaLease
 {
-    ArenaLease(ArenaPool &pool, Counter &reuse_hits)
-        : pool_(pool), arena_(pool.acquire(reuse_hits))
+    explicit ArenaLease(ArenaPool &pool)
+        : pool_(pool), arena_(pool.acquire())
     {
     }
     ~ArenaLease() { pool_.release(std::move(arena_)); }
@@ -195,35 +193,6 @@ normalizeBreakdown(std::vector<CutPointCost> &b)
     b.resize(out);
 }
 
-/** All per-cocoOptimize solver metrics, resolved once. */
-struct CocoCounters
-{
-    Counter &problems;
-    Counter &solves;
-    Counter &arcs;
-    Counter &augmenting_paths;
-    Counter &arena_reuse;
-    Counter &liveness_memo_hits;
-    Counter &spec_rounds;
-    Counter &warm_starts;
-    Counter &cold_rebuilds;
-
-    static CocoCounters
-    resolve()
-    {
-        MetricsRegistry &m = MetricsRegistry::global();
-        return CocoCounters{m.counter("coco.problems"),
-                            m.counter("coco.solves"),
-                            m.counter("coco.arcs"),
-                            m.counter("coco.augmenting_paths"),
-                            m.counter("coco.arena_reuse"),
-                            m.counter("coco.liveness_memo_hits"),
-                            m.counter("coco.spec_rounds"),
-                            m.counter("coco.warm_starts"),
-                            m.counter("coco.cold_rebuilds")};
-    }
-};
-
 /** Fill @p out from the min-cut arcs @p cut_arcs (total @p cost) of
  *  the solved graph @p fg. */
 void
@@ -262,20 +231,16 @@ clearCut(CachedCut &out)
 void
 solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
             const ThreadLiveness &live, Reg r, int ts, int tt,
-            CutArena &arena, CocoCounters &c, CachedCut &out)
+            CutArena &arena, CachedCut &out)
 {
     clearCut(out);
-    c.solves.add();
     FlowGraph &fg = arena.fg;
     buildRegisterFlowGraph(in, safety, live, r, ts, tt, fg,
                            arena.scratch);
-    c.arcs.add(static_cast<uint64_t>(fg.net.numArcs()));
     if (fg.trivial)
         return;
     arena.mf.attach(fg.net);
-    uint64_t paths0 = arena.mf.stats().augmenting_paths;
     Capacity flow = arena.mf.solve(fg.source, fg.sink);
-    c.augmenting_paths.add(arena.mf.stats().augmenting_paths - paths0);
     out.finite = arena.mf.finite();
     if (out.finite)
         recordCut(fg, arena.mf.minCutArcs(), flow, out);
@@ -286,19 +251,15 @@ void
 solveMemCut(const FlowGraphInputs &in,
             const std::vector<std::pair<InstrId, InstrId>> &deps,
             int ts, int tt, const CocoOptions &opts, CutArena &arena,
-            CocoCounters &c, CachedCut &out)
+            CachedCut &out)
 {
     clearCut(out);
-    c.solves.add();
     FlowGraph &fg = arena.fg;
     buildMemoryFlowGraph(in, deps, ts, tt, fg, arena.scratch);
-    c.arcs.add(static_cast<uint64_t>(fg.net.numArcs()));
-    uint64_t paths0 = arena.mf.stats().augmenting_paths;
     MultiCutResult cut =
         opts.multi_pair_memory
             ? multiPairMinCut(fg.net, fg.pairs, CutSide::Sink, &arena.mf)
             : superPairMinCut(fg.net, fg.pairs, &arena.mf);
-    c.augmenting_paths.add(arena.mf.stats().augmenting_paths - paths0);
     out.finite = cut.finite;
     if (out.finite)
         recordCut(fg, cut.arcs, cut.cost, out);
@@ -314,7 +275,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
 {
     CocoResult result;
     const int nt = partition.num_threads;
-    CocoCounters counters = CocoCounters::resolve();
 
     std::vector<BitVector> relevant =
         initRelevantBranches(f, cd, partition);
@@ -365,10 +325,8 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     auto livenessFor = [&](int tt) -> const ThreadLiveness & {
         auto key = std::make_pair(tt, rel_version[tt]);
         auto it = liveness_memo.find(key);
-        if (it != liveness_memo.end()) {
-            counters.liveness_memo_hits.add();
+        if (it != liveness_memo.end())
             return *it->second;
-        }
         auto live = std::make_shared<const ThreadLiveness>(
             f, partition, tt, relevant[tt]);
         return *liveness_memo.emplace(key, std::move(live))
@@ -517,7 +475,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                          &mem_work[it->second].second});
             }
         }
-        counters.problems.add(problems.size());
+        result.problems += problems.size();
 
         FlowGraphInputs inputs{&f,        &cd,
                                &profile,  &partition,
@@ -539,7 +497,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         // every task reads a consistent snapshot; results are tagged
         // with the snapshot versions. ----
         auto speculate = [&](size_t from) {
-            counters.spec_rounds.add();
             // Materialize the livenesses tasks will share (serial:
             // the memo map must not be mutated concurrently).
             for (size_t j = from; j < problems.size(); ++j) {
@@ -578,7 +535,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             for (size_t b = 0; b < todo.size(); b += chunk) {
                 const size_t e = std::min(todo.size(), b + chunk);
                 group.run([&, b, e] {
-                    ArenaLease arena(arenas, counters.arena_reuse);
+                    ArenaLease arena(arenas);
                     for (size_t k = b; k < e; ++k) {
                         const SpecTask &t = todo[k];
                         double t0 =
@@ -587,13 +544,13 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                             if (t.pp->is_mem)
                                 solveMemCut(inputs, *t.pp->deps,
                                             t.pp->ts, t.pp->tt, opts,
-                                            *arena, counters, *t.slot);
+                                            *arena, *t.slot);
                             else
                                 solveRegCut(inputs,
                                             *safety[t.pp->ts],
                                             *t.live, t.pp->r,
                                             t.pp->ts, t.pp->tt,
-                                            *arena, counters, *t.slot);
+                                            *arena, *t.slot);
                             t.slot->vts = t.vts;
                             t.slot->vtt = t.vtt;
                             t.slot->valid = true;
@@ -631,7 +588,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         std::vector<std::pair<RegKey, PlacementDecision>> new_reg_dec;
         std::vector<std::pair<PairKey, PlacementDecision>> new_mem_dec;
 
-        ArenaLease main_arena(arenas, counters.arena_reuse);
+        ArenaLease main_arena(arenas);
         CachedCut inline_cut;
 
         // Answer problem @p p from the cache, or solve it inline. A
@@ -641,11 +598,9 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                           auto &&solve) -> const CachedCut & {
             CachedCut &slot = slotFor(p);
             if (cacheable && fresh(p)) {
-                counters.warm_starts.add();
                 ++result.warm_starts;
                 return slot;
             }
-            counters.cold_rebuilds.add();
             ++result.cold_rebuilds;
             if (!cacheable) {
                 solve(inline_cut);
@@ -736,7 +691,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                         [&](CachedCut &out) {
                             solveRegCut(inputs, *safety[p.ts], *live,
                                         p.r, p.ts, p.tt, *main_arena,
-                                        counters, out);
+                                        out);
                         });
                     GMT_ASSERT(cut.finite, "no finite register cut");
                     result.register_cut_cost += cut.cost;
@@ -766,8 +721,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                     const CachedCut &cut =
                         answer(p, true, [&](CachedCut &out) {
                             solveMemCut(inputs, *p.deps, p.ts, p.tt,
-                                        opts, *main_arena, counters,
-                                        out);
+                                        opts, *main_arena, out);
                         });
                     GMT_ASSERT(cut.finite, "no finite memory cut");
                     result.memory_cut_cost += cut.cost;

@@ -82,15 +82,16 @@ struct CocoResult
     /** Total multi-cut cost over all memory cuts. */
     Capacity memory_cut_cost = 0;
 
-    /**
-     * Cut problems the apply walk answered from the version-tagged
-     * cut cache in *this call* (global coco.* counters aggregate
-     * across concurrent cells; these do not).
-     */
+    /** Cut problems enumerated over all repeat-until iterations. */
+    uint64_t problems = 0;
+
+    /** Cut problems the apply walk answered from the version-tagged
+     *  cut cache. */
     uint64_t warm_starts = 0;
 
-    /** Cut problems the apply walk built and solved in this call.
-     *  warm_starts + cold_rebuilds = cut problems answered. */
+    /** Cut problems the apply walk built and solved. warm_starts +
+     *  cold_rebuilds = problems when both problem kinds are
+     *  optimized (ablations answer the disabled kind by default). */
     uint64_t cold_rebuilds = 0;
 
     /**

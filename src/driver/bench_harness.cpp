@@ -7,7 +7,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "obs/metrics.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 
 namespace gmt
@@ -29,22 +29,6 @@ usage(const char *argv0, int exit_code)
     std::exit(exit_code);
 }
 
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= csv.size()) {
-        size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            parts.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return parts;
-}
-
 } // namespace
 
 BenchOptions
@@ -61,12 +45,16 @@ parseBenchOptions(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto jobCount = [&]() {
+            return static_cast<int>(
+                intFlag(argv[0], arg, value(), 0, kMaxJobs, usage));
+        };
         if (arg == "--jobs")
-            opts.jobs = std::atoi(value().c_str());
+            opts.jobs = jobCount();
         else if (arg == "--serial")
             opts.jobs = 1;
         else if (arg == "--coco-jobs")
-            opts.coco_jobs = std::atoi(value().c_str());
+            opts.coco_jobs = jobCount();
         else if (arg == "--no-cache")
             opts.use_cache = false;
         else if (arg == "--stats")
@@ -211,8 +199,6 @@ BenchHarness::runAll(const std::vector<ExperimentCell> &cells)
             std::fprintf(stderr, "[bench] provenance: %s (%zu cells)\n",
                          opts_.provenance_path.c_str(), written);
     }
-    if (stats_)
-        writeMetricsRecords(MetricsRegistry::global(), *stats_);
     return results;
 }
 

@@ -58,8 +58,9 @@ struct BenchOptions
 };
 
 /**
- * Parse the shared flags. Unknown flags (and --help) print usage and
- * exit. @p argv[0] is used in the usage text.
+ * Parse the shared flags. Unknown flags, missing values and malformed
+ * or out-of-range integers print usage and exit 2 (--help exits 0).
+ * @p argv[0] is used in the usage text.
  */
 BenchOptions parseBenchOptions(int argc, char **argv);
 
@@ -82,11 +83,8 @@ class BenchHarness
 
     /**
      * Run the batch; prints the summary line unless --quiet. After
-     * the batch: rewrites the --trace file (the collector is
-     * cumulative, so the final batch's write covers the whole run)
-     * and republishes the global metrics registry into --stats as
-     * type:"metrics" records (cumulative; readers keep the last
-     * record per name).
+     * the batch, rewrites the --trace file (the collector is
+     * cumulative, so the final batch's write covers the whole run).
      */
     std::vector<PipelineResult> runAll(
         const std::vector<ExperimentCell> &cells);

@@ -37,6 +37,7 @@ ExperimentRunner::runAll(const std::vector<ExperimentCell> &cells)
     std::vector<std::exception_ptr> errors(cells.size());
     obs_profiles_.assign(cells.size(), nullptr);
     provenances_.assign(cells.size(), nullptr);
+    pass_stats_.assign(cells.size(), {});
 
     // One shared pool serves both levels of parallelism: cell tasks
     // here, and COCO's nested cut tasks (via TaskGroup, so a cell
@@ -62,6 +63,7 @@ ExperimentRunner::runAll(const std::vector<ExperimentCell> &cells)
             results[i] = std::move(ctx.result);
             obs_profiles_[i] = ctx.obs;
             provenances_[i] = ctx.prov;
+            pass_stats_[i] = std::move(ctx.pass_stats);
         } catch (...) {
             errors[i] = std::current_exception();
         }

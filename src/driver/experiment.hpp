@@ -85,9 +85,10 @@ class ExperimentRunner
     /**
      * Observability artifacts of the most recent runAll(), parallel
      * to its result vector. Null for cells whose obs-profile pass was
-     * skipped (no profile_stalls, no trace). PipelineResult stays a
-     * plain value (the determinism oracle compares it with ==), so
-     * the artifacts travel beside it, not inside it.
+     * skipped (no profile_stalls and no trace, or simulate off).
+     * PipelineResult stays a plain value (the determinism oracle
+     * compares it with ==), so the artifacts travel beside it, not
+     * inside it.
      */
     const std::vector<std::shared_ptr<const ObsProfileArtifact>> &
     obsProfiles() const
@@ -106,6 +107,17 @@ class ExperimentRunner
         return provenances_;
     }
 
+    /**
+     * Pass records of the most recent runAll(), parallel to its
+     * result vector (each cell's PipelineContext::pass_stats). A
+     * work counter sits only on the cell that computed the artifact,
+     * so summing over cells gives the batch's work.
+     */
+    const std::vector<std::vector<PassStats>> &passStats() const
+    {
+        return pass_stats_;
+    }
+
     ArtifactCache &cache() { return cache_; }
 
     /** Resolved worker count for this configuration. */
@@ -117,6 +129,7 @@ class ExperimentRunner
     ExperimentSummary summary_;
     std::vector<std::shared_ptr<const ObsProfileArtifact>> obs_profiles_;
     std::vector<std::shared_ptr<const ProvenanceArtifact>> provenances_;
+    std::vector<std::vector<PassStats>> pass_stats_;
 };
 
 } // namespace gmt

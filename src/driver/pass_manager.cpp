@@ -11,7 +11,6 @@
 #include "mtcg/mtcg.hpp"
 #include "mtcg/queue_alloc.hpp"
 #include "mtverify/mtverify.hpp"
-#include "obs/metrics.hpp"
 #include "partition/dswp.hpp"
 #include "partition/gremio.hpp"
 #include "pdg/pdg_builder.hpp"
@@ -159,8 +158,6 @@ obsProfileKey(const PipelineContext &ctx)
     // apart per engine so differential tests exercise both engines'
     // instrumentation instead of sharing one cached artifact. The
     // autotune axes describe the tuned schedule being profiled.
-    if (!ctx.opts.simulate)
-        return "obs|" + queueAllocKey(ctx) + "|nosim";
     return "obs|" + queueAllocKey(ctx) + '|' +
            machineKey(ctx.opts.machine) +
            (ctx.opts.sim_engine == SimEngine::Reference ? "|ref" : "") +
@@ -336,15 +333,9 @@ PassManager::run(PipelineContext &ctx) const
                 {{"cached", ps.cached ? 1 : 0}});
         if (ctx.opts.check_invariants)
             checkInvariants(ctx, pass.name);
-        MetricsRegistry &mr = MetricsRegistry::global();
-        mr.counter("pipeline.passes_run").add();
-        if (ps.cached)
-            mr.counter("pipeline.passes_cached").add();
-        mr.histogram("pipeline.pass_wall_ms").observe(ps.wall_ms);
         emitPassRecord(ctx, ps);
         ctx.pass_stats.push_back(std::move(ps));
     }
-    MetricsRegistry::global().counter("pipeline.cells").add();
 
     // Assemble the result from the final artifacts.
     if (ctx.partition)
@@ -436,6 +427,7 @@ passProfile(PipelineContext &ctx, PassStats &ps)
                 MemoryImage mem = workloadMemory(w, /*ref=*/false);
                 auto run = interpret(f, w.train_args, mem);
                 art->profile = EdgeProfile::fromRun(f, run.profile);
+                ps.add("dyn_instrs", static_cast<int64_t>(run.dyn_instrs));
             }
             return art;
         },
@@ -516,6 +508,10 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
                 art->plan = std::move(coco.plan);
                 art->coco_iterations = coco.iterations;
                 art->prov = std::move(coco.provenance);
+                ps.add("coco_warm_starts",
+                       static_cast<int64_t>(coco.warm_starts));
+                ps.add("coco_cold_rebuilds",
+                       static_cast<int64_t>(coco.cold_rebuilds));
                 auto problems =
                     validatePlan(f, pdg, ctx.partition->partition, cd,
                                  art->plan);
@@ -642,6 +638,7 @@ passMtRun(PipelineContext &ctx, PassStats &ps)
             auto run =
                 interpret(ctx.ir->func, w.ref_args, art->final_mem);
             art->live_outs = run.live_outs;
+            ps.add("st_dyn_instrs", static_cast<int64_t>(run.dyn_instrs));
             return art;
         },
         sub);
@@ -668,6 +665,8 @@ passMtRun(PipelineContext &ctx, PassStats &ps)
             if (mt.live_outs != st_ref->live_outs ||
                 !(mt_mem == st_ref->final_mem))
                 fatal("MT output mismatch for ", ctx.cellId());
+            ps.add("mt_dyn_instrs",
+                   static_cast<int64_t>(mt.totalDynamicInstrs()));
             auto art = std::make_shared<MtRunArtifact>();
             for (const ThreadStats &st : mt.stats)
                 art->add(st);
@@ -877,6 +876,10 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
             art->result = autotuneSchedule(in, baseline,
                                            ctx.opts.autotune_opts);
             art->moves_json = autotuneMovesJson(art->result);
+            ps.add("coco_warm_starts",
+                   static_cast<int64_t>(art->result.coco_warm_starts));
+            ps.add("coco_cold_rebuilds",
+                   static_cast<int64_t>(art->result.coco_cold_rebuilds));
             return art;
         },
         ps);
@@ -932,7 +935,7 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
 void
 emitSimTrace(PipelineContext &ctx, const ObsProfileArtifact &obs)
 {
-    if (!ctx.trace || !obs.simulated)
+    if (!ctx.trace)
         return;
     TraceCollector &tc = *ctx.trace;
     const SimTimeline &tl = obs.timeline;
@@ -973,32 +976,13 @@ void
 passObsProfile(PipelineContext &ctx, PassStats &ps)
 {
     // An attached trace collector needs the timeline even when the
-    // caller did not ask for stall profiling explicitly.
-    if (!ctx.opts.profile_stalls && !ctx.trace) {
+    // caller did not ask for stall profiling explicitly. Counts-only
+    // cells have no timing run to attribute.
+    if ((!ctx.opts.profile_stalls && !ctx.trace) || !ctx.opts.simulate) {
         ps.add("skipped", 1);
         return;
     }
     const Workload &w = *ctx.workload;
-    auto mt_run = ctx.mt_run;
-
-    if (!ctx.opts.simulate) {
-        // Counts-only mode: no simulation to attribute, but the
-        // dynamic instruction counts give fig1 its breakdown.
-        ctx.obs = ctx.cached<ObsProfileArtifact>(
-            obsProfileKey(ctx),
-            [mt_run]() -> std::shared_ptr<const ObsProfileArtifact> {
-                auto art = std::make_shared<ObsProfileArtifact>();
-                art->computation = mt_run->computation;
-                art->duplicated_branches = mt_run->duplicated_branches;
-                art->reg_comm = mt_run->reg_comm;
-                art->mem_sync = mt_run->mem_sync;
-                return art;
-            },
-            ps);
-        ps.add("simulated", 0);
-        return;
-    }
-
     const MachineConfig cfg = ctx.opts.machine;
     const SimEngine engine = ctx.opts.sim_engine;
     auto prog = ctx.prog;
@@ -1007,7 +991,7 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
     auto mt_sim = ctx.mt_sim;
     ctx.obs = ctx.cached<ObsProfileArtifact>(
         obsProfileKey(ctx),
-        [&w, cfg, engine, prog, plan, mt_run, mt_dec,
+        [&w, cfg, engine, prog, plan, mt_dec,
          mt_sim]() -> std::shared_ptr<const ObsProfileArtifact> {
             MemoryImage mem = workloadMemory(w, /*ref=*/true);
             CmpSimulator sim(cfg, engine);
@@ -1027,20 +1011,14 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
                       w.name, " (", simEngineName(engine),
                       " engine): ", violation);
             auto art = std::make_shared<ObsProfileArtifact>();
-            art->simulated = true;
             art->report =
                 buildStallReport(profile, r.cycles, plan->plan,
                                  prog->queue_of, prog->prog);
             art->profile = std::move(profile);
             art->timeline = timeline.take();
-            art->computation = mt_run->computation;
-            art->duplicated_branches = mt_run->duplicated_branches;
-            art->reg_comm = mt_run->reg_comm;
-            art->mem_sync = mt_run->mem_sync;
             return art;
         },
         ps);
-    ps.add("simulated", 1);
     ps.add("stall_cycles",
            static_cast<int64_t>(ctx.obs->report.totalStallCycles()));
     ps.add("queues",

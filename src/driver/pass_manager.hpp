@@ -54,7 +54,14 @@ namespace gmt
 
 class ThreadPool;
 
-/** Timing + counters for one executed pass. */
+/**
+ * Timing + counters for one executed pass: the one home of the
+ * cell's per-pass counts. Work counters (a call's own counts, e.g.
+ * COCO's coco_warm_starts / coco_cold_rebuilds, the interpreters'
+ * dyn_instrs) are added only by the execution that computed the
+ * artifact; a cache hit adds none, so a batch's records sum to the
+ * work the batch did.
+ */
 struct PassStats
 {
     std::string pass;
@@ -69,6 +76,16 @@ struct PassStats
     void add(const std::string &name, int64_t value)
     {
         counters.emplace_back(name, value);
+    }
+
+    /** Counter @p name's value; 0 when the pass did not add it. */
+    int64_t
+    value(const std::string &name) const
+    {
+        for (const auto &[n, v] : counters)
+            if (n == name)
+                return v;
+        return 0;
     }
 };
 
@@ -197,31 +214,19 @@ struct MtSimArtifact
 };
 
 /**
- * Observability rollup of one cell (the obs-profile pass): the raw
- * stall attribution and execution timeline of an instrumented MT
- * timing run, plus the ranked per-queue / per-block report
+ * Observability rollup of one simulated cell (the obs-profile pass):
+ * the raw stall attribution and execution timeline of an instrumented
+ * MT timing run, plus the ranked per-queue / per-block report
  * (obs/stall_report.hpp). The attribution is engine-independent and
  * conserved — it sums exactly to the aggregate CoreStats counters,
- * checked at build time. In counts-only mode (simulate off) only the
- * dynamic instruction counts below are filled, which is all
- * bench/fig1 needs.
+ * checked at build time. The cell's dynamic instruction counts live
+ * on its PipelineResult, not here.
  */
 struct ObsProfileArtifact
 {
-    bool simulated = false;
-
     SimProfile profile;   ///< raw (core, block[, queue]) charges
     SimTimeline timeline; ///< per-core intervals + queue occupancy
-    StallReport report;   ///< ranked rollup (empty when !simulated)
-
-    // Dynamic instruction counts, copied from the MtRunArtifact
-    // (always filled; the fig1 breakdown sources them from here).
-    uint64_t computation = 0;
-    uint64_t duplicated_branches = 0;
-    uint64_t reg_comm = 0;
-    uint64_t mem_sync = 0;
-
-    uint64_t communication() const { return reg_comm + mem_sync; }
+    StallReport report;   ///< ranked rollup
 };
 
 /**

@@ -105,10 +105,9 @@ struct PipelineOptions
      * Run the obs-profile pass: re-simulate the MT program with stall
      * attribution and timeline collection attached and publish the
      * rollup as an ObsProfileArtifact (dies if the attribution does
-     * not sum exactly to the aggregate stall counters). With simulate
-     * off, the artifact carries only the dynamic instruction counts
-     * (bench/fig1's counts-only mode). Also forced on by an attached
-     * trace collector.
+     * not sum exactly to the aggregate stall counters). Skipped when
+     * simulate is off (nothing to attribute). Also forced on by an
+     * attached trace collector.
      */
     bool profile_stalls = false;
 

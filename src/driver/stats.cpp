@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -99,49 +98,6 @@ StatsSink::recordsWritten() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return records_;
-}
-
-void
-writeMetricsRecords(const MetricsRegistry &registry, StatsSink &sink)
-{
-    for (const MetricSample &s : registry.snapshot()) {
-        JsonObject rec;
-        rec.num("schema", int64_t{1})
-            .str("type", "metrics")
-            .str("name", s.name)
-            .str("kind", metricKindName(s.kind));
-        if (s.kind == MetricSample::Kind::Histogram) {
-            const Histogram::Snapshot &h = s.hist;
-            // Guard the derived moments: an empty histogram has no
-            // mean and a single sample has no spread — both must
-            // render as 0 (0/0 and sqrt of a negative rounding
-            // residue would otherwise leak NaN into the JSONL).
-            double n = static_cast<double>(h.count);
-            double mean = h.count ? h.sum / n : 0.0;
-            double var =
-                h.count >= 2 ? (h.sum_sq / n) - mean * mean : 0.0;
-            double sd = var > 0.0 ? std::sqrt(var) : 0.0;
-            rec.num("count", h.count)
-                .num("sum", h.sum)
-                .num("mean", mean)
-                .num("stddev", sd)
-                .num("min", h.count ? h.min : 0.0)
-                .num("max", h.count ? h.max : 0.0);
-            std::string buckets;
-            for (int b = 0; b < Histogram::kBuckets; ++b) {
-                if (!h.buckets[b])
-                    continue;
-                if (!buckets.empty())
-                    buckets += ',';
-                buckets += std::to_string(b) + ':' +
-                           std::to_string(h.buckets[b]);
-            }
-            rec.str("buckets", buckets);
-        } else {
-            rec.num("value", s.value);
-        }
-        sink.write(rec);
-    }
 }
 
 } // namespace gmt

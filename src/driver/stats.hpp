@@ -18,8 +18,6 @@
 namespace gmt
 {
 
-class MetricsRegistry;
-
 /**
  * Builder for one flat JSON object. Keys are emitted in insertion
  * order; values are strings, numbers, or booleans. Strings are
@@ -65,17 +63,6 @@ class StatsSink
     mutable std::mutex mu_;
     uint64_t records_ = 0;
 };
-
-/**
- * Serialize a metrics-registry snapshot into @p sink, one
- * `type:"metrics"` JSONL record per instrument (sorted by name).
- * Counters/gauges carry `value`; histograms carry count/sum/min/max
- * plus the nonzero power-of-two buckets as a compact
- * "bucket:count,..." string. Values are cumulative for the process,
- * so the last emission wins when a harness publishes per batch.
- */
-void writeMetricsRecords(const MetricsRegistry &registry,
-                         StatsSink &sink);
 
 } // namespace gmt
 

@@ -145,7 +145,6 @@ MaxFlow::solve(int s, int t)
             v = arcs[a ^ 1].to;
         }
         total += bottleneck;
-        ++stats_.augmenting_paths;
     }
     last_flow_ = total;
     return total;

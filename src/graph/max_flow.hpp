@@ -135,13 +135,6 @@ class MaxFlow
     /** Rebind to another network. */
     void attach(FlowNetwork &net);
 
-    /** Work counters, accumulated across solve() calls. */
-    struct Stats
-    {
-        /** Shortest augmenting paths pushed. */
-        uint64_t augmenting_paths = 0;
-    };
-
     /**
      * Compute the max flow from @p s to @p t, augmenting from the
      * network's current residual state (freshly built, or reset()).
@@ -163,8 +156,6 @@ class MaxFlow
      *  (removed arcs stay at zero). */
     void reset();
 
-    const Stats &stats() const { return stats_; }
-
   private:
     /** Nodes reachable from s in the residual graph. */
     std::vector<bool> residualReachable(int s) const;
@@ -176,7 +167,6 @@ class MaxFlow
     int last_s_ = -1;
     int last_t_ = -1;
     Capacity last_flow_ = 0;
-    Stats stats_;
 
     // BFS predecessor arcs, reused across solves (and, via attach(),
     // across networks).

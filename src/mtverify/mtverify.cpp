@@ -7,7 +7,6 @@
 #include "ir/verifier.hpp"
 #include "mtverify/deadlock.hpp"
 #include "mtverify/hb.hpp"
-#include "obs/metrics.hpp"
 #include "mtverify/queue_balance.hpp"
 #include "support/error.hpp"
 
@@ -585,19 +584,15 @@ verifyMtProgram(const MtVerifyInput &in)
 
     // Theorem 4: race freedom via happens-before (also from the
     // emitted code; the plan only feeds the redundancy warning).
-    MetricsRegistry &mr = MetricsRegistry::global();
     if (in.check_hb) {
         HbStats hb = checkHappensBefore(*in.orig, *in.pdg,
                                         *in.partition, *in.plan,
                                         *in.prog, maps, res.diags);
         res.hb_pairs = hb.pairs_checked;
-        mr.counter("mtverify.hb_pairs").add(hb.pairs_checked);
     }
 
     sortDiags(res.diags);
     dedupeDiags(res.diags);
-    mr.counter("mtverify.runs").add();
-    mr.counter("mtverify.diags").add(res.diags.size());
     return res;
 }
 

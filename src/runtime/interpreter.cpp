@@ -1,6 +1,5 @@
 #include "runtime/interpreter.hpp"
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace gmt
@@ -62,9 +61,6 @@ interpret(const Function &f, const std::vector<int64_t> &args,
               case Opcode::Ret: {
                 for (Reg r : f.liveOuts())
                     result.live_outs.push_back(regs[r]);
-                MetricsRegistry &mr = MetricsRegistry::global();
-                mr.counter("interp.runs").add();
-                mr.counter("interp.dyn_instrs").add(result.dyn_instrs);
                 return result;
               }
               case Opcode::Produce:

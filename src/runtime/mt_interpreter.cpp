@@ -1,6 +1,5 @@
 #include "runtime/mt_interpreter.hpp"
 
-#include "obs/metrics.hpp"
 #include "runtime/interpreter.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -289,9 +288,6 @@ interpretMt(const MtProgram &prog, const std::vector<int64_t> &args,
     }
 
     result.queues_drained = queues.allDrained();
-    MetricsRegistry &mr = MetricsRegistry::global();
-    mr.counter("mtinterp.runs").add();
-    mr.counter("mtinterp.dyn_instrs").add(result.totalDynamicInstrs());
     return result;
 }
 

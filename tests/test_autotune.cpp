@@ -5,14 +5,13 @@
  * trajectory monotonicity (an accepted move never worsens simulated
  * cycles), clean static verification (happens-before included) of
  * every intermediate schedule via the on_accept hook, cache-key and
- * cell-id plumbing, and the MetricsRegistry counters.
+ * cell-id plumbing, and the counts on the autotune pass record.
  */
 
 #include <gtest/gtest.h>
 
 #include "driver/pass_manager.hpp"
 #include "mtverify/mtverify.hpp"
-#include "obs/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
@@ -204,24 +203,56 @@ TEST(Autotune, CellIdAndCacheKeyCarryTheAutotuneAxes)
     EXPECT_NE(provenanceKey(on), provenanceKey(off));
 }
 
-TEST(Autotune, MetricsCountersAccumulate)
+const PassStats &
+autotuneRecord(const PipelineContext &ctx)
 {
-    MetricsRegistry &m = MetricsRegistry::global();
-    const uint64_t it0 = m.counter("autotune.iterations").value();
-    const uint64_t acc0 = m.counter("autotune.moves_accepted").value();
-    const uint64_t rej0 = m.counter("autotune.moves_rejected").value();
+    for (const PassStats &ps : ctx.pass_stats)
+        if (ps.pass == "autotune")
+            return ps;
+    ADD_FAILURE() << "no autotune pass record";
+    return ctx.pass_stats.front();
+}
 
+bool
+hasCounter(const PassStats &ps, const std::string &name)
+{
+    for (const auto &[n, v] : ps.counters)
+        if (n == name)
+            return true;
+    return false;
+}
+
+// The autotune pass record carries the loop's counts, its own cut
+// solves included, on the run that computed the tuned schedule; a
+// cache hit reports the schedule but adds no work.
+TEST(Autotune, PassRecordCarriesItsCounts)
+{
     Workload w = makeKs();
+    ArtifactCache cache;
     PipelineContext ctx(w, autotuneOptions(Scheduler::Gremio));
+    ctx.cache = &cache;
     runCell(ctx);
 
     const AutotuneResult &at = ctx.autotune->result;
-    EXPECT_EQ(m.counter("autotune.iterations").value() - it0,
-              static_cast<uint64_t>(at.iterations));
-    EXPECT_EQ(m.counter("autotune.moves_accepted").value() - acc0,
-              static_cast<uint64_t>(at.moves_accepted));
-    EXPECT_EQ(m.counter("autotune.moves_rejected").value() - rej0,
-              static_cast<uint64_t>(at.moves_rejected));
+    const PassStats &ps = autotuneRecord(ctx);
+    EXPECT_FALSE(ps.cached);
+    EXPECT_EQ(ps.value("iterations"), at.iterations);
+    EXPECT_EQ(ps.value("moves_accepted"), at.moves_accepted);
+    EXPECT_EQ(ps.value("moves_rejected"), at.moves_rejected);
+    EXPECT_GT(at.coco_warm_starts + at.coco_cold_rebuilds, 0u);
+    EXPECT_EQ(ps.value("coco_warm_starts"),
+              static_cast<int64_t>(at.coco_warm_starts));
+    EXPECT_EQ(ps.value("coco_cold_rebuilds"),
+              static_cast<int64_t>(at.coco_cold_rebuilds));
+
+    PipelineContext again(w, autotuneOptions(Scheduler::Gremio));
+    again.cache = &cache;
+    runCell(again);
+    const PassStats &hit = autotuneRecord(again);
+    EXPECT_TRUE(hit.cached);
+    EXPECT_EQ(hit.value("iterations"), at.iterations);
+    EXPECT_FALSE(hasCounter(hit, "coco_warm_starts"));
+    EXPECT_FALSE(hasCounter(hit, "coco_cold_rebuilds"));
 }
 
 } // namespace

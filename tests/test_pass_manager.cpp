@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coco/coco.hpp"
 #include "driver/experiment.hpp"
 #include "driver/pass_manager.hpp"
 #include "driver/stats.hpp"
@@ -440,6 +441,157 @@ TEST(ExperimentRunner, FirstFailingCellErrorInCellOrder)
     opts.jobs = 2;
     ExperimentRunner runner(opts);
     EXPECT_ANY_THROW(runner.runAll(cells));
+}
+
+// ---------------------------------------------------------------------------
+// Work counters: each count has one home, the pass record of the
+// execution that did the work.
+
+const std::vector<std::string> kWorkCounters = {
+    "coco_warm_starts", "coco_cold_rebuilds", "dyn_instrs",
+    "st_dyn_instrs", "mt_dyn_instrs"};
+
+const PassStats &
+recordOf(const std::vector<PassStats> &records, const char *pass)
+{
+    for (const PassStats &ps : records)
+        if (ps.pass == pass)
+            return ps;
+    ADD_FAILURE() << "no pass " << pass;
+    return records.front();
+}
+
+bool
+hasCounter(const PassStats &ps, const std::string &name)
+{
+    for (const auto &[n, v] : ps.counters)
+        if (n == name)
+            return true;
+    return false;
+}
+
+/** The fig7 grid: per workload, (GREMIO, DSWP) x (MTCG, COCO),
+ *  counts only. */
+std::vector<ExperimentCell>
+fig7Grid()
+{
+    std::vector<ExperimentCell> cells;
+    for (const Workload &w : allWorkloads())
+        for (Scheduler s : {Scheduler::Gremio, Scheduler::Dswp})
+            for (bool coco : {false, true}) {
+                PipelineOptions o;
+                o.scheduler = s;
+                o.use_coco = coco;
+                o.simulate = false;
+                cells.push_back({w, o});
+            }
+    return cells;
+}
+
+/** Each COCO cell's placement record carries the cut-cache counts of
+ *  the cocoOptimize call behind its plan, though the cells ran
+ *  concurrently against one cache. */
+TEST(PassRecords, PlacementCountsAreTheCellsOwnCocoCall)
+{
+    auto cells = fig7Grid();
+    ExperimentOptions eo;
+    eo.jobs = 4;
+    ExperimentRunner runner(eo);
+    runner.runAll(cells);
+    ASSERT_EQ(runner.passStats().size(), cells.size());
+
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const PassStats &ps =
+            recordOf(runner.passStats()[i], "placement");
+        if (!cells[i].opts.use_coco) {
+            EXPECT_FALSE(hasCounter(ps, "coco_warm_starts")) << i;
+            continue;
+        }
+        PipelineContext ctx(cells[i].workload, cells[i].opts);
+        PassManager::codegenPipeline().run(ctx);
+        CocoResult fresh = cocoOptimize(
+            ctx.ir->func, ctx.pdg->pdg, ctx.partition->partition,
+            ctx.pdg->cd, ctx.profile->profile, cells[i].opts.coco);
+        EXPECT_FALSE(ps.cached) << ctx.cellId();
+        EXPECT_EQ(fresh.warm_starts + fresh.cold_rebuilds, fresh.problems)
+            << ctx.cellId();
+        EXPECT_EQ(ps.value("coco_warm_starts"),
+                  static_cast<int64_t>(fresh.warm_starts))
+            << ctx.cellId();
+        EXPECT_EQ(ps.value("coco_cold_rebuilds"),
+                  static_cast<int64_t>(fresh.cold_rebuilds))
+            << ctx.cellId();
+    }
+}
+
+/** Simulated and counts-only cells of the determinism grid. */
+std::vector<ExperimentCell>
+countedAndSimulatedGrid()
+{
+    std::vector<ExperimentCell> cells = determinismGrid();
+    const size_t n = cells.size();
+    for (size_t i = 0; i < n; ++i) {
+        cells.push_back(cells[i]);
+        cells.back().opts.simulate = false;
+    }
+    return cells;
+}
+
+/** Without a cache every cell does all of its own work, so its pass
+ *  records are the same whatever ran beside it. */
+TEST(PassRecords, SameCountersAtAnyJobCount)
+{
+    auto cells = countedAndSimulatedGrid();
+    auto records = [&](int jobs) {
+        ExperimentOptions eo;
+        eo.jobs = jobs;
+        eo.use_cache = false;
+        ExperimentRunner runner(eo);
+        runner.runAll(cells);
+        return runner.passStats();
+    };
+    const auto serial = records(1);
+    const auto parallel = records(4);
+    ASSERT_EQ(serial.size(), cells.size());
+    ASSERT_EQ(parallel.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        ASSERT_EQ(serial[i].size(), parallel[i].size()) << "cell " << i;
+        for (size_t p = 0; p < serial[i].size(); ++p) {
+            EXPECT_EQ(serial[i][p].pass, parallel[i][p].pass);
+            EXPECT_EQ(serial[i][p].counters, parallel[i][p].counters)
+                << "cell " << i << " pass " << serial[i][p].pass;
+        }
+        // Uncached, every cell runs the profile, the ST reference and
+        // (counts only) the MT interpreter itself.
+        EXPECT_GT(recordOf(serial[i], "profile").value("dyn_instrs"), 0);
+        EXPECT_GT(recordOf(serial[i], "mt-run").value("st_dyn_instrs"), 0);
+        EXPECT_EQ(hasCounter(recordOf(serial[i], "mt-run"),
+                             "mt_dyn_instrs"),
+                  !cells[i].opts.simulate)
+            << "cell " << i;
+    }
+}
+
+/** A cache hit reports the artifact but adds no work: a repeated
+ *  batch's records carry no work counter at all. */
+TEST(PassRecords, CacheHitsAddNoWork)
+{
+    auto cells = countedAndSimulatedGrid();
+    ExperimentRunner runner;
+    runner.runAll(cells);
+    int64_t first = 0;
+    for (const auto &records : runner.passStats())
+        for (const PassStats &ps : records)
+            for (const std::string &name : kWorkCounters)
+                first += ps.value(name);
+    EXPECT_GT(first, 0);
+
+    runner.runAll(cells);
+    for (const auto &records : runner.passStats())
+        for (const PassStats &ps : records)
+            for (const std::string &name : kWorkCounters)
+                EXPECT_FALSE(hasCounter(ps, name))
+                    << ps.pass << " " << name;
 }
 
 TEST(Stats, JsonObjectRenderAndEscape)

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "workloads/serialize.hpp"
 #include "workloads/workload.hpp"
@@ -44,18 +45,9 @@ main(int argc, char **argv)
         };
         if (arg == "--out-dir")
             out_dir = value();
-        else if (arg == "--only") {
-            std::string csv = value();
-            size_t start = 0;
-            while (start <= csv.size()) {
-                size_t comma = csv.find(',', start);
-                if (comma == std::string::npos)
-                    comma = csv.size();
-                if (comma > start)
-                    only.push_back(csv.substr(start, comma - start));
-                start = comma + 1;
-            }
-        } else if (arg == "--help" || arg == "-h")
+        else if (arg == "--only")
+            only = gmt::splitCsv(value());
+        else if (arg == "--help" || arg == "-h")
             usage(argv[0], 0);
         else
             usage(argv[0], 2);

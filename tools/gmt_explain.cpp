@@ -40,6 +40,7 @@
  * stdout.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +51,7 @@
 
 #include "driver/pass_manager.hpp"
 #include "obs/explain.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "workloads/workload.hpp"
 
@@ -127,6 +129,10 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](int64_t lo, int64_t hi) {
+            return static_cast<int>(
+                intFlag(argv[0], arg, value(), lo, hi, usage));
+        };
         if (arg == "--workload")
             opts.workload = value();
         else if (arg == "--scheduler")
@@ -134,19 +140,19 @@ parseArgs(int argc, char **argv)
         else if (arg == "--no-coco")
             opts.coco = false;
         else if (arg == "--threads")
-            opts.num_threads = std::atoi(value().c_str());
+            opts.num_threads = number(1, kMaxThreads);
         else if (arg == "--max-queues")
-            opts.max_queues = std::atoi(value().c_str());
+            opts.max_queues = number(0, INT_MAX);
         else if (arg == "--autotune")
             opts.autotune = true;
         else if (arg == "--instr")
-            opts.instr = std::atoi(value().c_str());
+            opts.instr = number(0, INT_MAX);
         else if (arg == "--queue")
-            opts.queue = std::atoi(value().c_str());
+            opts.queue = number(0, INT_MAX);
         else if (arg == "--costliest")
             opts.costliest = true;
         else if (arg == "--top")
-            opts.top = std::atoi(value().c_str());
+            opts.top = number(1, INT_MAX);
         else if (arg == "--diff")
             opts.diff = true;
         else if (arg == "--diff-scheduler") {
@@ -161,9 +167,9 @@ parseArgs(int argc, char **argv)
             else
                 usage(argv[0], 2);
         } else if (arg == "--diff-threads")
-            opts.diff_threads = std::atoi(value().c_str());
+            opts.diff_threads = number(1, kMaxThreads);
         else if (arg == "--diff-max-queues")
-            opts.diff_max_queues = std::atoi(value().c_str());
+            opts.diff_max_queues = number(0, INT_MAX);
         else if (arg == "--diff-autotune") {
             std::string v = value();
             if (v == "on")

@@ -34,8 +34,9 @@
  * equality check then covers the tuned result.
  *
  * Seeds are batched one task per seed on the shared ThreadPool; the
- * JSONL stream carries one `type:"fuzz"` record per seed plus the
- * process metrics (fuzz.seeds / fuzz.cells / fuzz.violations).
+ * JSONL stream carries one `type:"fuzz"` record per seed, then one
+ * `type:"fuzz-summary"` record with the seed, cell and violation
+ * totals.
  * Exit status: 0 iff every seed was violation-free.
  */
 
@@ -52,9 +53,9 @@
 #include "driver/pipeline.hpp"
 #include "driver/stats.hpp"
 #include "mtverify/mtverify.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/interpreter.hpp"
 #include "sim/cmp_simulator.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/generate.hpp"
@@ -113,14 +114,17 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](int64_t lo, int64_t hi) {
+            return intFlag(argv[0], arg, value(), lo, hi, usage);
+        };
         if (arg == "--seeds")
-            opts.seeds = std::strtoull(value().c_str(), nullptr, 10);
+            opts.seeds = static_cast<uint64_t>(number(1, INT64_MAX));
         else if (arg == "--start")
-            opts.start = std::strtoull(value().c_str(), nullptr, 10);
+            opts.start = static_cast<uint64_t>(number(0, INT64_MAX));
         else if (arg == "--jobs")
-            opts.jobs = std::atoi(value().c_str());
+            opts.jobs = static_cast<int>(number(0, kMaxJobs));
         else if (arg == "--threads")
-            opts.num_threads = std::atoi(value().c_str());
+            opts.num_threads = static_cast<int>(number(1, kMaxThreads));
         else if (arg == "--out")
             opts.out_path = value();
         else if (arg == "--repro-dir")
@@ -364,33 +368,29 @@ main(int argc, char **argv)
         }
     }
 
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    Counter &c_seeds = metrics.counter("fuzz.seeds");
-    Counter &c_cells = metrics.counter("fuzz.cells");
-    Counter &c_violations = metrics.counter("fuzz.violations");
-
     int jobs = opts.jobs > 0 ? opts.jobs : ThreadPool::hardwareDefault();
     ThreadPool pool(jobs);
 
+    // Guarded by mu, like violations.
     std::mutex mu;
     std::vector<SeedOutcome> violations;
+    uint64_t seeds_run = 0, cells_run = 0;
 
     for (uint64_t s = 0; s < opts.seeds; ++s) {
         uint64_t seed = opts.start + s;
-        pool.submit([seed, &opts, &mu, &violations, &sink, &c_seeds,
-                     &c_cells, &c_violations]() {
+        pool.submit([seed, &opts, &mu, &violations, &sink, &seeds_run,
+                     &cells_run]() {
             SeedOutcome out;
             out.seed = seed;
             Workload w = generateWorkload(seed);
-            c_seeds.add();
+            uint64_t cells = 0;
             for (const CellConfig &cfg : kMatrix) {
-                c_cells.add();
+                ++cells;
                 Signature sig;
                 if (!runCell(w, cfg, opts, &sig))
                     continue;
                 out.violation = true;
                 out.sig = sig;
-                c_violations.add();
 
                 Workload repro = w;
                 if (opts.reduce) {
@@ -419,6 +419,8 @@ main(int argc, char **argv)
             }
 
             std::lock_guard<std::mutex> lock(mu);
+            ++seeds_run;
+            cells_run += cells;
             if (out.violation) {
                 violations.push_back(out);
                 std::fprintf(
@@ -447,8 +449,14 @@ main(int argc, char **argv)
     }
     pool.wait();
 
-    if (sink)
-        writeMetricsRecords(metrics, *sink);
+    if (sink) {
+        JsonObject rec;
+        rec.str("type", "fuzz-summary")
+            .num("seeds", seeds_run)
+            .num("cells", cells_run)
+            .num("violations", static_cast<uint64_t>(violations.size()));
+        sink->write(rec);
+    }
     if (!opts.quiet)
         std::fprintf(
             stderr,

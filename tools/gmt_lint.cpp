@@ -29,6 +29,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +40,7 @@
 #include "driver/pass_manager.hpp"
 #include "driver/stats.hpp"
 #include "mtverify/mtverify.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "workloads/serialize.hpp"
 #include "workloads/workload.hpp"
@@ -76,22 +78,6 @@ usage(const char *argv0, int exit_code)
         "[--json FILE] [--quiet]\n",
         argv0);
     std::exit(exit_code);
-}
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= csv.size()) {
-        size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            parts.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return parts;
 }
 
 LintOptions
@@ -133,9 +119,11 @@ parseArgs(int argc, char **argv)
             else
                 usage(argv[0], 2);
         } else if (arg == "--threads") {
-            opts.num_threads = std::atoi(value().c_str());
+            opts.num_threads = static_cast<int>(
+                intFlag(argv[0], arg, value(), 1, kMaxThreads, usage));
         } else if (arg == "--max-queues") {
-            opts.max_queues = std::atoi(value().c_str());
+            opts.max_queues = static_cast<int>(
+                intFlag(argv[0], arg, value(), 0, INT_MAX, usage));
         } else if (arg == "--static-profile") {
             opts.static_profile = true;
         } else if (arg == "--hb") {
@@ -317,8 +305,9 @@ main(int argc, char **argv)
     }
     if (!opts.quiet)
         std::fprintf(stderr,
-                     "[gmt-lint] %d cells, %d errors, %d warnings\n",
-                     cells, total_errors, total_warnings);
+                     "[gmt-lint] %d cells, %d broken, %d errors, "
+                     "%d warnings\n",
+                     cells, broken_cells, total_errors, total_warnings);
 
     if (total_errors > 0 || broken_cells > 0)
         return 1;

@@ -23,6 +23,7 @@
  * simulator lanes) loadable in Perfetto.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -31,7 +32,7 @@
 
 #include "driver/experiment.hpp"
 #include "driver/stats.hpp"
-#include "obs/metrics.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "workloads/workload.hpp"
 
@@ -67,22 +68,6 @@ usage(const char *argv0, int exit_code)
     std::exit(exit_code);
 }
 
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= csv.size()) {
-        size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            parts.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return parts;
-}
-
 ProfileOptions
 parseArgs(int argc, char **argv)
 {
@@ -97,6 +82,10 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](int64_t lo, int64_t hi) {
+            return static_cast<int>(
+                intFlag(argv[0], arg, value(), lo, hi, usage));
+        };
         if (arg == "--only") {
             opts.only = splitCsv(value());
         } else if (arg == "--scheduler") {
@@ -110,13 +99,13 @@ parseArgs(int argc, char **argv)
             else
                 usage(argv[0], 2);
         } else if (arg == "--threads") {
-            opts.num_threads = std::atoi(value().c_str());
+            opts.num_threads = number(1, kMaxThreads);
         } else if (arg == "--max-queues") {
-            opts.max_queues = std::atoi(value().c_str());
+            opts.max_queues = number(0, INT_MAX);
         } else if (arg == "--top") {
-            opts.top = std::atoi(value().c_str());
+            opts.top = number(1, INT_MAX);
         } else if (arg == "--jobs") {
-            opts.jobs = std::atoi(value().c_str());
+            opts.jobs = number(0, kMaxJobs);
         } else if (arg == "--autotune") {
             opts.autotune = true;
         } else if (arg == "--json") {
@@ -174,7 +163,7 @@ pct(uint64_t part, uint64_t whole)
 
 void
 printCellText(const std::string &name, const ObsProfileArtifact &obs,
-              int top)
+              const PipelineResult &res, int top)
 {
     const StallReport &r = obs.report;
     std::printf("=== %s ===\n", name.c_str());
@@ -184,9 +173,9 @@ printCellText(const std::string &name, const ObsProfileArtifact &obs,
         static_cast<unsigned long long>(r.cycles),
         static_cast<unsigned long long>(r.totalStallCycles()),
         pct(r.totalStallCycles(), r.cycles),
-        static_cast<unsigned long long>(obs.communication()),
-        static_cast<unsigned long long>(obs.reg_comm),
-        static_cast<unsigned long long>(obs.mem_sync));
+        static_cast<unsigned long long>(res.communication()),
+        static_cast<unsigned long long>(res.reg_comm),
+        static_cast<unsigned long long>(res.mem_sync));
 
     int shown = 0;
     for (const QueueAttribution &q : r.queues) {
@@ -230,7 +219,8 @@ printCellText(const std::string &name, const ObsProfileArtifact &obs,
 void
 emitCellJson(StatsSink &sink, const std::string &name,
              const std::string &workload, Scheduler sched, bool coco,
-             const ObsProfileArtifact &obs, int top)
+             const ObsProfileArtifact &obs, const PipelineResult &res,
+             int top)
 {
     const StallReport &r = obs.report;
     JsonObject rec;
@@ -242,9 +232,9 @@ emitCellJson(StatsSink &sink, const std::string &name,
         .boolean("coco", coco)
         .num("cycles", r.cycles)
         .num("stall_cycles", r.totalStallCycles())
-        .num("computation", obs.computation)
-        .num("reg_comm", obs.reg_comm)
-        .num("mem_sync", obs.mem_sync)
+        .num("computation", res.computation)
+        .num("reg_comm", res.reg_comm)
+        .num("mem_sync", res.mem_sync)
         .str("conservation", "ok");
     sink.write(rec);
 
@@ -378,10 +368,11 @@ main(int argc, char **argv)
         if (sink) {
             emitCellJson(*sink,
                          cellName(w.name, sched, false, false), w.name,
-                         sched, false, off, opts.top);
+                         sched, false, off, results[i], opts.top);
             emitCellJson(*sink,
                          cellName(w.name, sched, true, opts.autotune),
-                         w.name, sched, true, on, opts.top);
+                         w.name, sched, true, on, results[i + 1],
+                         opts.top);
             JsonObject delta;
             delta.num("schema", int64_t{1})
                 .str("type", "coco-delta")
@@ -394,9 +385,9 @@ main(int argc, char **argv)
             sink->write(delta);
         } else {
             printCellText(cellName(w.name, sched, false, false), off,
-                          opts.top);
+                          results[i], opts.top);
             printCellText(cellName(w.name, sched, true, opts.autotune),
-                          on, opts.top);
+                          on, results[i + 1], opts.top);
             double dc = pct(on.report.cycles, off.report.cycles);
             std::printf(
                 "  COCO: cycles %llu -> %llu (%.1f%%), stall %llu -> "
@@ -412,25 +403,30 @@ main(int argc, char **argv)
     }
 
     if (!sink) {
-        // The JSON path republishes the whole registry below; give the
-        // text report the same visibility into COCO's cut cache.
-        MetricsRegistry &m = MetricsRegistry::global();
-        std::printf(
-            "coco cuts: %llu from cache, %llu built and solved\n",
-            static_cast<unsigned long long>(
-                m.counter("coco.warm_starts").value()),
-            static_cast<unsigned long long>(
-                m.counter("coco.cold_rebuilds").value()));
-        if (opts.autotune)
-            std::printf(
-                "autotune: %llu iterations, %llu moves accepted, "
-                "%llu rejected\n",
-                static_cast<unsigned long long>(
-                    m.counter("autotune.iterations").value()),
-                static_cast<unsigned long long>(
-                    m.counter("autotune.moves_accepted").value()),
-                static_cast<unsigned long long>(
-                    m.counter("autotune.moves_rejected").value()));
+        // The JSON path carries these on its pass and cell records.
+        // COCO's cut-cache counts sit on the placement and autotune
+        // records of the cells that solved the cuts.
+        int64_t warm = 0, cold = 0;
+        for (const std::vector<PassStats> &passes : runner.passStats()) {
+            for (const PassStats &ps : passes) {
+                warm += ps.value("coco_warm_starts");
+                cold += ps.value("coco_cold_rebuilds");
+            }
+        }
+        std::printf("coco cuts: %lld from cache, %lld built and solved\n",
+                    static_cast<long long>(warm),
+                    static_cast<long long>(cold));
+        if (opts.autotune) {
+            int iterations = 0, accepted = 0, rejected = 0;
+            for (const PipelineResult &r : results) {
+                iterations += r.autotune_iterations;
+                accepted += r.autotune_moves_accepted;
+                rejected += r.autotune_moves_rejected;
+            }
+            std::printf("autotune: %d iterations, %d moves accepted, "
+                        "%d rejected\n",
+                        iterations, accepted, rejected);
+        }
     }
 
     if (sink) {
@@ -440,9 +436,6 @@ main(int argc, char **argv)
             .num("cells", static_cast<int64_t>(cells.size()))
             .str("conservation", "ok");
         sink->write(summary);
-        // Republish the global registry (coco solver counters etc.)
-        // as type:"metrics" records, like the bench harness does.
-        writeMetricsRecords(MetricsRegistry::global(), *sink);
     }
     if (trace) {
         trace->writeFile(opts.trace_path);
