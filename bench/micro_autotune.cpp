@@ -11,7 +11,7 @@
  *    (tuned >= baseline per cell by construction — the loop only
  *    accepts strict simulated improvements);
  *  - per-iteration wall time: the first feedback round pays the
- *    baseline profile and decode, later rounds reuse them and skip
+ *    baseline profile, later rounds reuse it and skip
  *    already-evaluated schedules, so warm rounds must be materially
  *    cheaper than the cold one.
  *
@@ -23,11 +23,13 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,20 @@
 #include "workloads/workload.hpp"
 
 using namespace gmt;
+
+namespace
+{
+
+[[noreturn]] void
+usage(const char *argv0, int exit_code)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--only CSV] [--out FILE] [--warm-gate X]\n",
+                 argv0);
+    std::exit(exit_code);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -53,13 +69,18 @@ main(int argc, char **argv)
             only = splitCsv(argv[++i]);
         } else if (std::strcmp(argv[i], "--warm-gate") == 0 &&
                    i + 1 < argc) {
-            warm_gate = std::atof(argv[++i]);
+            std::optional<double> gate =
+                parseDouble(argv[++i], 0.0, HUGE_VAL);
+            if (!gate) {
+                std::fprintf(stderr,
+                             "%s: --warm-gate wants a finite number >= 0, "
+                             "got '%s'\n",
+                             argv[0], argv[i]);
+                usage(argv[0], 2);
+            }
+            warm_gate = *gate;
         } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--only CSV] [--out FILE] [--warm-gate X]\n",
-                argv[0]);
-            return 2;
+            usage(argv[0], 2);
         }
     }
 

@@ -54,16 +54,6 @@ msSince(Clock::time_point t0)
         .count();
 }
 
-MemoryImage
-refMemory(const Workload &w)
-{
-    MemoryImage mem;
-    mem.alloc(w.mem_cells);
-    if (w.fill)
-        w.fill(mem, /*ref=*/true);
-    return mem;
-}
-
 } // namespace
 
 int
@@ -113,23 +103,23 @@ main(int argc, char **argv)
         CmpSimulator fast_sim(c.machine, SimEngine::Fast);
         CmpSimulator ref_sim(c.machine, SimEngine::Reference);
 
-        MemoryImage m1 = refMemory(*c.w);
+        MemoryImage m1 = workloadMemory(*c.w, /*ref=*/true);
         auto t0 = Clock::now();
         SimResult fast = fast_sim.run(c.prog, c.w->ref_args, m1);
         fast_ms += msSince(t0);
 
-        MemoryImage m2 = refMemory(*c.w);
+        MemoryImage m2 = workloadMemory(*c.w, /*ref=*/true);
         t0 = Clock::now();
         SimResult ref = ref_sim.run(c.prog, c.w->ref_args, m2);
         ref_ms += msSince(t0);
 
-        MemoryImage m3 = refMemory(*c.w);
+        MemoryImage m3 = workloadMemory(*c.w, /*ref=*/true);
         t0 = Clock::now();
         SimResult st_fast = simulateSingleThreaded(
             c.st_func, c.w->ref_args, m3, c.machine, SimEngine::Fast);
         fast_ms += msSince(t0);
 
-        MemoryImage m4 = refMemory(*c.w);
+        MemoryImage m4 = workloadMemory(*c.w, /*ref=*/true);
         t0 = Clock::now();
         SimResult st_ref =
             simulateSingleThreaded(c.st_func, c.w->ref_args, m4,
@@ -160,7 +150,7 @@ main(int argc, char **argv)
         for (const DecodedProgram &prog : {decodeProgram(c.prog), st}) {
             double lean_best = 0.0, profiled_best = 0.0;
             for (int rep = 0; rep < kUnitReps; ++rep) {
-                MemoryImage m1 = refMemory(*c.w);
+                MemoryImage m1 = workloadMemory(*c.w, /*ref=*/true);
                 auto t0 = Clock::now();
                 SimResult lean =
                     CmpSimulator(c.machine).run(prog, c.w->ref_args, m1);
@@ -170,7 +160,7 @@ main(int argc, char **argv)
                 CmpSimulator profiled_sim(c.machine);
                 SimProfile profile;
                 profiled_sim.setProfile(&profile);
-                MemoryImage m2 = refMemory(*c.w);
+                MemoryImage m2 = workloadMemory(*c.w, /*ref=*/true);
                 t0 = Clock::now();
                 SimResult profiled =
                     profiled_sim.run(prog, c.w->ref_args, m2);

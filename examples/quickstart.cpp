@@ -107,13 +107,13 @@ main()
     sim_mem1.alloc(64);
     sim_mem2.alloc(64);
     auto cfg = MachineConfig::paperDefault();
-    auto st_sim = simulateSingleThreaded(f, {50}, sim_mem1, cfg);
+    auto st_timed = simulateSingleThreaded(f, {50}, sim_mem1, cfg);
     CmpSimulator sim(cfg);
-    auto mt_sim = sim.run(prog, {50}, sim_mem2);
-    std::cout << "cycles: " << st_sim.cycles << " (1 thread) -> "
-              << mt_sim.cycles << " (2 threads), speedup "
-              << static_cast<double>(st_sim.cycles) /
-                     static_cast<double>(mt_sim.cycles)
+    auto mt_timed = sim.run(prog, {50}, sim_mem2);
+    std::cout << "cycles: " << st_timed.cycles << " (1 thread) -> "
+              << mt_timed.cycles << " (2 threads), speedup "
+              << static_cast<double>(st_timed.cycles) /
+                     static_cast<double>(mt_timed.cycles)
               << "x\n";
 
     // 7. The same cell through the staged pass manager — what

@@ -14,7 +14,6 @@
 #include "obs/stall_report.hpp"
 #include "partition/dswp.hpp"
 #include "partition/gremio.hpp"
-#include "sim/decoded_program.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -24,14 +23,11 @@ namespace gmt
 namespace
 {
 
-/** Internal working state: the public schedule plus its decoded form
- *  (kept so the accepted schedule is decoded once, then reused by the
- *  next round's instrumented profile run) and the per-core counts of
- *  its checked simulation. */
+/** Internal working state: the public schedule plus the per-core
+ *  counts of its checked simulation. */
 struct Working
 {
     AutotuneSchedule s;
-    DecodedProgram decoded;
     std::vector<ThreadStats> counts;
 };
 
@@ -46,7 +42,7 @@ simulateChecked(const AutotuneInputs &in, Working &w,
     MemoryImage mem = in.make_memory();
     CmpSimulator sim(in.machine, in.engine);
     sim.setProfile(profile);
-    SimResult r = sim.run(w.decoded, *in.ref_args, mem);
+    SimResult r = sim.run(w.s.prog, *in.ref_args, mem);
     checkSimOutput(r, mem, *in.st_live_outs, *in.st_final_mem, "MT",
                    in.cell + ", autotune " + what);
     w.counts.clear();
@@ -441,7 +437,6 @@ evalCandidate(const AutotuneInputs &in, const Candidate &c,
         return false;
     }
 
-    out.decoded = decodeProgram(out.s.prog);
     out.s.cycles =
         simulateChecked(in, out, nullptr, c.kind + " candidate").cycles;
     return true;
@@ -528,14 +523,13 @@ autotuneSchedule(const AutotuneInputs &in,
     result.baseline_cycles = baseline.cycles;
     result.trajectory.push_back(baseline.cycles);
 
-    // One-time setup below (baseline decode, SCC units) is charged to
-    // the first iteration's wall clock: the cold round pays it, the
-    // warm rounds reuse it.
+    // One-time setup below (SCC units) is charged to the first
+    // iteration's wall clock: the cold round pays it, the warm rounds
+    // reuse it.
     const auto setup_t0 = Clock::now();
 
     Working cur;
     cur.s = baseline;
-    cur.decoded = decodeProgram(cur.s.prog);
 
     // PDG SCCs: the atomic migration units (a split SCC would create
     // a cross-thread dependence cycle).

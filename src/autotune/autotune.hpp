@@ -157,8 +157,8 @@ struct AutotuneResult
     uint64_t coco_cold_rebuilds = 0;
 
     /** Execution-only: wall time of each feedback round; round 0 is
-     *  cold (baseline profiling and decode), later rounds reuse
-     *  those artifacts and skip duplicate candidates. */
+     *  cold (baseline profiling and SCC units), later rounds reuse
+     *  those and skip duplicate candidates. */
     std::vector<double> iter_wall_ms;
 };
 

@@ -21,22 +21,6 @@
 namespace gmt
 {
 
-namespace
-{
-
-/** Fill a fresh MemoryImage for the workload's train or ref input. */
-MemoryImage
-workloadMemory(const Workload &w, bool ref)
-{
-    MemoryImage mem;
-    mem.alloc(w.mem_cells);
-    if (w.fill)
-        w.fill(mem, ref);
-    return mem;
-}
-
-} // namespace
-
 std::string
 PipelineContext::cellId() const
 {
@@ -347,11 +331,10 @@ PassManager::run(PipelineContext &ctx) const
         ctx.result.duplicated_branches = ctx.mt_run->duplicated_branches;
         ctx.result.reg_comm = ctx.mt_run->reg_comm;
         ctx.result.mem_sync = ctx.mt_run->mem_sync;
+        ctx.result.mt_cycles = ctx.mt_run->cycles;
     }
     if (ctx.st_sim)
         ctx.result.st_cycles = ctx.st_sim->cycles;
-    if (ctx.mt_sim)
-        ctx.result.mt_cycles = ctx.mt_sim->cycles;
     if (ctx.autotune) {
         const AutotuneResult &at = ctx.autotune->result;
         ctx.result.autotuned = true;
@@ -719,84 +702,53 @@ passSim(PipelineContext &ctx, PassStats &ps)
     const std::string cell = ctx.cellId();
     auto st_ref = ctx.st_ref;
 
-    bool st_sim_hit = false;
-    {
-        PassStats sub;
-        auto ir = ctx.ir;
-        // Decoding is machine-independent: one artifact per workload
-        // serves every machine config.
-        ctx.st_decoded = ctx.cached<StDecodedArtifact>(
-            "stdecode|" + w.cacheKey(),
-            [ir]() -> std::shared_ptr<const StDecodedArtifact> {
-                auto art = std::make_shared<StDecodedArtifact>();
-                art->prog.threads.push_back(decodeThread(ir->func));
-                return art;
-            },
-            sub);
-        auto st_dec = ctx.st_decoded;
-        ctx.st_sim = ctx.cached<StSimArtifact>(
-            "stsim|" + w.cacheKey() + '|' + core_mkey,
-            [&, st_ref,
-             st_dec]() -> std::shared_ptr<const StSimArtifact> {
-                MemoryImage mem = workloadMemory(w, /*ref=*/true);
-                SimResult st_sim = CmpSimulator(cfg, engine).run(
-                    st_dec->prog, w.ref_args, mem);
-                checkSimOutput(st_sim, mem, st_ref->live_outs,
-                               st_ref->final_mem, "ST", cell);
-                emitSimRecord(ctx, "st", st_sim);
-                auto art = std::make_shared<StSimArtifact>();
-                art->cycles = st_sim.cycles;
-                art->engine = st_sim.engine;
-                return art;
-            },
-            sub);
-        st_sim_hit = sub.cached;
-    }
-
-    auto prog = ctx.prog;
-    {
-        PassStats sub;
-        ctx.mt_decoded = ctx.cached<MtDecodedArtifact>(
-            "decoded|" + queueAllocKey(ctx),
-            [prog]() -> std::shared_ptr<const MtDecodedArtifact> {
-                auto art = std::make_shared<MtDecodedArtifact>();
-                art->prog = decodeProgram(prog->prog);
-                return art;
-            },
-            sub);
-    }
-    // The one execution of the MT program: its oracle (against the
-    // shared ST reference) and the counter of the cell's Fig. 7
-    // counts, which the mt-run pass leaves to this pass.
-    auto mt_dec = ctx.mt_decoded;
-    ctx.mt_sim = ctx.cached<MtSimArtifact>(
-        "mtsim|" + queueAllocKey(ctx) + '|' + mkey,
-        [&, st_ref, mt_dec]() -> std::shared_ptr<const MtSimArtifact> {
+    PassStats st_sub;
+    ctx.st_sim = ctx.cached<StSimArtifact>(
+        "stsim|" + w.cacheKey() + '|' + core_mkey,
+        [&, st_ref]() -> std::shared_ptr<const StSimArtifact> {
             MemoryImage mem = workloadMemory(w, /*ref=*/true);
-            SimResult mt_sim = CmpSimulator(cfg, engine).run(
-                mt_dec->prog, w.ref_args, mem);
-            checkSimOutput(mt_sim, mem, st_ref->live_outs,
+            SimResult st = simulateSingleThreaded(ctx.ir->func, w.ref_args,
+                                                  mem, cfg, engine);
+            checkSimOutput(st, mem, st_ref->live_outs, st_ref->final_mem,
+                           "ST", cell);
+            emitSimRecord(ctx, "st", st);
+            auto art = std::make_shared<StSimArtifact>();
+            art->cycles = st.cycles;
+            art->engine = st.engine;
+            return art;
+        },
+        st_sub);
+
+    // The one execution of the MT program: its oracle (against the
+    // shared ST reference), its cycles and the counter of the cell's
+    // Fig. 7 counts, which the mt-run pass leaves to this pass.
+    auto prog = ctx.prog;
+    ctx.mt_run = ctx.cached<MtRunArtifact>(
+        "mtsim|" + queueAllocKey(ctx) + '|' + mkey,
+        [&, st_ref, prog]() -> std::shared_ptr<const MtRunArtifact> {
+            MemoryImage mem = workloadMemory(w, /*ref=*/true);
+            SimResult mt = CmpSimulator(cfg, engine).run(
+                prog->prog, w.ref_args, mem);
+            checkSimOutput(mt, mem, st_ref->live_outs,
                            st_ref->final_mem, "MT", cell);
-            emitSimRecord(ctx, "mt", mt_sim);
-            auto art = std::make_shared<MtSimArtifact>();
-            art->cycles = mt_sim.cycles;
-            art->engine = mt_sim.engine;
-            for (const CoreStats &core : mt_sim.core)
-                art->counts.add(core.counts);
+            emitSimRecord(ctx, "mt", mt);
+            auto art = std::make_shared<MtRunArtifact>();
+            art->cycles = mt.cycles;
+            art->engine = mt.engine;
+            for (const CoreStats &core : mt.core)
+                art->add(core.counts);
             return art;
         },
         ps);
-    ctx.mt_run = std::shared_ptr<const MtRunArtifact>(
-        ctx.mt_sim, &ctx.mt_sim->counts);
     addCountStats(*ctx.mt_run, ps);
-    ps.add("stsim_cached", st_sim_hit ? 1 : 0);
+    ps.add("stsim_cached", st_sub.cached ? 1 : 0);
     ps.add("st_cycles", static_cast<int64_t>(ctx.st_sim->cycles));
-    ps.add("mt_cycles", static_cast<int64_t>(ctx.mt_sim->cycles));
+    ps.add("mt_cycles", static_cast<int64_t>(ctx.mt_run->cycles));
     ps.add("engine_fast", engine == SimEngine::Fast ? 1 : 0);
     ps.add("mt_sim_iterations",
-           static_cast<int64_t>(ctx.mt_sim->engine.iterations));
+           static_cast<int64_t>(ctx.mt_run->engine.iterations));
     ps.add("mt_sim_skipped",
-           static_cast<int64_t>(ctx.mt_sim->engine.skipped));
+           static_cast<int64_t>(ctx.mt_run->engine.skipped));
 }
 
 /**
@@ -836,9 +788,9 @@ makeAutotuneInputs(const PipelineContext &ctx)
  * Close the profile -> schedule loop (src/autotune/): run the
  * feedback autotuner from this cell's schedule, then republish the
  * tuned schedule and its decision records into the partition/plan/
- * prog/mt_run/mt_decoded/mt_sim slots so every downstream pass —
- * obs-profile, obs-provenance — and the assembled result describe the
- * tuned schedule. The baseline artifacts keep their un-suffixed cache
+ * prog/mt_run slots so every downstream pass — obs-profile,
+ * obs-provenance — and the assembled result describe the tuned
+ * schedule. The baseline artifacts keep their un-suffixed cache
  * keys, so a baseline cell and its autotuned twin share the entire
  * codegen + simulation prefix (which is what makes warm iterations
  * cheap).
@@ -852,13 +804,13 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
     }
     GMT_ASSERT(ctx.opts.simulate,
                "autotune requires the timing simulation");
-    GMT_ASSERT(ctx.mt_sim && ctx.st_ref,
+    GMT_ASSERT(ctx.mt_run && ctx.st_ref,
                "autotune needs the sim pass's artifacts");
 
     auto part = ctx.partition;
     auto plan = ctx.plan;
     auto prog = ctx.prog;
-    auto mt_sim = ctx.mt_sim;
+    auto mt_run = ctx.mt_run;
     ctx.autotune = ctx.cached<AutotuneArtifact>(
         autotuneKey(ctx),
         [&]() -> std::shared_ptr<const AutotuneArtifact> {
@@ -869,7 +821,7 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
             baseline.plan_coco_iterations = plan->coco_iterations;
             baseline.prog = prog->prog;
             baseline.queue_of = prog->queue_of;
-            baseline.cycles = mt_sim->cycles;
+            baseline.cycles = mt_run->cycles;
             baseline.plan_prov = plan->prov;
             baseline.queue_prov = prog->queues;
             auto art = std::make_shared<AutotuneArtifact>();
@@ -896,22 +848,13 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
         PlanArtifact{s.plan, s.plan_coco_iterations, s.plan_prov});
     ctx.prog = std::make_shared<ProgramArtifact>(
         ProgramArtifact{s.prog, s.queue_of, s.queue_prov});
-    {
-        auto art = std::make_shared<MtDecodedArtifact>();
-        art->prog = decodeProgram(s.prog);
-        ctx.mt_decoded = art;
-    }
-    {
-        auto art = std::make_shared<MtSimArtifact>();
-        art->cycles = s.cycles;
-        art->counts.computation = r.computation;
-        art->counts.duplicated_branches = r.duplicated_branches;
-        art->counts.reg_comm = r.reg_comm;
-        art->counts.mem_sync = r.mem_sync;
-        ctx.mt_sim = art;
-        ctx.mt_run =
-            std::shared_ptr<const MtRunArtifact>(art, &art->counts);
-    }
+    ctx.mt_run = std::make_shared<MtRunArtifact>(
+        MtRunArtifact{.computation = r.computation,
+                      .duplicated_branches = r.duplicated_branches,
+                      .reg_comm = r.reg_comm,
+                      .mem_sync = r.mem_sync,
+                      .cycles = s.cycles,
+                      .engine = {}});
 
     ps.add("iterations", r.iterations);
     ps.add("moves_accepted", r.moves_accepted);
@@ -987,20 +930,19 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
     const SimEngine engine = ctx.opts.sim_engine;
     auto prog = ctx.prog;
     auto plan = ctx.plan;
-    auto mt_dec = ctx.mt_decoded;
-    auto mt_sim = ctx.mt_sim;
+    auto mt_run = ctx.mt_run;
     ctx.obs = ctx.cached<ObsProfileArtifact>(
         obsProfileKey(ctx),
-        [&w, cfg, engine, prog, plan, mt_dec,
-         mt_sim]() -> std::shared_ptr<const ObsProfileArtifact> {
+        [&w, cfg, engine, prog, plan,
+         mt_run]() -> std::shared_ptr<const ObsProfileArtifact> {
             MemoryImage mem = workloadMemory(w, /*ref=*/true);
             CmpSimulator sim(cfg, engine);
             SimProfile profile;
             TimelineBuilder timeline;
             sim.setProfile(&profile);
             sim.setTimeline(&timeline);
-            SimResult r = sim.run(mt_dec->prog, w.ref_args, mem);
-            GMT_ASSERT(!mt_sim || r.cycles == mt_sim->cycles,
+            SimResult r = sim.run(prog->prog, w.ref_args, mem);
+            GMT_ASSERT(r.cycles == mt_run->cycles,
                        "instrumented rerun diverged from the sim "
                        "pass for ",
                        w.name);
@@ -1014,7 +956,6 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
             art->report =
                 buildStallReport(profile, r.cycles, plan->plan,
                                  prog->queue_of, prog->prog);
-            art->profile = std::move(profile);
             art->timeline = timeline.take();
             return art;
         },

@@ -21,7 +21,7 @@
  * + dynamic counts) only in counts-only cells. In simulated cells the
  * sim pass's timing run is the oracle and the counter: its live-outs,
  * final memory and queue drain are checked against the reference and
- * its per-core counts become the cell's MtRunArtifact.
+ * its cycles and per-core counts become the cell's MtRunArtifact.
  *
  * Passes communicate exclusively through the context's immutable
  * shared artifacts, which is what makes both the caching and the
@@ -158,10 +158,12 @@ struct StRefArtifact
 };
 
 /**
- * Dynamic instruction counts of the MT run, summed over threads
- * (oracle already passed). Counted by interpretMt in the mt-run pass
- * of a counts-only cell, by the timing simulator in the sim pass of a
- * simulated one.
+ * The cell's one MT execution, its oracle already passed: dynamic
+ * instruction counts summed over threads and, when the execution was
+ * a timing run, its cycles. interpretMt makes it in the mt-run pass of
+ * a counts-only cell (cycles 0), the timing simulator in the sim pass
+ * of a simulated one, and the autotune pass republishes the tuned
+ * schedule's.
  */
 struct MtRunArtifact
 {
@@ -169,6 +171,10 @@ struct MtRunArtifact
     uint64_t duplicated_branches = 0;
     uint64_t reg_comm = 0;
     uint64_t mem_sync = 0;
+
+    /** Simulated cycles; 0 in a counts-only cell. */
+    uint64_t cycles = 0;
+    SimEngineStats engine;
 
     /** Fold one thread's counts in. */
     void
@@ -181,50 +187,23 @@ struct MtRunArtifact
     }
 };
 
-/**
- * Pre-decoded instruction streams for the timing simulator.
- * Decoding is machine-independent (sim/decoded_program.hpp), so the
- * artifacts are keyed on the program alone and shared across every
- * point of a machine-parameter sweep (ablate_comm_latency etc.).
- */
-struct StDecodedArtifact
-{
-    DecodedProgram prog; ///< the single-threaded original, 1 thread
-};
-
-struct MtDecodedArtifact
-{
-    DecodedProgram prog;
-};
-
 struct StSimArtifact
 {
     uint64_t cycles = 0;
     SimEngineStats engine;
 };
 
-/** The simulated MT run: its cycles and, checked against the ST
- *  reference, its dynamic counts (what the sim pass publishes as the
- *  cell's MtRunArtifact). */
-struct MtSimArtifact
-{
-    uint64_t cycles = 0;
-    SimEngineStats engine;
-    MtRunArtifact counts;
-};
-
 /**
  * Observability rollup of one simulated cell (the obs-profile pass):
- * the raw stall attribution and execution timeline of an instrumented
- * MT timing run, plus the ranked per-queue / per-block report
- * (obs/stall_report.hpp). The attribution is engine-independent and
- * conserved — it sums exactly to the aggregate CoreStats counters,
- * checked at build time. The cell's dynamic instruction counts live
- * on its PipelineResult, not here.
+ * the execution timeline of an instrumented MT timing run and the
+ * ranked per-queue / per-block report (obs/stall_report.hpp) built
+ * from its stall attribution. The attribution is engine-independent
+ * and conserved — it sums exactly to the aggregate CoreStats
+ * counters, checked at build time. The cell's dynamic instruction
+ * counts live on its PipelineResult, not here.
  */
 struct ObsProfileArtifact
 {
-    SimProfile profile;   ///< raw (core, block[, queue]) charges
     SimTimeline timeline; ///< per-core intervals + queue occupancy
     StallReport report;   ///< ranked rollup
 };
@@ -234,9 +213,10 @@ struct ObsProfileArtifact
  * result — final schedule with its decision records, move log,
  * trajectory — plus the canonical move-log JSON (autotuneMovesJson)
  * the determinism tests compare and gmt-explain prints. The pass also
- * republishes the tuned schedule into the partition/plan/prog/mt_run/
- * mt_sim slots, so everything downstream (obs-profile,
- * obs-provenance, the result) describes the tuned schedule.
+ * republishes the tuned schedule into the partition/plan/prog/mt_run
+ * slots (mt_run with the tuned cycles and the AutotuneResult counts),
+ * so everything downstream (obs-profile, obs-provenance, the result)
+ * describes the tuned schedule.
  */
 struct AutotuneArtifact
 {
@@ -305,10 +285,7 @@ struct PipelineContext
     std::shared_ptr<const ProgramArtifact> prog;
     std::shared_ptr<const StRefArtifact> st_ref;
     std::shared_ptr<const MtRunArtifact> mt_run;
-    std::shared_ptr<const StDecodedArtifact> st_decoded;
-    std::shared_ptr<const MtDecodedArtifact> mt_decoded;
     std::shared_ptr<const StSimArtifact> st_sim;
-    std::shared_ptr<const MtSimArtifact> mt_sim;
     std::shared_ptr<const AutotuneArtifact> autotune;
     std::shared_ptr<const ObsProfileArtifact> obs;
     std::shared_ptr<const ProvenanceArtifact> prov;

@@ -3,23 +3,24 @@
 
 /**
  * @file
- * Pre-decoded instruction streams, the only program form the timing
- * simulator runs: each thread of an MtProgram is flattened into one
+ * Pre-decoded instruction streams, the one program form every MT
+ * execution runs: each thread of an MtProgram is flattened into one
  * dense array of DecodedInstr records with the per-issue work hoisted
  * to decode time — operand count, latency class, memory-port flag,
  * ThreadStats count class, and the decoded successor indices of
- * Br/Jmp terminators — so the simulator's inner loop is a flat array
+ * Br/Jmp terminators — so an executor's inner loop is a flat array
  * walk instead of chasing Function -> BasicBlock -> instrs()[pos] ->
- * Instr on every issue attempt. Both simulator engines read the same
- * decode, so an engine comparison cannot catch a decode bug;
- * tests/test_sim_fast.cpp re-derives every record from its Function
- * instead.
+ * Instr on every step. interpretMt and the timing simulator (both of
+ * its engines) read the same decode, so comparing executors cannot
+ * catch a decode bug; tests/test_sim_fast.cpp re-derives every record
+ * from its Function instead, and tests/test_runtime.cpp checks the
+ * count classes against hand-written expectations.
  *
  * Decoding is purely structural: a DecodedProgram is independent of
- * the MachineConfig (latency *classes*, not latencies, are recorded),
- * so one decode serves every point of a machine-parameter sweep. The
- * driver caches DecodedArtifacts under the program's cache key for
- * exactly this reason (see pass_manager.cpp).
+ * the MachineConfig (latency *classes*, not latencies, are recorded).
+ * Each run decodes the program it executes (interpretMt,
+ * CmpSimulator::run(const MtProgram &), simulateSingleThreaded); a
+ * decode costs far less than the run, so the pipeline caches none.
  */
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -31,6 +32,18 @@ intFlag(const char *argv0, const std::string &flag,
                  static_cast<long long>(hi), text.c_str());
     usage(argv0, 2);
     std::exit(2);
+}
+
+std::optional<double>
+parseDouble(const std::string &text, double lo, double hi)
+{
+    double v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < lo ||
+        v > hi)
+        return std::nullopt;
+    return v;
 }
 
 std::vector<std::string>

@@ -4,8 +4,9 @@
 /**
  * @file
  * Flag-value parsing shared by the bench drivers and the tools: one
- * checked integer parser, so a malformed value is a usage error
- * instead of a silently substituted number, and one CSV splitter.
+ * checked integer parser and one checked floating-point parser, so a
+ * malformed value is a usage error instead of a silently substituted
+ * number, and one CSV splitter.
  */
 
 #include <cstdint>
@@ -40,6 +41,16 @@ std::optional<int64_t> parseInt(const std::string &text, int64_t lo,
 int64_t intFlag(const char *argv0, const std::string &flag,
                 const std::string &text, int64_t lo, int64_t hi,
                 void (*usage)(const char *argv0, int exit_code));
+
+/**
+ * @p text as a finite decimal number in [@p lo, @p hi]: what
+ * std::from_chars accepts (an optional '-', digits with an optional
+ * fraction and exponent) and nothing else. Empty text, any other
+ * character (a '+', spaces, trailing garbage such as "99x"), "inf"
+ * and "nan", and values outside the range give nullopt.
+ */
+std::optional<double> parseDouble(const std::string &text, double lo,
+                                  double hi);
 
 /** "a,b,,c" -> {"a", "b", "c"}: split at commas, empty fields
  *  dropped. */

@@ -20,8 +20,6 @@ namespace gmt
 namespace
 {
 
-using MemPairs = std::vector<std::pair<int64_t, int64_t>>;
-
 int64_t
 totalCells(const GenOptions &opts)
 {
@@ -201,33 +199,6 @@ class CellGenerator
     int label_ = 0;
 };
 
-/** Nonzero cells of @p w's materialized fill. */
-MemPairs
-materializePairs(const Workload &w, bool ref)
-{
-    MemPairs pairs;
-    if (!w.fill)
-        return pairs;
-    MemoryImage mi;
-    mi.alloc(w.mem_cells);
-    w.fill(mi, ref);
-    for (int64_t a = 0; a < mi.size(); ++a) {
-        if (int64_t v = mi.read(a))
-            pairs.emplace_back(a, v);
-    }
-    return pairs;
-}
-
-std::function<void(MemoryImage &, bool)>
-fillFromPairs(MemPairs train, MemPairs ref)
-{
-    return [train = std::move(train),
-            ref = std::move(ref)](MemoryImage &mi, bool is_ref) {
-        for (const auto &[addr, val] : is_ref ? ref : train)
-            mi.write(addr, val);
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Reducer.
 
@@ -312,10 +283,7 @@ bool
 terminatesQuickly(const Workload &w)
 {
     try {
-        MemoryImage mem;
-        mem.alloc(w.mem_cells);
-        if (w.fill)
-            w.fill(mem, true);
+        MemoryImage mem = workloadMemory(w, /*ref=*/true);
         interpret(w.func, w.ref_args, mem, 20'000'000);
         return true;
     } catch (const FatalError &) {
@@ -345,8 +313,8 @@ struct ReduceState
     {
         if (!terminatesQuickly(c) || !fails(c))
             return false;
-        train = materializePairs(c, false);
-        ref = materializePairs(c, true);
+        train = materializeFill(c, false);
+        ref = materializeFill(c, true);
         cur = std::move(c);
         return true;
     }
@@ -505,8 +473,8 @@ generateWorkload(uint64_t seed, const GenOptions &opts)
 Workload
 reduceWorkload(const Workload &w, const FailurePredicate &fails)
 {
-    ReduceState st{w, materializePairs(w, false),
-                   materializePairs(w, true), fails};
+    ReduceState st{w, materializeFill(w, false),
+                   materializeFill(w, true), fails};
     st.cur.fill = fillFromPairs(st.train, st.ref);
     if (!fails(st.cur))
         return w;

@@ -16,26 +16,6 @@ namespace gmt
 namespace
 {
 
-using MemPairs = std::vector<std::pair<int64_t, int64_t>>;
-
-/** Run @p w's fill for one input and record the nonzero cells. */
-MemPairs
-materializeFill(const Workload &w, bool ref)
-{
-    MemPairs pairs;
-    if (!w.fill)
-        return pairs;
-    MemoryImage mi;
-    mi.alloc(w.mem_cells);
-    w.fill(mi, ref);
-    for (int64_t a = 0; a < mi.size(); ++a) {
-        int64_t v = mi.read(a);
-        if (v != 0)
-            pairs.emplace_back(a, v);
-    }
-    return pairs;
-}
-
 void
 emitArgs(std::ostringstream &os, const char *key,
          const std::vector<int64_t> &args)
@@ -67,6 +47,28 @@ parseInts(std::istringstream &rest, int line_no)
 }
 
 } // namespace
+
+MemPairs
+materializeFill(const Workload &w, bool ref)
+{
+    MemPairs pairs;
+    const MemoryImage mi = workloadMemory(w, ref);
+    for (int64_t a = 0; a < mi.size(); ++a) {
+        if (int64_t v = mi.read(a))
+            pairs.emplace_back(a, v);
+    }
+    return pairs;
+}
+
+std::function<void(MemoryImage &, bool)>
+fillFromPairs(MemPairs train, MemPairs ref)
+{
+    return [train = std::move(train),
+            ref = std::move(ref)](MemoryImage &mi, bool is_ref) {
+        for (const auto &[addr, val] : is_ref ? ref : train)
+            mi.write(addr, val);
+    };
+}
 
 uint64_t
 fnv1a64(std::string_view s)
@@ -157,11 +159,8 @@ workloadFromText(std::string_view text, const std::string &source)
 
             verifyOrDie(w.func, {}, "gmt-cell " + w.name);
 
-            w.fill = [train_mem, ref_mem](MemoryImage &mi, bool ref) {
-                for (const auto &[addr, val] :
-                     ref ? ref_mem : train_mem)
-                    mi.write(addr, val);
-            };
+            w.fill = fillFromPairs(std::move(train_mem),
+                                   std::move(ref_mem));
             w.source = source;
             w.digest = hexDigest(fnv1a64(workloadToText(w)));
             return w;

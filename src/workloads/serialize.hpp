@@ -34,13 +34,28 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "workloads/workload.hpp"
 
 namespace gmt
 {
+
+/** The nonzero cells of one input image, (address, value) pairs in
+ *  ascending address order. */
+using MemPairs = std::vector<std::pair<int64_t, int64_t>>;
+
+/** The nonzero cells of workloadMemory(@p w, @p ref). */
+MemPairs materializeFill(const Workload &w, bool ref);
+
+/** A Workload::fill that writes @p train or @p ref into the image:
+ *  the inverse of materializeFill. */
+std::function<void(MemoryImage &, bool ref)> fillFromPairs(MemPairs train,
+                                                           MemPairs ref);
 
 /** FNV-1a 64-bit hash of @p s. */
 uint64_t fnv1a64(std::string_view s);

@@ -55,6 +55,16 @@ WorkloadRegistry::loadDirectory(const std::string &dir)
     return static_cast<int>(paths.size());
 }
 
+MemoryImage
+workloadMemory(const Workload &w, bool ref)
+{
+    MemoryImage mem;
+    mem.alloc(w.mem_cells);
+    if (w.fill)
+        w.fill(mem, ref);
+    return mem;
+}
+
 std::vector<Workload>
 allWorkloads()
 {

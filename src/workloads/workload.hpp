@@ -74,6 +74,13 @@ struct Workload
     }
 };
 
+/**
+ * A fresh MemoryImage of @p w's mem_cells, filled with its reference
+ * (@p ref) or train input: the one place a workload's input image is
+ * built.
+ */
+MemoryImage workloadMemory(const Workload &w, bool ref);
+
 /** Factories, one per Figure 6(b) row. */
 Workload makeAdpcmDec();
 Workload makeAdpcmEnc();

@@ -1,14 +1,15 @@
 /**
  * @file
  * Command-line flag parsing: the checked integer parser every tool
- * and bench driver shares, the CSV splitter, and the bench harness's
- * rejection of malformed values (exit 2 with usage, never a silently
- * substituted number).
+ * and bench driver shares, the checked floating-point parser, the CSV
+ * splitter, and the bench harness's rejection of malformed values
+ * (exit 2 with usage, never a silently substituted number).
  */
 
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,29 @@ TEST(ParseInt, RejectsOutOfRange)
               std::nullopt);
     EXPECT_EQ(parseInt("99999999999999999999999", INT64_MIN, INT64_MAX),
               std::nullopt);
+}
+
+TEST(ParseDouble, AcceptsFiniteNumbersInRange)
+{
+    EXPECT_EQ(parseDouble("1.5", 0.0, HUGE_VAL), 1.5);
+    EXPECT_EQ(parseDouble("0", 0.0, HUGE_VAL), 0.0);
+    EXPECT_EQ(parseDouble("2", 0.0, HUGE_VAL), 2.0);
+    EXPECT_EQ(parseDouble(".25", 0.0, HUGE_VAL), 0.25);
+    EXPECT_EQ(parseDouble("1e3", 0.0, HUGE_VAL), 1000.0);
+    EXPECT_EQ(parseDouble("-0.5", -1.0, 1.0), -0.5);
+    EXPECT_EQ(parseDouble("10", 0.0, 10.0), 10.0);
+}
+
+TEST(ParseDouble, RejectsMalformedNonFiniteAndOutOfRange)
+{
+    for (const char *bad :
+         {"", "abc", "99x", "1.5 ", " 1.5", "+1.5", "1,5", ".", "-",
+          "0x10", "inf", "-inf", "infinity", "nan", "1e999"})
+        EXPECT_EQ(parseDouble(bad, -HUGE_VAL, HUGE_VAL), std::nullopt)
+            << "'" << bad << "'";
+    EXPECT_EQ(parseDouble("-1.5", 0.0, HUGE_VAL), std::nullopt);
+    EXPECT_EQ(parseDouble("-0.001", 0.0, HUGE_VAL), std::nullopt);
+    EXPECT_EQ(parseDouble("10.5", 0.0, 10.0), std::nullopt);
 }
 
 TEST(SplitCsv, DropsEmptyFields)

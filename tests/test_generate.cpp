@@ -26,9 +26,7 @@ TEST(Generate, EverySeedVerifiesAndTerminates)
         Workload w = generateWorkload(seed);
         EXPECT_EQ(w.name, "gen" + std::to_string(seed));
         EXPECT_TRUE(verifyFunction(w.func).empty());
-        MemoryImage mem;
-        mem.alloc(w.mem_cells);
-        w.fill(mem, true);
+        MemoryImage mem = workloadMemory(w, /*ref=*/true);
         auto run = interpret(w.func, w.ref_args, mem, 50'000'000);
         EXPECT_FALSE(run.live_outs.empty());
     }

@@ -186,16 +186,6 @@ TEST(TraceWriter, EmptyCollectorIsStillValid)
 // cycle skipping on and off, and the two attributions must be
 // bit-identical (same architectural events, same charges).
 
-MemoryImage
-refMemory(const Workload &w)
-{
-    MemoryImage mem;
-    mem.alloc(w.mem_cells);
-    if (w.fill)
-        w.fill(mem, /*ref=*/true);
-    return mem;
-}
-
 struct ProfiledRun
 {
     SimResult result;
@@ -233,12 +223,13 @@ TEST(StallConservation, FullMatrixBothEngines)
                 SCOPED_TRACE(ctx.cellId());
 
                 const MachineConfig &m = po.machine;
-                ProfiledRun fast =
-                    runProfiled(ctx.prog->prog, w.ref_args,
-                                refMemory(w), m, SimEngine::Fast);
-                ProfiledRun ref =
-                    runProfiled(ctx.prog->prog, w.ref_args,
-                                refMemory(w), m, SimEngine::Reference);
+                ProfiledRun fast = runProfiled(
+                    ctx.prog->prog, w.ref_args,
+                    workloadMemory(w, /*ref=*/true), m, SimEngine::Fast);
+                ProfiledRun ref = runProfiled(
+                    ctx.prog->prog, w.ref_args,
+                    workloadMemory(w, /*ref=*/true), m,
+                    SimEngine::Reference);
 
                 // Conservation: attributed cycles sum exactly to the
                 // independently maintained aggregate counters.
@@ -267,7 +258,7 @@ TEST(StallConservation, FullMatrixBothEngines)
                     SCOPED_TRACE(std::string(simEngineName(e)) +
                                  ", sa_ports " +
                                  std::to_string(mc.sa_ports));
-                    MemoryImage mem = refMemory(w);
+                    MemoryImage mem = workloadMemory(w, /*ref=*/true);
                     SimResult lean = CmpSimulator(mc, e).run(
                         ctx.prog->prog, w.ref_args, mem);
                     EXPECT_TRUE(lean == run.result);
@@ -278,9 +269,9 @@ TEST(StallConservation, FullMatrixBothEngines)
                 MachineConfig one_port = m;
                 one_port.sa_ports = 1;
                 for (SimEngine e : {SimEngine::Fast, SimEngine::Reference}) {
-                    ProfiledRun run = runProfiled(ctx.prog->prog,
-                                                  w.ref_args, refMemory(w),
-                                                  one_port, e);
+                    ProfiledRun run = runProfiled(
+                        ctx.prog->prog, w.ref_args,
+                        workloadMemory(w, /*ref=*/true), one_port, e);
                     for (const CoreStats &core : run.result.core)
                         one_port_stalls += core.stall_sa_port;
                     checkLean(one_port, e, run);

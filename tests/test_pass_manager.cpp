@@ -138,6 +138,34 @@ TEST(PassManager, OneMtExecutionPerCell)
     EXPECT_EQ(a.duplicated_branches, b.duplicated_branches);
     EXPECT_EQ(a.reg_comm, b.reg_comm);
     EXPECT_EQ(a.mem_sync, b.mem_sync);
+
+    // The execution's record carries its cycles: the timing run's in
+    // a simulated cell, none in a counts-only one.
+    ASSERT_TRUE(simulated.mt_run && counted.mt_run);
+    EXPECT_GT(simulated.mt_run->cycles, 0u);
+    EXPECT_EQ(simulated.mt_run->cycles, a.mt_cycles);
+    EXPECT_EQ(counterOf(simulated, "sim", "mt_cycles"),
+              static_cast<int64_t>(a.mt_cycles));
+    EXPECT_EQ(counted.mt_run->cycles, 0u);
+    EXPECT_EQ(b.mt_cycles, 0u);
+
+    // An autotuned cell republishes the record of the tuned schedule:
+    // its cycles and the counts of its checked simulation.
+    PipelineOptions tuned_opts = sim_opts;
+    tuned_opts.scheduler = Scheduler::Gremio;
+    tuned_opts.autotune = true;
+    PipelineContext tuned(w, tuned_opts);
+    PassManager::standardPipeline().run(tuned);
+    ASSERT_TRUE(tuned.autotune && tuned.mt_run);
+    const AutotuneResult &at = tuned.autotune->result;
+    ASSERT_GT(at.moves_accepted, 0);
+    EXPECT_LT(at.final_schedule.cycles, at.baseline_cycles);
+    EXPECT_EQ(tuned.mt_run->cycles, at.final_schedule.cycles);
+    EXPECT_EQ(tuned.result.mt_cycles, at.final_schedule.cycles);
+    EXPECT_EQ(tuned.mt_run->computation, at.computation);
+    EXPECT_EQ(tuned.mt_run->duplicated_branches, at.duplicated_branches);
+    EXPECT_EQ(tuned.mt_run->reg_comm, at.reg_comm);
+    EXPECT_EQ(tuned.mt_run->mem_sync, at.mem_sync);
 }
 
 /** Insert "store 1 -> [cell]" right before @p f's Ret. */
@@ -206,9 +234,7 @@ TEST(PassManager, FinalMemoryMismatchIsFatal)
 
         // The corruption is invisible to live-outs: only the final
         // memory tells.
-        MemoryImage st_mem;
-        st_mem.alloc(w.mem_cells);
-        w.fill(st_mem, /*ref=*/true);
+        MemoryImage st_mem = workloadMemory(w, /*ref=*/true);
         MemoryImage mt_mem = st_mem;
         auto st = interpret(ctx.ir->func, w.ref_args, st_mem);
         auto mt = interpretMt(corrupted, w.ref_args, mt_mem);

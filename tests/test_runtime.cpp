@@ -6,6 +6,7 @@
 #include "runtime/memory_image.hpp"
 #include "runtime/mt_interpreter.hpp"
 #include "runtime/sync_array.hpp"
+#include "sim/cmp_simulator.hpp"
 #include "support/error.hpp"
 
 namespace gmt
@@ -307,6 +308,145 @@ TEST(MtInterpreter, SyncTokensCounted)
     EXPECT_EQ(result.stats[1].produce_syncs, 1u);
     EXPECT_EQ(result.stats[0].consume_syncs, 1u);
     EXPECT_EQ(result.totalCommunication(), 2u);
+}
+
+TEST(MtInterpreter, StepLimitThrows)
+{
+    MtProgram prog = buildHandMtProgram();
+    MemoryImage mem;
+    EXPECT_NO_THROW(interpretMt(prog, {100}, mem,
+                                SchedulePolicy::RoundRobin, 0, 100'000));
+    try {
+        interpretMt(prog, {100}, mem, SchedulePolicy::RoundRobin, 0, 50);
+        ADD_FAILURE() << "step limit not enforced";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "interpretMt: step limit exceeded");
+    }
+}
+
+TEST(MtInterpreter, ArgCountMismatchIsFatal)
+{
+    // Every thread of the hand-built program takes one parameter.
+    MtProgram prog = buildHandMtProgram();
+    for (const std::vector<int64_t> &args :
+         {std::vector<int64_t>{}, std::vector<int64_t>{1, 2}}) {
+        MemoryImage mem;
+        try {
+            interpretMt(prog, args, mem);
+            ADD_FAILURE() << args.size() << " args accepted";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "interpretMt: thread 0 expects 1 args, got " +
+                          std::to_string(args.size()));
+        }
+    }
+}
+
+/**
+ * Two threads whose consumes block before their producers run (under
+ * round-robin, thread 0 reaches each consume while the matching
+ * produce is still ahead in thread 1), with a Jmp, a duplicated Br and
+ * a plain Br. The Fig. 7 count of every instruction is written out
+ * below by hand, independently of statClassOf.
+ */
+MtProgram
+buildCountingProgram()
+{
+    MtProgram prog;
+    prog.num_queues = 2;
+    prog.queue_capacity = 1;
+    {
+        // Thread 0: consume.sync q1, consume q0 -> v, jmp; v + 1.
+        FunctionBuilder b("t0");
+        BlockId entry = b.newBlock("entry");
+        BlockId exit = b.newBlock("exit");
+        b.setBlock(entry);
+        Reg v = b.func().newReg();
+        b.func().append(entry,
+                        {.op = Opcode::ConsumeSync, .queue = 1});
+        b.func().append(entry,
+                        {.op = Opcode::Consume, .dst = v, .queue = 0});
+        b.jmp(exit);
+        b.setBlock(exit);
+        Reg one = b.constI(1);
+        Reg sum = b.add(v, one);
+        b.ret({sum});
+        prog.threads.push_back(b.finish());
+    }
+    {
+        // Thread 1: x = 41, produce.sync q1, k = 1, produce x to q0,
+        // a duplicated br k, store x to [k], a plain br k, ret.
+        FunctionBuilder b("t1");
+        BlockId entry = b.newBlock("entry");
+        BlockId a = b.newBlock("a");
+        BlockId c = b.newBlock("c");
+        BlockId never = b.newBlock("never");
+        b.setBlock(entry);
+        Reg x = b.constI(41);
+        b.func().append(entry,
+                        {.op = Opcode::ProduceSync, .queue = 1});
+        Reg k = b.constI(1);
+        b.func().append(entry,
+                        {.op = Opcode::Produce, .src1 = x, .queue = 0});
+        b.br(k, a, never);
+        b.func().instr(b.lastInstr()).duplicated = true;
+        b.setBlock(a);
+        b.store(k, 0, x, kAliasAny);
+        b.br(k, c, never);
+        b.setBlock(c);
+        b.ret();
+        b.setBlock(never);
+        b.ret();
+        prog.threads.push_back(b.finish());
+    }
+    return prog;
+}
+
+TEST(MtInterpreter, CountsFollowTheFig7Classes)
+{
+    const MtProgram prog = buildCountingProgram();
+    std::vector<ThreadStats> expected(2);
+    expected[0].computation = 3; // const, add, ret (the jmp is free)
+    expected[0].consumes = 1;
+    expected[0].consume_syncs = 1;
+    expected[1].computation = 5; // 2 consts, store, plain br, ret
+    expected[1].duplicated_branches = 1;
+    expected[1].produces = 1;
+    expected[1].produce_syncs = 1;
+
+    auto check = [&](const MtRunResult &r, MemoryImage &mem,
+                     const std::string &what) {
+        SCOPED_TRACE(what);
+        EXPECT_FALSE(r.deadlock);
+        EXPECT_TRUE(r.queues_drained);
+        EXPECT_EQ(r.live_outs, std::vector<int64_t>{42});
+        EXPECT_EQ(mem.read(1), 41);
+        EXPECT_EQ(r.stats, expected);
+    };
+    {
+        MemoryImage mem;
+        mem.alloc(4);
+        check(interpretMt(prog, {}, mem), mem, "round-robin");
+    }
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        MemoryImage mem;
+        mem.alloc(4);
+        check(interpretMt(prog, {}, mem, SchedulePolicy::Random, seed),
+              mem, "random seed " + std::to_string(seed));
+    }
+    for (SimEngine e : {SimEngine::Fast, SimEngine::Reference}) {
+        SCOPED_TRACE(simEngineName(e));
+        MemoryImage mem;
+        mem.alloc(4);
+        SimResult r =
+            CmpSimulator(MachineConfig::paperDefault(), e).run(prog, {},
+                                                               mem);
+        EXPECT_EQ(r.live_outs, std::vector<int64_t>{42});
+        EXPECT_TRUE(r.queues_drained);
+        ASSERT_EQ(r.core.size(), 2u);
+        for (size_t t = 0; t < 2; ++t)
+            EXPECT_EQ(r.core[t].counts, expected[t]) << "core " << t;
+    }
 }
 
 TEST(MtInterpreter, SingleThreadDegenerate)

@@ -15,16 +15,6 @@ namespace gmt
 namespace
 {
 
-MemoryImage
-refMemory(const Workload &w)
-{
-    MemoryImage mem;
-    mem.alloc(w.mem_cells);
-    if (w.fill)
-        w.fill(mem, /*ref=*/true);
-    return mem;
-}
-
 /** The latency classes, restated here rather than taken from the
  *  decoder: every opcode not listed is an ALU op. */
 LatClass
@@ -145,7 +135,7 @@ TEST(SimFastDifferential, FullMatrixBitIdentical)
                 SCOPED_TRACE(ctx.cellId());
                 const MachineConfig &m = po.machine;
 
-                MemoryImage st_truth = refMemory(w);
+                MemoryImage st_truth = workloadMemory(w, /*ref=*/true);
                 auto st = interpret(ctx.ir->func, w.ref_args, st_truth);
 
                 const DecodedProgram dp = decodeProgram(ctx.prog->prog);
@@ -154,8 +144,8 @@ TEST(SimFastDifferential, FullMatrixBitIdentical)
                                          decodeThread(ctx.ir->func)),
                           "");
 
-                MemoryImage fast_mem = refMemory(w);
-                MemoryImage ref_mem = refMemory(w);
+                MemoryImage fast_mem = workloadMemory(w, /*ref=*/true);
+                MemoryImage ref_mem = workloadMemory(w, /*ref=*/true);
                 SimResult mt_fast = CmpSimulator(m, SimEngine::Fast)
                                         .run(dp, w.ref_args, fast_mem);
                 SimResult mt_ref = CmpSimulator(m, SimEngine::Reference)
@@ -175,7 +165,7 @@ TEST(SimFastDifferential, FullMatrixBitIdentical)
                     {SchedulePolicy::Random, 2},
                     {SchedulePolicy::Random, 3}};
                 for (const auto &[policy, seed] : runs) {
-                    MemoryImage mem = refMemory(w);
+                    MemoryImage mem = workloadMemory(w, /*ref=*/true);
                     MtRunResult mt = interpretMt(
                         ctx.prog->prog, w.ref_args, mem, policy, seed);
                     ASSERT_EQ(mt.stats.size(), mt_fast.core.size());
@@ -185,8 +175,8 @@ TEST(SimFastDifferential, FullMatrixBitIdentical)
                             << "core " << c << " seed " << seed;
                 }
 
-                MemoryImage st_mem_fast = refMemory(w);
-                MemoryImage st_mem_ref = refMemory(w);
+                MemoryImage st_mem_fast = workloadMemory(w, /*ref=*/true);
+                MemoryImage st_mem_ref = workloadMemory(w, /*ref=*/true);
                 SimResult st_fast = simulateSingleThreaded(
                     ctx.ir->func, w.ref_args, st_mem_fast, m,
                     SimEngine::Fast);

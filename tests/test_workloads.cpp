@@ -24,10 +24,7 @@ TEST_P(WorkloadSuite, VerifiesAndTerminates)
 {
     Workload w = workload();
     EXPECT_TRUE(verifyFunction(w.func).empty()) << w.name;
-    MemoryImage mem;
-    mem.alloc(w.mem_cells);
-    if (w.fill)
-        w.fill(mem, false);
+    MemoryImage mem = workloadMemory(w, /*ref=*/false);
     auto run = interpret(w.func, w.train_args, mem);
     EXPECT_GT(run.dyn_instrs, 100u) << w.name << " trivial train run";
     EXPECT_FALSE(run.live_outs.empty()) << w.name;
@@ -36,13 +33,8 @@ TEST_P(WorkloadSuite, VerifiesAndTerminates)
 TEST_P(WorkloadSuite, RefLargerThanTrain)
 {
     Workload w = workload();
-    MemoryImage m1, m2;
-    m1.alloc(w.mem_cells);
-    m2.alloc(w.mem_cells);
-    if (w.fill) {
-        w.fill(m1, false);
-        w.fill(m2, true);
-    }
+    MemoryImage m1 = workloadMemory(w, /*ref=*/false);
+    MemoryImage m2 = workloadMemory(w, /*ref=*/true);
     auto train = interpret(w.func, w.train_args, m1);
     auto ref = interpret(w.func, w.ref_args, m2);
     EXPECT_GT(ref.dyn_instrs, 2 * train.dyn_instrs) << w.name;
@@ -51,14 +43,9 @@ TEST_P(WorkloadSuite, RefLargerThanTrain)
 TEST_P(WorkloadSuite, FillIsDeterministic)
 {
     Workload w = workload();
-    MemoryImage a, c;
-    a.alloc(w.mem_cells);
-    c.alloc(w.mem_cells);
-    if (w.fill) {
-        w.fill(a, true);
-        w.fill(c, true);
-    }
-    EXPECT_TRUE(a == c) << w.name;
+    EXPECT_TRUE(workloadMemory(w, /*ref=*/true) ==
+                workloadMemory(w, /*ref=*/true))
+        << w.name;
 }
 
 // The heavyweight end-to-end checks: each workload goes through the

@@ -225,13 +225,7 @@ std::string
 executorDivergence(const Workload &w, const Function &st_func,
                    const MtProgram &prog, const MachineConfig &machine)
 {
-    auto input = [&w]() {
-        MemoryImage mem;
-        mem.alloc(w.mem_cells);
-        if (w.fill)
-            w.fill(mem, /*ref=*/true);
-        return mem;
-    };
+    auto input = [&w]() { return workloadMemory(w, /*ref=*/true); };
     MemoryImage st_mem = input();
     const auto st = interpret(st_func, w.ref_args, st_mem);
 
