@@ -5,15 +5,10 @@
 #include <cmath>
 #include <sstream>
 
-#include "coco/validate.hpp"
 #include "graph/scc.hpp"
 #include "mtcg/mtcg.hpp"
-#include "mtcg/queue_alloc.hpp"
 #include "mtverify/mtverify.hpp"
 #include "obs/stall_profile.hpp"
-#include "obs/stall_report.hpp"
-#include "partition/dswp.hpp"
-#include "partition/gremio.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -23,46 +18,24 @@ namespace gmt
 namespace
 {
 
-/** Internal working state: the public schedule plus the per-core
- *  counts of its checked simulation. */
+/** Internal working state: the public schedule plus its checked
+ *  simulation, whose per-core counts are the schedule's. */
 struct Working
 {
     AutotuneSchedule s;
-    std::vector<ThreadStats> counts;
+    SimResult run;
 };
-
-/** Simulate @p w's schedule (instrumented when @p profile is set) and
- *  apply the oracle rule against the ST reference: a mismatch is a
- *  compiler bug, fatal, naming the cell and @p what ran. Records the
- *  run's per-core counts on @p w. */
-SimResult
-simulateChecked(const AutotuneInputs &in, Working &w,
-                SimProfile *profile, const std::string &what)
-{
-    MemoryImage mem = in.make_memory();
-    CmpSimulator sim(in.machine, in.engine);
-    sim.setProfile(profile);
-    SimResult r = sim.run(w.s.prog, *in.ref_args, mem);
-    checkSimOutput(r, mem, *in.st_live_outs, *in.st_final_mem, "MT",
-                   in.cell + ", autotune " + what);
-    w.counts.clear();
-    for (const CoreStats &core : r.core)
-        w.counts.push_back(core.counts);
-    return r;
-}
 
 /** Stall evidence of one feedback round, all additive cycle charges. */
 struct Feedback
 {
-    /** Block stall charges (BlockAttribution), for the partitioners. */
-    std::vector<uint64_t> block_boost;
+    /** For the partitioners: block stall charges (BlockAttribution)
+     *  and queue stalls mapped to the PDG arcs each queue carries. */
+    PartitionFeedback partition;
 
-    /** Queue stalls mapped to the PDG arcs each queue carries. */
-    std::vector<uint64_t> arc_boost;
-
-    /** block_boost plus queue stalls charged to the blocks holding
-     *  the stalled queue's current placement points — the cut costs
-     *  a re-cut solves under (pushes min cuts away from both
+    /** partition.block_boost plus queue stalls charged to the blocks
+     *  holding the stalled queue's current placement points — the cut
+     *  costs a re-cut solves under (pushes min cuts away from both
      *  stall-charged blocks and stalled points). */
     std::vector<uint64_t> cut_boost;
 };
@@ -75,9 +48,7 @@ struct Candidate
     int queue = -1;
     uint64_t stall = 0;
     ThreadPartition partition;
-    CommPlan plan;
-    int plan_iters = 0;
-    PlacementProvenance plan_prov; ///< record of the call behind plan
+    Placement placement;
 };
 
 /** PDG arcs matching one queue placement descriptor under @p part. */
@@ -99,16 +70,16 @@ deriveFeedback(const AutotuneInputs &in, const AutotuneSchedule &cur,
 {
     const Function &f = *in.f;
     Feedback fb;
-    fb.block_boost.assign(static_cast<size_t>(f.numBlocks()), 0);
-    fb.arc_boost.assign(
+    fb.partition.block_boost.assign(static_cast<size_t>(f.numBlocks()), 0);
+    fb.partition.arc_boost.assign(
         static_cast<size_t>(in.pdg->numArcs()), 0);
 
     for (const BlockAttribution &b : report.blocks)
         if (b.block >= 0 && b.block < f.numBlocks())
-            fb.block_boost[static_cast<size_t>(b.block)] +=
+            fb.partition.block_boost[static_cast<size_t>(b.block)] +=
                 b.prof.total();
 
-    fb.cut_boost = fb.block_boost;
+    fb.cut_boost = fb.partition.block_boost;
     const auto &arcs = in.pdg->arcs();
     for (const QueueAttribution &q : report.queues) {
         uint64_t stall = q.prof.stallCycles();
@@ -117,7 +88,7 @@ deriveFeedback(const AutotuneInputs &in, const AutotuneSchedule &cur,
         for (const PlacementDesc &pd : q.placements) {
             for (size_t a = 0; a < arcs.size(); ++a)
                 if (arcMatchesPlacement(arcs[a], pd, cur.partition))
-                    fb.arc_boost[a] += stall;
+                    fb.partition.arc_boost[a] += stall;
             // Charge the stalled queue's current placement points:
             // the re-cut then prefers moving them elsewhere.
             if (pd.placement >= 0 &&
@@ -142,61 +113,6 @@ deriveFeedback(const AutotuneInputs &in, const AutotuneSchedule &cur,
     return fb;
 }
 
-/** Profile-weighted dynamic cycles of the stalled queues, rendered
- *  deterministically for move details. */
-std::string
-u64(uint64_t v)
-{
-    return std::to_string(v);
-}
-
-ThreadPartition
-repartition(const AutotuneInputs &in, const PartitionFeedback &fb)
-{
-    if (in.gremio) {
-        GremioOptions o;
-        o.num_threads = in.num_threads;
-        o.feedback = &fb;
-        return gremioPartition(*in.pdg, *in.profile, o);
-    }
-    DswpOptions o;
-    o.num_threads = in.num_threads;
-    o.feedback = &fb;
-    return dswpPartition(*in.pdg, *in.profile, o);
-}
-
-/** COCO (or default MTCG) plan for @p c's partition, with its
- *  record. COCO's cut-cache counts go onto @p result. */
-bool
-planFor(const AutotuneInputs &in, Candidate &c,
-        const EdgeProfile &profile, std::string &reject,
-        AutotuneResult &result)
-{
-    if (!in.use_coco) {
-        c.plan = defaultMtcgPlan(*in.f, *in.pdg, c.partition, *in.cd);
-        c.plan_iters = 0;
-        c.plan_prov = defaultPlanProvenance(c.plan, profile);
-    } else {
-        CocoExec exec;
-        exec.pool = in.pool;
-        exec.jobs = in.coco_jobs;
-        CocoResult res = cocoOptimize(*in.f, *in.pdg, c.partition,
-                                      *in.cd, profile, in.coco, exec);
-        c.plan = std::move(res.plan);
-        c.plan_iters = res.iterations;
-        c.plan_prov = std::move(res.provenance);
-        result.coco_warm_starts += res.warm_starts;
-        result.coco_cold_rebuilds += res.cold_rebuilds;
-    }
-    auto problems =
-        validatePlan(*in.f, *in.pdg, c.partition, *in.cd, c.plan);
-    if (!problems.empty()) {
-        reject = "invalid-plan";
-        return false;
-    }
-    return true;
-}
-
 /** Generate this round's candidates, canonical order: recut, then
  *  reweight, then migrations by stall rank. */
 std::vector<Candidate>
@@ -211,10 +127,6 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
     std::vector<Candidate> out;
     uint64_t total_stall = report.totalStallCycles();
 
-    auto boosted = [&](const std::vector<uint64_t> &boost) {
-        return in.profile->withBlockBoost(boost);
-    };
-
     // Reweight/migrate candidates always plan under the base profile,
     // so a partition we already planned once would reproduce the same
     // plan — skip it before paying for the cut solve and the
@@ -227,62 +139,67 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                          assign) != tried_partitions.end();
     };
 
+    // Propose @p c unless @p reject already names why not: place its
+    // communication under @p prof (the pipeline's placement step; a
+    // plan validatePlan faults is "invalid-plan"). A candidate that
+    // fails is recorded as a rejected move, never simulated.
+    auto offer = [&](Candidate &c, const EdgeProfile &prof,
+                     std::string reject) {
+        if (reject.empty()) {
+            c.placement = placeCommunication(
+                *in.f, *in.pdg, c.partition, *in.cd, prof,
+                in.use_coco ? &in.coco : nullptr,
+                CocoExec{in.pool, in.coco_jobs, nullptr});
+            result.coco_warm_starts += c.placement.warm_starts;
+            result.coco_cold_rebuilds += c.placement.cold_rebuilds;
+            if (c.placement.problems.empty()) {
+                out.push_back(std::move(c));
+                return;
+            }
+            reject = "invalid-plan";
+        }
+        invalid_moves.push_back({.iteration = iteration,
+                                 .kind = c.kind,
+                                 .detail = c.detail,
+                                 .queue = c.queue,
+                                 .stall_cycles = c.stall,
+                                 .rejected_because = std::move(reject)});
+    };
+
     // 1. Re-cut: same partition, stall-boosted cut costs.
     if (in.use_coco) {
         Candidate c;
         c.kind = "recut";
         c.detail = "stall-boosted re-cut (total stall " +
-                   u64(total_stall) + ")";
+                   std::to_string(total_stall) + ")";
         c.stall = total_stall;
         c.partition = cur.s.partition;
-        EdgeProfile prof = boosted(fb.cut_boost);
-        std::string reject;
-        if (planFor(in, c, prof, reject, result)) {
-            out.push_back(std::move(c));
-        } else {
-            AutotuneMove m;
-            m.iteration = iteration;
-            m.kind = c.kind;
-            m.detail = c.detail;
-            m.stall_cycles = c.stall;
-            m.rejected_because = reject;
-            invalid_moves.push_back(std::move(m));
-        }
+        offer(c, in.profile->withBlockBoost(fb.cut_boost), "");
     }
 
     // 2. Re-weight: feed the boosts to the partitioner, then re-place
     //    from scratch.
     {
-        PartitionFeedback pf{fb.block_boost, fb.arc_boost};
         Candidate c;
         c.kind = "reweight";
         c.detail = "feedback re-partition (total stall " +
-                   u64(total_stall) + ")";
+                   std::to_string(total_stall) + ")";
         c.stall = total_stall;
-        c.partition = repartition(in, pf);
-        auto problems = validatePartition(*in.pdg, c.partition,
-                                          /*require_pipeline=*/!in.gremio);
+        c.partition = runPartitioner(*in.pdg, *in.profile, in.gremio,
+                                     in.num_threads, &fb.partition,
+                                     nullptr);
         std::string reject;
-        if (!problems.empty()) {
+        if (!validatePartition(*in.pdg, c.partition,
+                               /*require_pipeline=*/!in.gremio)
+                 .empty())
             reject = "invalid-partition";
-        } else if (c.partition.assign == cur.s.partition.assign) {
+        else if (c.partition.assign == cur.s.partition.assign)
             reject = "no-change";
-        } else if (seen_partition(c.partition.assign)) {
+        else if (seen_partition(c.partition.assign))
             reject = "duplicate";
-        } else {
+        else
             tried_partitions.push_back(c.partition.assign);
-            if (planFor(in, c, *in.profile, reject, result))
-                out.push_back(std::move(c));
-        }
-        if (!reject.empty()) {
-            AutotuneMove m;
-            m.iteration = iteration;
-            m.kind = "reweight";
-            m.detail = c.detail;
-            m.stall_cycles = c.stall;
-            m.rejected_because = reject;
-            invalid_moves.push_back(std::move(m));
-        }
+        offer(c, *in.profile, reject);
     }
 
     // 3. Migrations: boundary units (PDG SCCs) on the costliest
@@ -347,52 +264,31 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                     c.detail = "unit " + std::to_string(unit) +
                                " -> thread " + std::to_string(to) +
                                " (queue " + std::to_string(q.queue) +
-                               " stall " + u64(stall) + ")";
+                               " stall " + std::to_string(stall) + ")";
                     c.queue = q.queue;
                     c.stall = stall;
                     c.partition = std::move(p);
                     ++migrations;
 
+                    // An emptied thread produces a degenerate
+                    // program; never propose one.
+                    std::vector<int> count(
+                        static_cast<size_t>(c.partition.num_threads), 0);
+                    for (int t : c.partition.assign)
+                        ++count[static_cast<size_t>(t)];
                     std::string reject;
                     if (seen_partition(c.partition.assign))
                         reject = "duplicate";
-                    auto problems =
-                        reject.empty()
-                            ? validatePartition(
+                    else if (!validatePartition(
                                   *in.pdg, c.partition,
                                   /*require_pipeline=*/!in.gremio)
-                            : std::vector<std::string>{};
-                    if (!problems.empty()) {
+                                  .empty())
                         reject = "invalid-partition";
-                    } else if (reject.empty()) {
-                        // An emptied thread produces a degenerate
-                        // program; never propose one.
-                        std::vector<int> count(
-                            static_cast<size_t>(
-                                c.partition.num_threads),
-                            0);
-                        for (int t : c.partition.assign)
-                            ++count[static_cast<size_t>(t)];
-                        for (int n : count)
-                            if (n == 0)
-                                reject = "empties-thread";
-                    }
-                    if (reject.empty()) {
+                    else if (std::count(count.begin(), count.end(), 0))
+                        reject = "empties-thread";
+                    else
                         tried_partitions.push_back(c.partition.assign);
-                        if (planFor(in, c, *in.profile, reject,
-                                    result))
-                            out.push_back(std::move(c));
-                    }
-                    if (!reject.empty()) {
-                        AutotuneMove m;
-                        m.iteration = iteration;
-                        m.kind = "migrate";
-                        m.detail = c.detail;
-                        m.queue = c.queue;
-                        m.stall_cycles = c.stall;
-                        m.rejected_because = reject;
-                        invalid_moves.push_back(std::move(m));
-                    }
+                    offer(c, *in.profile, reject);
                 }
             }
         }
@@ -405,20 +301,16 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
  *  reject reason instead of dying: a candidate the verifier rejects is
  *  simply not taken (one whose output mismatches is fatal). */
 bool
-evalCandidate(const AutotuneInputs &in, const Candidate &c,
-              Working &out, std::string &reject)
+evalCandidate(const AutotuneInputs &in, const SimCheck &chk,
+              const Candidate &c, Working &out, std::string &reject)
 {
-    MtcgOptions mo;
-    mo.queue_capacity = in.queue_capacity;
-    mo.max_queues = 0;
     out.s.partition = c.partition;
-    out.s.plan = c.plan;
-    out.s.plan_coco_iterations = c.plan_iters;
-    out.s.plan_prov = c.plan_prov;
-    out.s.prog =
-        runMtcg(*in.f, *in.pdg, c.partition, c.plan, *in.cd, mo);
-    out.s.queue_of = assignQueues(c.plan, in.max_queues, out.s.prog,
-                                  out.s.queue_prov);
+    out.s.plan = c.placement.plan;
+    out.s.plan_coco_iterations = c.placement.coco_iterations;
+    out.s.plan_prov = c.placement.prov;
+    out.s.queue_of = generateMtProgram(
+        *in.f, *in.pdg, c.partition, c.placement.plan, *in.cd,
+        in.queue_capacity, in.max_queues, out.s.prog, out.s.queue_prov);
 
     // Every intermediate schedule must pass the static verifier (HB
     // race check included); a failing candidate is rejected, never
@@ -437,27 +329,11 @@ evalCandidate(const AutotuneInputs &in, const Candidate &c,
         return false;
     }
 
-    out.s.cycles =
-        simulateChecked(in, out, nullptr, c.kind + " candidate").cycles;
+    out.run = simulateChecked(chk, decodeProgram(out.s.prog), "MT",
+                              in.cell + ", autotune " + c.kind +
+                                  " candidate");
+    out.s.cycles = out.run.cycles;
     return true;
-}
-
-/** Instrumented, checked re-simulation of the current schedule ->
- *  StallReport for the next feedback round (and @p w's counts). */
-StallReport
-profileSchedule(const AutotuneInputs &in, Working &w)
-{
-    SimProfile profile;
-    SimResult r = simulateChecked(in, w, &profile, "profile run");
-    GMT_ASSERT(r.cycles == w.s.cycles,
-               "autotune instrumented rerun diverged");
-    std::string violation =
-        checkStallConservation(profile, stallTotals(r));
-    if (!violation.empty())
-        panic("autotune stall attribution broke conservation: ",
-              violation);
-    return buildStallReport(profile, r.cycles, w.s.plan, w.s.queue_of,
-                            w.s.prog);
 }
 
 /** Decision record of a tuned partition: one unit per PDG SCC. The
@@ -508,6 +384,26 @@ countMovedInstrs(const ThreadPartition &a, const ThreadPartition &b)
 
 } // namespace
 
+StallReport
+profileChecked(const SimCheck &chk, const MtProgram &prog,
+               const CommPlan &plan, const std::vector<int> &queue_of,
+               uint64_t cycles, const std::string &cell,
+               TimelineBuilder *timeline, SimResult *run)
+{
+    SimProfile profile;
+    SimResult r = simulateChecked(chk, decodeProgram(prog), "MT", cell,
+                                  &profile, timeline);
+    GMT_ASSERT(r.cycles == cycles, "instrumented rerun diverged for ",
+               cell);
+    std::string violation = checkStallConservation(profile, stallTotals(r));
+    if (!violation.empty())
+        panic("stall attribution broke conservation for ", cell, " (",
+              simEngineName(chk.engine), " engine): ", violation);
+    if (run)
+        *run = r;
+    return buildStallReport(profile, r.cycles, plan, queue_of, prog);
+}
+
 AutotuneResult
 autotuneSchedule(const AutotuneInputs &in,
                  const AutotuneSchedule &baseline,
@@ -556,18 +452,26 @@ autotuneSchedule(const AutotuneInputs &in,
     // the accepted move's feedback, so its cost is charged to the
     // round that accepted), and the next round starts from it without
     // re-simulating.
-    StallReport report = profileSchedule(in, cur);
+    const SimCheck chk{in.machine,    in.engine,          in.ref_args,
+                       in.make_memory, in.st_live_outs, in.st_final_mem};
+    const std::string profile_run = in.cell + ", autotune profile run";
+    StallReport report =
+        profileChecked(chk, cur.s.prog, cur.s.plan, cur.s.queue_of,
+                       cur.s.cycles, profile_run, nullptr, &cur.run);
 
     for (int it = 1; it <= opts.max_iterations; ++it) {
         auto t0 = it == 1 ? setup_t0 : Clock::now();
+        auto closeRound = [&] {
+            result.iter_wall_ms.push_back(
+                std::chrono::duration<double, std::milli>(Clock::now() -
+                                                          t0)
+                    .count());
+        };
         result.iterations = it;
 
         if (report.totalStallCycles() == 0) {
             result.converged = true;
-            result.iter_wall_ms.push_back(
-                std::chrono::duration<double, std::milli>(
-                    Clock::now() - t0)
-                    .count());
+            closeRound();
             break;
         }
 
@@ -605,14 +509,15 @@ autotuneSchedule(const AutotuneInputs &in,
             m.moved_instrs =
                 countMovedInstrs(cur.s.partition, c.partition);
 
-            auto fp = std::make_pair(c.partition.assign, c.plan);
+            auto fp =
+                std::make_pair(c.partition.assign, c.placement.plan);
             if (std::find(tried.begin(), tried.end(), fp) !=
                 tried.end()) {
                 m.rejected_because = "duplicate";
             } else {
                 tried.push_back(std::move(fp));
                 std::string reject;
-                if (!evalCandidate(in, c, evals[ci], reject)) {
+                if (!evalCandidate(in, chk, c, evals[ci], reject)) {
                     m.rejected_because = reject;
                 } else {
                     m.cycles = evals[ci].s.cycles;
@@ -632,22 +537,8 @@ autotuneSchedule(const AutotuneInputs &in,
             result.moves.push_back(std::move(m));
         }
 
-        if (best < 0) {
-            for (size_t ci = 0; ci < cands.size(); ++ci)
-                if (result.moves[move_of[ci]].rejected_because.empty())
-                    result.moves[move_of[ci]].rejected_because =
-                        "outscored";
-            result.moves_rejected += static_cast<int>(cands.size());
-            result.converged = true;
-            result.iter_wall_ms.push_back(
-                std::chrono::duration<double, std::milli>(
-                    Clock::now() - t0)
-                    .count());
-            break;
-        }
-
-        // Accept the winner; every other candidate of the round is
-        // rejected (qualifying ones as "outscored").
+        // Accept the winner, if any; every other candidate of the
+        // round is rejected (qualifying ones as "outscored").
         for (size_t ci = 0; ci < cands.size(); ++ci) {
             AutotuneMove &m = result.moves[move_of[ci]];
             if (static_cast<int>(ci) == best) {
@@ -659,6 +550,11 @@ autotuneSchedule(const AutotuneInputs &in,
                 ++result.moves_rejected;
             }
         }
+        if (best < 0) {
+            result.converged = true;
+            closeRound();
+            break;
+        }
 
         cur = std::move(evals[static_cast<size_t>(best)]);
 
@@ -666,16 +562,16 @@ autotuneSchedule(const AutotuneInputs &in,
             opts.on_accept(cur.s);
         result.trajectory.push_back(cur.s.cycles);
         if (it < opts.max_iterations)
-            report = profileSchedule(in, cur);
-        result.iter_wall_ms.push_back(
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      t0)
-                .count());
+            report = profileChecked(chk, cur.s.prog, cur.s.plan,
+                                    cur.s.queue_of, cur.s.cycles,
+                                    profile_run);
+        closeRound();
     }
 
     // The final schedule's counts, from its checked simulation (the
     // round-1 profile run when no move was accepted).
-    for (const ThreadStats &st : cur.counts) {
+    for (const CoreStats &core : cur.run.core) {
+        const ThreadStats &st = core.counts;
         result.computation += st.computation;
         result.duplicated_branches += st.duplicated_branches;
         result.reg_comm += st.produces + st.consumes;

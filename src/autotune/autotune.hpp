@@ -18,19 +18,21 @@
  *  - boundary instructions (PDG SCCs) on the costliest queues are
  *    candidates to migrate between the pair's threads.
  *
- * Every candidate schedule is statically verified (mtverify, HB
- * included) and timing-simulated. The simulation is also the
- * candidate's oracle and counter: its live-outs, final memory and
- * queue drain must equal the single-threaded reference (a mismatch is
- * fatal), and its per-core counts become the Fig. 7 counts of the
- * schedule. The strictly best improvement at or
- * above the relative epsilon is accepted (simulated cycles are
- * monotone non-increasing by construction), and the loop stops when
- * no candidate qualifies or the iteration cap is hit. Candidate
- * generation and acceptance read only deterministic inputs and break
- * ties in canonical candidate order, so the tuned schedule, the move
- * log, and the trajectory are byte-identical at any job count and
- * cache state.
+ * Candidates run the pipeline's own back-half steps (runPartitioner,
+ * placeCommunication, generateMtProgram, simulateChecked and
+ * profileChecked below), with their own failure policy: one whose plan
+ * validatePlan faults or that the static verifier (HB included)
+ * rejects is not taken. The checked simulation is also the candidate's
+ * oracle and counter: its live-outs, final memory and queue drain
+ * must equal the single-threaded reference (a mismatch is fatal), and
+ * its per-core counts become the Fig. 7 counts of the schedule. The
+ * strictly best improvement at or above the relative epsilon is
+ * accepted (simulated cycles are monotone non-increasing by
+ * construction), and the loop stops when no candidate qualifies or
+ * the iteration cap is hit. Candidate generation and acceptance read
+ * only deterministic inputs and break ties in canonical candidate
+ * order, so the tuned schedule, the move log, and the trajectory are
+ * byte-identical at any job count and cache state.
  *
  * A schedule carries the decision records of the calls that built it
  * (COCO's or the default plan's placement record, the queue
@@ -49,6 +51,7 @@
 #include "coco/coco.hpp"
 #include "mtcg/comm_plan.hpp"
 #include "obs/provenance.hpp"
+#include "obs/stall_report.hpp"
 #include "partition/partition.hpp"
 #include "pdg/pdg.hpp"
 #include "runtime/mt_interpreter.hpp"
@@ -197,6 +200,19 @@ struct AutotuneInputs
     /** Cell the oracle's fatal errors name ("ks/GREMIO+COCO+AT"). */
     std::string cell;
 };
+
+/**
+ * The profiled checked run of a schedule (obs-profile, each feedback
+ * round): simulateChecked with a SimProfile attached, which must
+ * reproduce @p cycles and conserve its stall charges, else it panics
+ * naming @p cell. @p timeline and @p run (the result) may be null.
+ */
+StallReport profileChecked(const SimCheck &chk, const MtProgram &prog,
+                           const CommPlan &plan,
+                           const std::vector<int> &queue_of,
+                           uint64_t cycles, const std::string &cell,
+                           TimelineBuilder *timeline = nullptr,
+                           SimResult *run = nullptr);
 
 /**
  * Run the feedback loop starting from @p baseline (the standard

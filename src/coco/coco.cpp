@@ -11,6 +11,7 @@
 #include "coco/relevant.hpp"
 #include "coco/safety.hpp"
 #include "coco/thread_liveness.hpp"
+#include "coco/validate.hpp"
 #include "graph/multi_cut.hpp"
 #include "graph/scc.hpp"
 #include "obs/trace_writer.hpp"
@@ -795,17 +796,27 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     return result;
 }
 
-uint64_t
-planDynamicCost(const Function &f, const CommPlan &plan,
-                const EdgeProfile &profile)
+Placement
+placeCommunication(const Function &f, const Pdg &pdg,
+                   const ThreadPartition &partition,
+                   const ControlDependence &cd, const EdgeProfile &profile,
+                   const CocoOptions *coco, const CocoExec &exec)
 {
-    (void)f;
-    uint64_t cost = 0;
-    for (const auto &pl : plan.placements) {
-        for (const auto &p : pl.points)
-            cost += 2 * profile.pointWeight(p); // produce + consume
+    Placement p;
+    if (coco) {
+        CocoResult res =
+            cocoOptimize(f, pdg, partition, cd, profile, *coco, exec);
+        p.plan = std::move(res.plan);
+        p.coco_iterations = res.iterations;
+        p.prov = std::move(res.provenance);
+        p.warm_starts = res.warm_starts;
+        p.cold_rebuilds = res.cold_rebuilds;
+    } else {
+        p.plan = defaultMtcgPlan(f, pdg, partition, cd);
+        p.prov = defaultPlanProvenance(p.plan, profile);
     }
-    return cost;
+    p.problems = validatePlan(f, pdg, partition, cd, p.plan);
+    return p;
 }
 
 } // namespace gmt

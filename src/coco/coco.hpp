@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/edge_profile.hpp"
@@ -115,12 +116,30 @@ CocoResult cocoOptimize(const Function &f, const Pdg &pdg,
                         const CocoOptions &opts = {},
                         const CocoExec &exec = {});
 
+/** A plan as the placement step makes it. */
+struct Placement
+{
+    CommPlan plan;
+    int coco_iterations = 0;           ///< 0 for the default plan
+    PlacementProvenance prov;          ///< COCO's or "mtcg-default"
+    std::vector<std::string> problems; ///< validatePlan's (empty = ok)
+
+    /** COCO's cut-cache counts (CocoResult); 0 for the default plan. */
+    uint64_t warm_starts = 0;
+    uint64_t cold_rebuilds = 0;
+};
+
 /**
- * Estimated dynamic communication instructions a plan executes
- * (produce + consume at every point, weighted by the profile).
+ * The placement step of the pipeline and of every autotune candidate:
+ * COCO under @p coco, or Algorithm 1's default plan when @p coco is
+ * null, then validatePlan; the caller decides what a problem means.
  */
-uint64_t planDynamicCost(const Function &f, const CommPlan &plan,
-                         const EdgeProfile &profile);
+Placement placeCommunication(const Function &f, const Pdg &pdg,
+                             const ThreadPartition &partition,
+                             const ControlDependence &cd,
+                             const EdgeProfile &profile,
+                             const CocoOptions *coco,
+                             const CocoExec &exec = {});
 
 } // namespace gmt
 

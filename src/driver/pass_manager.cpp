@@ -5,14 +5,10 @@
 
 #include "analysis/loop_info.hpp"
 #include "coco/coco.hpp"
-#include "coco/validate.hpp"
 #include "ir/edge_split.hpp"
 #include "ir/verifier.hpp"
 #include "mtcg/mtcg.hpp"
 #include "mtcg/queue_alloc.hpp"
-#include "mtverify/mtverify.hpp"
-#include "partition/dswp.hpp"
-#include "partition/gremio.hpp"
 #include "pdg/pdg_builder.hpp"
 #include "runtime/interpreter.hpp"
 #include "sim/cmp_simulator.hpp"
@@ -32,6 +28,18 @@ PipelineContext::cellId() const
     if (opts.autotune)
         id += "+AT";
     return id;
+}
+
+MtVerifyInput
+mtVerifyInput(const PipelineContext &ctx, bool check_hb)
+{
+    return {.orig = &ctx.ir->func,
+            .pdg = &ctx.pdg->pdg,
+            .partition = &ctx.partition->partition,
+            .plan = &ctx.plan->plan,
+            .queue_of = &ctx.prog->queue_of,
+            .prog = &ctx.prog->prog,
+            .check_hb = check_hb};
 }
 
 // ---------------------------------------------------------------------------
@@ -442,16 +450,10 @@ passPartition(PipelineContext &ctx, PassStats &ps)
         [&]() -> std::shared_ptr<const PartitionArtifact> {
             const Pdg &pdg = ctx.pdg->pdg;
             auto art = std::make_shared<PartitionArtifact>();
-            art->partition =
-                ctx.opts.scheduler == Scheduler::Dswp
-                    ? dswpPartition(
-                          pdg, ctx.profile->profile,
-                          {.num_threads = ctx.opts.num_threads},
-                          &art->prov)
-                    : gremioPartition(
-                          pdg, ctx.profile->profile,
-                          {.num_threads = ctx.opts.num_threads},
-                          &art->prov);
+            art->partition = runPartitioner(
+                pdg, ctx.profile->profile,
+                ctx.opts.scheduler == Scheduler::Gremio,
+                ctx.opts.num_threads, nullptr, &art->prov);
             auto problems = validatePartition(
                 pdg, art->partition,
                 ctx.opts.scheduler == Scheduler::Dswp);
@@ -474,40 +476,27 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
     ctx.plan = ctx.cached<PlanArtifact>(
         planKey(ctx),
         [&]() -> std::shared_ptr<const PlanArtifact> {
-            const Function &f = ctx.ir->func;
-            const Pdg &pdg = ctx.pdg->pdg;
-            const ControlDependence &cd = ctx.pdg->cd;
-            auto art = std::make_shared<PlanArtifact>();
+            // The plan is bit-identical at any job count (the artifact
+            // may be shared across cells that differ only in
+            // coco_jobs — planKey() has no jobs axis).
+            Placement p = placeCommunication(
+                ctx.ir->func, ctx.pdg->pdg, ctx.partition->partition,
+                ctx.pdg->cd, ctx.profile->profile,
+                ctx.opts.use_coco ? &ctx.opts.coco : nullptr,
+                CocoExec{ctx.pool, ctx.opts.coco_jobs, ctx.trace});
+            if (!p.problems.empty())
+                fatal(ctx.opts.use_coco ? "COCO" : "MTCG",
+                      " plan invalid for ", ctx.cellId(), ": ",
+                      p.problems[0]);
             if (ctx.opts.use_coco) {
-                // The plan is bit-identical at any job count (the
-                // artifact may be shared across cells that differ
-                // only in coco_jobs — planKey() has no jobs axis).
-                CocoExec exec{ctx.pool, ctx.opts.coco_jobs,
-                              ctx.trace};
-                auto coco = cocoOptimize(f, pdg,
-                                         ctx.partition->partition, cd,
-                                         ctx.profile->profile,
-                                         ctx.opts.coco, exec);
-                art->plan = std::move(coco.plan);
-                art->coco_iterations = coco.iterations;
-                art->prov = std::move(coco.provenance);
                 ps.add("coco_warm_starts",
-                       static_cast<int64_t>(coco.warm_starts));
+                       static_cast<int64_t>(p.warm_starts));
                 ps.add("coco_cold_rebuilds",
-                       static_cast<int64_t>(coco.cold_rebuilds));
-                auto problems =
-                    validatePlan(f, pdg, ctx.partition->partition, cd,
-                                 art->plan);
-                if (!problems.empty())
-                    fatal("COCO plan invalid for ",
-                          ctx.workload->name, ": ", problems[0]);
-            } else {
-                art->plan = defaultMtcgPlan(
-                    f, pdg, ctx.partition->partition, cd);
-                art->prov = defaultPlanProvenance(
-                    art->plan, ctx.profile->profile);
+                       static_cast<int64_t>(p.cold_rebuilds));
             }
-            return art;
+            return std::make_shared<PlanArtifact>(
+                PlanArtifact{std::move(p.plan), p.coco_iterations,
+                             std::move(p.prov)});
         },
         ps);
     ps.add("placements",
@@ -525,16 +514,12 @@ passMtcg(PipelineContext &ctx, PassStats &ps)
             // decoupling, single-element queues for GREMIO (paper
             // §4). Queues are one-per-placement here; the queue-alloc
             // pass multiplexes them onto an architected budget.
-            MtcgOptions mtcg_opts;
-            mtcg_opts.queue_capacity = resolvedQueueCapacity(ctx.opts);
-            mtcg_opts.max_queues = 0;
             auto art = std::make_shared<ProgramArtifact>();
-            art->prog = runMtcg(ctx.ir->func, ctx.pdg->pdg,
-                                ctx.partition->partition,
-                                ctx.plan->plan, ctx.pdg->cd, mtcg_opts);
-            // max_queues == 0: placement i owns queue i.
-            art->queue_of = assignQueues(ctx.plan->plan, 0, art->prog,
-                                         art->queues);
+            art->queue_of = generateMtProgram(
+                ctx.ir->func, ctx.pdg->pdg, ctx.partition->partition,
+                ctx.plan->plan, ctx.pdg->cd,
+                resolvedQueueCapacity(ctx.opts), 0, art->prog,
+                art->queues);
             return art;
         },
         ps);
@@ -578,15 +563,8 @@ passVerifyMt(PipelineContext &ctx, PassStats &ps)
     }
     // Never cached: like the verify pass, this is the safety net the
     // execution stages assume, and it must re-check cached artifacts.
-    MtVerifyInput in;
-    in.orig = &ctx.ir->func;
-    in.pdg = &ctx.pdg->pdg;
-    in.partition = &ctx.partition->partition;
-    in.plan = &ctx.plan->plan;
-    in.queue_of = &ctx.prog->queue_of;
-    in.prog = &ctx.prog->prog;
-    in.check_hb = ctx.opts.verify_hb;
-    MtVerifyResult res = verifyMtProgram(in);
+    MtVerifyResult res =
+        verifyMtProgram(mtVerifyInput(ctx, ctx.opts.verify_hb));
     ps.add("diags", static_cast<int64_t>(res.diags.size()));
     ps.add("errors", res.errors());
     ps.add("warnings", res.warnings());
@@ -681,6 +659,17 @@ emitSimRecord(PipelineContext &ctx, const char *which,
     ctx.stats->write(rec);
 }
 
+/** What this cell's checked runs reproduce: its ref input and the
+ *  shared ST reference (mt-run's artifact, alive for the pass). */
+SimCheck
+simCheckOf(const PipelineContext &ctx)
+{
+    const Workload &w = *ctx.workload;
+    return {ctx.opts.machine, ctx.opts.sim_engine, &w.ref_args,
+            [&w]() { return workloadMemory(w, /*ref=*/true); },
+            &ctx.st_ref->live_outs, &ctx.st_ref->final_mem};
+}
+
 void
 passSim(PipelineContext &ctx, PassStats &ps)
 {
@@ -700,17 +689,16 @@ passSim(PipelineContext &ctx, PassStats &ps)
     const std::string core_mkey = coreMachineKey(cfg) + esuf;
     const std::string mkey = machineKey(cfg) + esuf;
     const std::string cell = ctx.cellId();
-    auto st_ref = ctx.st_ref;
+    const SimCheck chk = simCheckOf(ctx);
 
     PassStats st_sub;
     ctx.st_sim = ctx.cached<StSimArtifact>(
         "stsim|" + w.cacheKey() + '|' + core_mkey,
-        [&, st_ref]() -> std::shared_ptr<const StSimArtifact> {
-            MemoryImage mem = workloadMemory(w, /*ref=*/true);
-            SimResult st = simulateSingleThreaded(ctx.ir->func, w.ref_args,
-                                                  mem, cfg, engine);
-            checkSimOutput(st, mem, st_ref->live_outs, st_ref->final_mem,
-                           "ST", cell);
+        [&]() -> std::shared_ptr<const StSimArtifact> {
+            DecodedProgram original;
+            original.threads.push_back(decodeThread(ctx.ir->func));
+            original.queue_capacity = cfg.queue_capacity;
+            SimResult st = simulateChecked(chk, original, "ST", cell);
             emitSimRecord(ctx, "st", st);
             auto art = std::make_shared<StSimArtifact>();
             art->cycles = st.cycles;
@@ -722,15 +710,11 @@ passSim(PipelineContext &ctx, PassStats &ps)
     // The one execution of the MT program: its oracle (against the
     // shared ST reference), its cycles and the counter of the cell's
     // Fig. 7 counts, which the mt-run pass leaves to this pass.
-    auto prog = ctx.prog;
     ctx.mt_run = ctx.cached<MtRunArtifact>(
         "mtsim|" + queueAllocKey(ctx) + '|' + mkey,
-        [&, st_ref, prog]() -> std::shared_ptr<const MtRunArtifact> {
-            MemoryImage mem = workloadMemory(w, /*ref=*/true);
-            SimResult mt = CmpSimulator(cfg, engine).run(
-                prog->prog, w.ref_args, mem);
-            checkSimOutput(mt, mem, st_ref->live_outs,
-                           st_ref->final_mem, "MT", cell);
+        [&]() -> std::shared_ptr<const MtRunArtifact> {
+            SimResult mt = simulateChecked(chk, decodeProgram(ctx.prog->prog),
+                                           "MT", cell);
             emitSimRecord(ctx, "mt", mt);
             auto art = std::make_shared<MtRunArtifact>();
             art->cycles = mt.cycles;
@@ -925,37 +909,15 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
         ps.add("skipped", 1);
         return;
     }
-    const Workload &w = *ctx.workload;
-    const MachineConfig cfg = ctx.opts.machine;
-    const SimEngine engine = ctx.opts.sim_engine;
-    auto prog = ctx.prog;
-    auto plan = ctx.plan;
-    auto mt_run = ctx.mt_run;
     ctx.obs = ctx.cached<ObsProfileArtifact>(
         obsProfileKey(ctx),
-        [&w, cfg, engine, prog, plan,
-         mt_run]() -> std::shared_ptr<const ObsProfileArtifact> {
-            MemoryImage mem = workloadMemory(w, /*ref=*/true);
-            CmpSimulator sim(cfg, engine);
-            SimProfile profile;
+        [&]() -> std::shared_ptr<const ObsProfileArtifact> {
             TimelineBuilder timeline;
-            sim.setProfile(&profile);
-            sim.setTimeline(&timeline);
-            SimResult r = sim.run(prog->prog, w.ref_args, mem);
-            GMT_ASSERT(r.cycles == mt_run->cycles,
-                       "instrumented rerun diverged from the sim "
-                       "pass for ",
-                       w.name);
-            std::string violation =
-                checkStallConservation(profile, stallTotals(r));
-            if (!violation.empty())
-                panic("stall attribution broke conservation for ",
-                      w.name, " (", simEngineName(engine),
-                      " engine): ", violation);
             auto art = std::make_shared<ObsProfileArtifact>();
             art->report =
-                buildStallReport(profile, r.cycles, plan->plan,
-                                 prog->queue_of, prog->prog);
+                profileChecked(simCheckOf(ctx), ctx.prog->prog,
+                               ctx.plan->plan, ctx.prog->queue_of,
+                               ctx.mt_run->cycles, ctx.cellId(), &timeline);
             art->timeline = timeline.take();
             return art;
         },

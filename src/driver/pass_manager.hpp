@@ -23,6 +23,11 @@
  * final memory and queue drain are checked against the reference and
  * its cycles and per-core counts become the cell's MtRunArtifact.
  *
+ * The partition, placement, mtcg, sim and obs-profile passes call the
+ * routines the autotuner's candidates call (runPartitioner,
+ * placeCommunication, generateMtProgram, simulateChecked,
+ * profileChecked), adding caching, stats and a fatal naming the cell.
+ *
  * Passes communicate exclusively through the context's immutable
  * shared artifacts, which is what makes both the caching and the
  * parallel experiment runner safe: a cached artifact is never
@@ -43,6 +48,7 @@
 #include "driver/pipeline.hpp"
 #include "driver/stats.hpp"
 #include "mtcg/comm_plan.hpp"
+#include "mtverify/mtverify.hpp"
 #include "obs/provenance.hpp"
 #include "obs/stall_report.hpp"
 #include "obs/timeline.hpp"
@@ -320,6 +326,9 @@ struct PipelineContext
         return value;
     }
 };
+
+/** The MT verifier's input for @p ctx's codegen artifacts. */
+MtVerifyInput mtVerifyInput(const PipelineContext &ctx, bool check_hb);
 
 /**
  * An ordered list of named passes over a PipelineContext. run()

@@ -197,4 +197,15 @@ runMtcg(const Function &f, const Pdg &pdg,
     return prog;
 }
 
+std::vector<int>
+generateMtProgram(const Function &f, const Pdg &pdg,
+                  const ThreadPartition &partition, const CommPlan &plan,
+                  const ControlDependence &cd, int queue_capacity,
+                  int max_queues, MtProgram &prog, QueueProvenance &prov)
+{
+    prog = runMtcg(f, pdg, partition, plan, cd,
+                   {.queue_capacity = queue_capacity, .max_queues = 0});
+    return assignQueues(plan, max_queues, prog, prov);
+}
+
 } // namespace gmt

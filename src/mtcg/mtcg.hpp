@@ -50,6 +50,15 @@ MtProgram runMtcg(const Function &f, const Pdg &pdg,
                   const ControlDependence &cd,
                   const MtcgOptions &opts = {});
 
+/** The codegen step of the pipeline and of every autotune candidate:
+ *  runMtcg into @p prog, then assignQueues. @return queue_of. */
+std::vector<int> generateMtProgram(const Function &f, const Pdg &pdg,
+                                   const ThreadPartition &partition,
+                                   const CommPlan &plan,
+                                   const ControlDependence &cd,
+                                   int queue_capacity, int max_queues,
+                                   MtProgram &prog, QueueProvenance &prov);
+
 } // namespace gmt
 
 #endif // GMT_MTCG_MTCG_HPP

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "partition/dswp.hpp"
+#include "partition/gremio.hpp"
 #include "support/error.hpp"
 
 namespace gmt
@@ -25,6 +27,20 @@ singleThreadPartition(const Function &f)
     p.num_threads = 1;
     p.assign.assign(f.numInstrs(), 0);
     return p;
+}
+
+ThreadPartition
+runPartitioner(const Pdg &pdg, const EdgeProfile &profile, bool gremio,
+               int num_threads, const PartitionFeedback *feedback,
+               PartitionProvenance *prov)
+{
+    if (gremio)
+        return gremioPartition(
+            pdg, profile, {.num_threads = num_threads, .feedback = feedback},
+            prov);
+    return dswpPartition(
+        pdg, profile, {.num_threads = num_threads, .feedback = feedback},
+        prov);
 }
 
 std::vector<std::string>

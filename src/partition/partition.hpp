@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/edge_profile.hpp"
+#include "obs/provenance.hpp"
 #include "pdg/pdg.hpp"
 
 namespace gmt
@@ -79,6 +81,15 @@ struct PartitionFeedback
         return true;
     }
 };
+
+/**
+ * The partition step of the pipeline and of autotune re-weights: GREMIO
+ * when @p gremio, else DSWP; @p feedback and @p prov may be null.
+ */
+ThreadPartition runPartitioner(const Pdg &pdg, const EdgeProfile &profile,
+                               bool gremio, int num_threads,
+                               const PartitionFeedback *feedback,
+                               PartitionProvenance *prov);
 
 /**
  * Check a partition: every instruction assigned to a valid thread.

@@ -562,6 +562,21 @@ simulate(const MachineConfig &config, SimProfile *profile_in,
     return result;
 }
 
+/** The oracle rule (see simulateChecked). */
+void
+checkSimOutput(const SimResult &r, const MemoryImage &mem,
+               const std::vector<int64_t> &ref_live_outs,
+               const MemoryImage &ref_mem, const char *which,
+               const std::string &cell)
+{
+    const char *what = r.live_outs != ref_live_outs ? "live-outs differ"
+                       : !(mem == ref_mem) ? "final memory differs"
+                       : !r.queues_drained ? "queues not drained"
+                                           : nullptr;
+    if (what)
+        fatal(which, " output mismatch for ", cell, ": ", what);
+}
+
 } // namespace
 
 const char *
@@ -602,18 +617,18 @@ CmpSimulator::run(const DecodedProgram &prog,
                                         mem, max_cycles);
 }
 
-void
-checkSimOutput(const SimResult &r, const MemoryImage &mem,
-               const std::vector<int64_t> &ref_live_outs,
-               const MemoryImage &ref_mem, const char *which,
-               const std::string &cell)
+SimResult
+simulateChecked(const SimCheck &chk, const DecodedProgram &prog,
+                const char *which, const std::string &cell,
+                SimProfile *profile, TimelineBuilder *timeline)
 {
-    const char *what = r.live_outs != ref_live_outs ? "live-outs differ"
-                       : !(mem == ref_mem) ? "final memory differs"
-                       : !r.queues_drained ? "queues not drained"
-                                           : nullptr;
-    if (what)
-        fatal(which, " output mismatch for ", cell, ": ", what);
+    MemoryImage mem = chk.make_memory();
+    CmpSimulator sim(chk.machine, chk.engine);
+    sim.setProfile(profile);
+    sim.setTimeline(timeline);
+    SimResult r = sim.run(prog, *chk.args, mem);
+    checkSimOutput(r, mem, *chk.live_outs, *chk.final_mem, which, cell);
+    return r;
 }
 
 std::vector<CoreStallTotals>

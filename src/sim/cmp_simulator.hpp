@@ -10,7 +10,7 @@
  * so one simulated run is a schedule's timing, its MT oracle and its
  * dynamic counts at once: the pass pipeline and the autotuner check
  * its live-outs, final memory and queue drain against the
- * single-threaded interpreter (checkSimOutput) and publish its
+ * single-threaded interpreter (simulateChecked) and publish its
  * counts. verify-mt's
  * happens-before check proves every schedule race-free, so neither
  * the output nor any thread's instruction stream depends on the
@@ -56,6 +56,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -211,16 +212,29 @@ class CmpSimulator
  */
 std::vector<CoreStallTotals> stallTotals(const SimResult &r);
 
+/** A checked run's machine, reference input (live-ins, fresh memory
+ *  image) and single-threaded truth (live-outs, final memory). */
+struct SimCheck
+{
+    MachineConfig machine;
+    SimEngine engine = SimEngine::Fast;
+    const std::vector<int64_t> *args = nullptr;
+    std::function<MemoryImage()> make_memory;
+    const std::vector<int64_t> *live_outs = nullptr;
+    const MemoryImage *final_mem = nullptr;
+};
+
 /**
- * The oracle rule for a simulated run: its live-outs, its final
- * memory @p mem and its queue drain must match the single-threaded
- * reference. Otherwise raises a FatalError
+ * Every schedule's timing run (sim pass, obs-profile, autotuner):
+ * simulate @p prog on a fresh reference-input image, @p profile and
+ * @p timeline attached when non-null. Live-outs, final memory and
+ * queue drain must match the reference, else a FatalError
  * "<which> output mismatch for <cell>: <what differs>".
  */
-void checkSimOutput(const SimResult &r, const MemoryImage &mem,
-                    const std::vector<int64_t> &ref_live_outs,
-                    const MemoryImage &ref_mem, const char *which,
-                    const std::string &cell);
+SimResult simulateChecked(const SimCheck &chk, const DecodedProgram &prog,
+                          const char *which, const std::string &cell,
+                          SimProfile *profile = nullptr,
+                          TimelineBuilder *timeline = nullptr);
 
 /**
  * Convenience: decode the single-threaded original and simulate it on

@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "autotune/autotune.hpp"
 #include "driver/pass_manager.hpp"
 #include "obs/stall_profile.hpp"
 #include "obs/stall_report.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_writer.hpp"
 #include "sim/cmp_simulator.hpp"
+#include "support/error.hpp"
 #include "workloads/workload.hpp"
 
 namespace gmt
@@ -320,6 +323,76 @@ TEST(StallConservation, DetectsLostCycle)
     EXPECT_EQ(checkStallConservation(p, agg), "");
     agg[0].operand = 11; // one cycle the attribution never charged
     EXPECT_NE(checkStallConservation(p, agg), "");
+}
+
+// ---------------------------------------------------------------------------
+// The checked simulation the sim and obs-profile passes and the
+// autotuner share: its oracle holds lean and with a SimProfile
+// attached (the profiled path is obs-profile's), and every failure
+// names the cell.
+
+TEST(CheckedSim, OracleNamesTheCellLeanAndProfiled)
+{
+    Workload w = allWorkloads().front();
+    PipelineOptions po;
+    PipelineContext ctx(w, po);
+    PassManager::standardPipeline().run(ctx);
+    const std::string cell = ctx.cellId();
+
+    std::vector<int64_t> live_outs = ctx.st_ref->live_outs;
+    MemoryImage final_mem = ctx.st_ref->final_mem;
+    const SimCheck chk{po.machine,
+                       po.sim_engine,
+                       &w.ref_args,
+                       [&w]() { return workloadMemory(w, /*ref=*/true); },
+                       &live_outs,
+                       &final_mem};
+    const MtProgram &prog = ctx.prog->prog;
+    const uint64_t cycles = ctx.mt_run->cycles;
+    auto lean = [&] { simulateChecked(chk, decodeProgram(prog), "MT", cell); };
+    auto profiled = [&] {
+        profileChecked(chk, prog, ctx.plan->plan, ctx.prog->queue_of,
+                       cycles, cell);
+    };
+    auto expectMismatch = [&](const std::function<void()> &run,
+                              const std::string &what) {
+        try {
+            run();
+            ADD_FAILURE() << "no mismatch raised: " << what;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "MT output mismatch for " + cell + ": " + what);
+        }
+    };
+
+    // The true reference passes both ways.
+    EXPECT_NO_THROW(lean());
+    EXPECT_NO_THROW(profiled());
+
+    // One wrong live-out.
+    ASSERT_FALSE(live_outs.empty());
+    live_outs[0] += 1;
+    expectMismatch(lean, "live-outs differ");
+    expectMismatch(profiled, "live-outs differ");
+    live_outs[0] -= 1;
+
+    // One wrong memory word.
+    ASSERT_GT(final_mem.size(), 0);
+    final_mem.write(0, final_mem.read(0) + 1);
+    expectMismatch(lean, "final memory differs");
+    expectMismatch(profiled, "final memory differs");
+    final_mem = ctx.st_ref->final_mem;
+
+    // A profiled rerun that misses the schedule's known cycles.
+    try {
+        profileChecked(chk, prog, ctx.plan->plan, ctx.prog->queue_of,
+                       cycles + 1, cell);
+        ADD_FAILURE() << "no divergence raised";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("diverged for " + cell),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------------

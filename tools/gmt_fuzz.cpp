@@ -278,14 +278,8 @@ runCell(const Workload &w, const CellConfig &cfg,
         PipelineContext ctx(w, po);
         PassManager::codegenPipeline().run(ctx);
         {
-            MtVerifyInput in;
-            in.orig = &ctx.ir->func;
-            in.pdg = &ctx.pdg->pdg;
-            in.partition = &ctx.partition->partition;
-            in.plan = &ctx.plan->plan;
-            in.queue_of = &ctx.prog->queue_of;
-            in.prog = &ctx.prog->prog;
-            MtVerifyResult res = verifyMtProgram(in);
+            MtVerifyResult res =
+                verifyMtProgram(mtVerifyInput(ctx, /*check_hb=*/true));
             if (!res.ok()) {
                 // Diags come back sorted; the first error's code is a
                 // deterministic signature.

@@ -250,15 +250,8 @@ main(int argc, char **argv)
                     continue;
                 }
 
-                MtVerifyInput in;
-                in.orig = &ctx.ir->func;
-                in.pdg = &ctx.pdg->pdg;
-                in.partition = &ctx.partition->partition;
-                in.plan = &ctx.plan->plan;
-                in.queue_of = &ctx.prog->queue_of;
-                in.prog = &ctx.prog->prog;
-                in.check_hb = opts.hb;
-                MtVerifyResult res = verifyMtProgram(in);
+                MtVerifyResult res =
+                    verifyMtProgram(mtVerifyInput(ctx, opts.hb));
 
                 total_errors += res.errors();
                 total_warnings += res.warnings();
