@@ -18,6 +18,20 @@ namespace gmt
 namespace
 {
 
+/** Hard cap on feedback rounds. */
+constexpr int kMaxIterations = 8;
+
+/** Convergence gate: a candidate is accepted only when it improves
+ *  simulated cycles by at least this relative fraction (and at least
+ *  one cycle); otherwise the loop has converged. */
+constexpr double kMinRelImprovement = 1e-4;
+
+/** Stall-ranked queues considered for boundary migration. */
+constexpr int kMigrateTopQueues = 3;
+
+/** Cap on migration candidates per round. */
+constexpr int kMigrateMaxCandidates = 8;
+
 /** Internal working state: the public schedule plus its checked
  *  simulation, whose per-core counts are the schedule's. */
 struct Working
@@ -114,13 +128,14 @@ deriveFeedback(const AutotuneInputs &in, const AutotuneSchedule &cur,
 }
 
 /** Generate this round's candidates, canonical order: recut, then
- *  reweight, then migrations by stall rank. */
+ *  reweight, then migrations by stall rank. @p min_gain is the
+ *  round's acceptance gate in cycles. */
 std::vector<Candidate>
 generateCandidates(const AutotuneInputs &in, const Working &cur,
                    const StallReport &report, const Feedback &fb,
                    const SccResult &sccs,
                    std::vector<std::vector<int>> &tried_partitions,
-                   const AutotuneOptions &opts,
+                   uint64_t min_gain,
                    std::vector<AutotuneMove> &invalid_moves,
                    int iteration, AutotuneResult &result)
 {
@@ -216,10 +231,6 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
     // rounds as expensive as the cold first round. The first round
     // keeps the widest net — it sees the baseline's concentrated
     // stalls and is where most accepts happen.
-    const uint64_t min_gain = std::max<uint64_t>(
-        1, static_cast<uint64_t>(std::ceil(
-               static_cast<double>(cur.s.cycles) *
-               opts.min_rel_improvement)));
     const uint64_t min_queue_stall =
         iteration == 1 ? min_gain
                        : std::max(min_gain, (total_stall + 9) / 10);
@@ -227,8 +238,8 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
     std::vector<std::pair<int, int>> tried_moves; // (unit, to)
     int migrations = 0;
     for (const QueueAttribution &q : report.queues) {
-        if (queues_used >= opts.migrate_top_queues ||
-            migrations >= opts.migrate_max_candidates)
+        if (queues_used >= kMigrateTopQueues ||
+            migrations >= kMigrateMaxCandidates)
             break;
         uint64_t stall = q.prof.stallCycles();
         if (stall < min_queue_stall)
@@ -243,7 +254,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                     {sccs.component[arcs[a].src], pd.dst_thread},
                     {sccs.component[arcs[a].dst], pd.src_thread}};
                 for (const auto &[unit, to] : ends) {
-                    if (migrations >= opts.migrate_max_candidates)
+                    if (migrations >= kMigrateMaxCandidates)
                         break;
                     if (std::find(tried_moves.begin(),
                                   tried_moves.end(),
@@ -459,7 +470,7 @@ autotuneSchedule(const AutotuneInputs &in,
         profileChecked(chk, cur.s.prog, cur.s.plan, cur.s.queue_of,
                        cur.s.cycles, profile_run, nullptr, &cur.run);
 
-    for (int it = 1; it <= opts.max_iterations; ++it) {
+    for (int it = 1; it <= kMaxIterations; ++it) {
         auto t0 = it == 1 ? setup_t0 : Clock::now();
         auto closeRound = [&] {
             result.iter_wall_ms.push_back(
@@ -475,11 +486,19 @@ autotuneSchedule(const AutotuneInputs &in,
             break;
         }
 
+        // Acceptance gate: relative epsilon on current cycles, at
+        // least one cycle (strict improvement). Migrations reuse it as
+        // their evidence threshold.
+        const uint64_t min_gain = std::max<uint64_t>(
+            1, static_cast<uint64_t>(
+                   std::ceil(static_cast<double>(cur.s.cycles) *
+                             kMinRelImprovement)));
+
         Feedback fb = deriveFeedback(in, cur.s, report);
         std::vector<AutotuneMove> invalid;
         std::vector<Candidate> cands = generateCandidates(
-            in, cur, report, fb, sccs, tried_partitions, opts, invalid,
-            it, result);
+            in, cur, report, fb, sccs, tried_partitions, min_gain,
+            invalid, it, result);
 
         // Invalid candidates (never simulated) are recorded first —
         // their order within the round is canonical too.
@@ -487,13 +506,6 @@ autotuneSchedule(const AutotuneInputs &in,
             ++result.moves_rejected;
             result.moves.push_back(std::move(m));
         }
-
-        // Acceptance threshold: relative epsilon on current cycles,
-        // at least one cycle (strict improvement).
-        const uint64_t min_gain = std::max<uint64_t>(
-            1, static_cast<uint64_t>(std::ceil(
-                   static_cast<double>(cur.s.cycles) *
-                   opts.min_rel_improvement)));
 
         std::vector<Working> evals(cands.size());
         std::vector<size_t> move_of(cands.size());
@@ -561,7 +573,7 @@ autotuneSchedule(const AutotuneInputs &in,
         if (opts.on_accept)
             opts.on_accept(cur.s);
         result.trajectory.push_back(cur.s.cycles);
-        if (it < opts.max_iterations)
+        if (it < kMaxIterations)
             report = profileChecked(chk, cur.s.prog, cur.s.plan,
                                     cur.s.queue_of, cur.s.cycles,
                                     profile_run);

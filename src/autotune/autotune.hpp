@@ -81,25 +81,10 @@ struct AutotuneSchedule
     QueueProvenance queue_prov;
 };
 
-/** Autotuner knobs (result axes; keyed by the driver). */
+/** Autotuner hooks. The loop's thresholds are constants in
+ *  autotune.cpp. */
 struct AutotuneOptions
 {
-    /** Hard cap on feedback iterations. */
-    int max_iterations = 8;
-
-    /**
-     * Convergence gate: a candidate is accepted only when it improves
-     * simulated cycles by at least this relative fraction; otherwise
-     * the loop has converged.
-     */
-    double min_rel_improvement = 1e-4;
-
-    /** Stall-ranked queues considered for boundary migration. */
-    int migrate_top_queues = 3;
-
-    /** Cap on migration candidates per iteration. */
-    int migrate_max_candidates = 8;
-
     /**
      * Execution-only test hook (never part of a cache key): called
      * with every accepted intermediate schedule, in acceptance order.

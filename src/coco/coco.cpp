@@ -28,6 +28,10 @@ using RegKey = std::tuple<int, int, Reg>;      // (ts, tt, r)
 using PairKey = std::pair<int, int>;           // (ts, tt)
 using PointList = std::vector<ProgramPoint>;
 
+/** Safety cap on the repeat-until loop, which converges on its own:
+ *  relevant-branch sets only grow (paper §3.2). */
+constexpr int kMaxIterations = 16;
+
 PointList
 normalize(PointList points)
 {
@@ -372,7 +376,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
 
     std::vector<int> needers;
 
-    for (int iter = 0; iter < opts.max_iterations; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
         ++result.iterations;
         result.register_cut_cost = 0;
         result.memory_cut_cost = 0;
@@ -483,10 +487,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                                &relevant, &trans_deps,
                                opts.control_flow_penalties};
 
-        auto specable = [&](const CutProblem &p) {
-            return p.is_mem ? opts.optimize_memory
-                            : opts.optimize_registers;
-        };
         auto fresh = [&](const CutProblem &p) {
             const CachedCut &slot = slotFor(p);
             return slot.valid && slot.vts == rel_version[p.ts] &&
@@ -502,7 +502,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             // the memo map must not be mutated concurrently).
             for (size_t j = from; j < problems.size(); ++j) {
                 const CutProblem &p = problems[j];
-                if (specable(p) && !fresh(p) && !p.is_mem)
+                if (!fresh(p) && !p.is_mem)
                     livenessFor(p.tt);
             }
             struct SpecTask
@@ -515,7 +515,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             std::vector<SpecTask> todo;
             for (size_t j = from; j < problems.size(); ++j) {
                 const CutProblem &p = problems[j];
-                if (!specable(p) || fresh(p))
+                if (fresh(p))
                     continue;
                 CachedCut *slot = &slotFor(p);
                 slot->valid = false;
@@ -615,12 +615,12 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             return slot;
         };
 
-        // Decision record of problem @p i: the cut's per-point
-        // breakdown when its points were taken (@p from_cut), else the
-        // chosen points at their profile weight. The iteration carries
-        // over from @p prev while rule and points are unchanged.
-        auto decide = [&](size_t i, const CachedCut *used_cut,
-                          bool from_cut, const PointList &points,
+        // Decision record of problem @p i, solved as @p cut: the cut's
+        // per-point breakdown when its points were taken (@p from_cut),
+        // else the chosen points at their profile weight. The iteration
+        // carries over from @p prev while rule and points are unchanged.
+        auto decide = [&](size_t i, const CachedCut &cut, bool from_cut,
+                          const PointList &points,
                           const PlacementDecision *prev) {
             const CutProblem &p = problems[i];
             PlacementDecision d;
@@ -632,13 +632,11 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             if (p.is_mem)
                 d.num_deps = static_cast<int>(p.deps->size());
             d.rule = from_cut ? "coco-cut" : "coco-default";
-            if (used_cut) {
-                d.cut_cost = used_cut->cost;
-                d.graph_nodes = used_cut->graph_nodes;
-                d.graph_arcs = used_cut->graph_arcs;
-            }
+            d.cut_cost = cut.cost;
+            d.graph_nodes = cut.graph_nodes;
+            d.graph_arcs = cut.graph_arcs;
             if (from_cut) {
-                d.points = used_cut->breakdown;
+                d.points = cut.breakdown;
             } else {
                 for (const auto &pt : points)
                     d.points.push_back(
@@ -663,11 +661,10 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                 // Pair boundary: if speculation went stale (earlier
                 // pairs grew a relevant set), re-solve the remaining
                 // tail in parallel before continuing.
-                if (parallel && specable(p) && !fresh(p)) {
+                if (parallel && !fresh(p)) {
                     size_t stale = 0;
                     for (size_t j = i; j < problems.size(); ++j) {
-                        if (specable(problems[j]) &&
-                            !fresh(problems[j]))
+                        if (!fresh(problems[j]))
                             ++stale;
                     }
                     if (stale >= 2)
@@ -680,67 +677,47 @@ cocoOptimize(const Function &f, const Pdg &pdg,
             }
 
             if (!p.is_mem) {
-                PointList points;
-                const CachedCut *used_cut = nullptr;
-                if (opts.optimize_registers) {
-                    // The solve reads relevant[ts] and relevant[tt]
-                    // (graph) plus the pair-entry liveness snapshot;
-                    // the versions tag all three only while tt has
-                    // not grown since pair entry.
-                    const CachedCut &cut = answer(
-                        p, rel_version[p.tt] == pair_entry_vtt,
-                        [&](CachedCut &out) {
-                            solveRegCut(inputs, *safety[p.ts], *live,
-                                        p.r, p.ts, p.tt, *main_arena,
-                                        out);
-                        });
-                    GMT_ASSERT(cut.finite, "no finite register cut");
-                    result.register_cut_cost += cut.cost;
-                    points = cut.points;
-                    used_cut = &cut;
-                }
-                const bool from_cut = !points.empty();
-                if (points.empty()) {
-                    points = defaultRegPoints(f, pdg, partition,
-                                              relevant, reg_arcs,
-                                              p.ts, p.tt, p.r,
-                                              needers);
-                }
+                // The solve reads relevant[ts] and relevant[tt]
+                // (graph) plus the pair-entry liveness snapshot; the
+                // versions tag all three only while tt has not grown
+                // since pair entry.
+                const CachedCut &cut = answer(
+                    p, rel_version[p.tt] == pair_entry_vtt,
+                    [&](CachedCut &out) {
+                        solveRegCut(inputs, *safety[p.ts], *live, p.r,
+                                    p.ts, p.tt, *main_arena, out);
+                    });
+                GMT_ASSERT(cut.finite, "no finite register cut");
+                result.register_cut_cost += cut.cost;
+                const bool from_cut = !cut.points.empty();
+                PointList points =
+                    from_cut ? cut.points
+                             : defaultRegPoints(f, pdg, partition,
+                                                relevant, reg_arcs, p.ts,
+                                                p.tt, p.r, needers);
                 const RegKey key{p.ts, p.tt, p.r};
                 new_reg_dec.push_back(
-                    {key, decide(i, used_cut, from_cut, points,
+                    {key, decide(i, cut, from_cut, points,
                                  prevDec(reg_decs, key))});
                 new_reg.push_back({key, points});
                 for (const auto &pt : points)
                     grow(p.tt, pt);
             } else {
-                PointList points;
-                const CachedCut *used_cut = nullptr;
-                if (opts.optimize_memory) {
-                    // Memory graphs read no liveness, so the versions
-                    // always tag every input.
-                    const CachedCut &cut =
-                        answer(p, true, [&](CachedCut &out) {
-                            solveMemCut(inputs, *p.deps, p.ts, p.tt,
-                                        opts, *main_arena, out);
-                        });
-                    GMT_ASSERT(cut.finite, "no finite memory cut");
-                    result.memory_cut_cost += cut.cost;
-                    points = cut.points;
-                    used_cut = &cut;
-                } else {
-                    for (auto [src, _] : *p.deps) {
-                        points.push_back({f.instr(src).block,
-                                          f.positionOf(src) + 1});
-                    }
-                    points = normalize(std::move(points));
-                }
+                // Memory graphs read no liveness, so the versions
+                // always tag every input.
+                const CachedCut &cut =
+                    answer(p, true, [&](CachedCut &out) {
+                        solveMemCut(inputs, *p.deps, p.ts, p.tt, opts,
+                                    *main_arena, out);
+                    });
+                GMT_ASSERT(cut.finite, "no finite memory cut");
+                result.memory_cut_cost += cut.cost;
                 const PairKey key{p.ts, p.tt};
                 new_mem_dec.push_back(
-                    {key, decide(i, used_cut, used_cut != nullptr,
-                                 points, prevDec(mem_decs, key))});
-                new_mem.push_back({key, points});
-                for (const auto &pt : points)
+                    {key, decide(i, cut, true, cut.points,
+                                 prevDec(mem_decs, key))});
+                new_mem.push_back({key, cut.points});
+                for (const auto &pt : cut.points)
                     grow(p.tt, pt);
             }
         }

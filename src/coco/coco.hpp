@@ -28,26 +28,17 @@ namespace gmt
 class ThreadPool;
 class TraceCollector;
 
-/** COCO configuration (ablation switches included). */
+/** COCO's two ablation switches (ablate_penalties, ablate_multicut). */
 struct CocoOptions
 {
     /** §3.1.2 control-flow penalties on arc costs. */
     bool control_flow_penalties = true;
-
-    /** Optimize register communications (§3.1.1). */
-    bool optimize_registers = true;
-
-    /** Optimize memory synchronizations (§3.1.3). */
-    bool optimize_memory = true;
 
     /**
      * Use the paper's sequential per-pair heuristic for the (NP-hard)
      * multi-pair memory cut; false = single super-pair cut baseline.
      */
     bool multi_pair_memory = true;
-
-    /** Safety valve for the repeat-until loop. */
-    int max_iterations = 16;
 };
 
 /**
@@ -91,8 +82,7 @@ struct CocoResult
     uint64_t warm_starts = 0;
 
     /** Cut problems the apply walk built and solved. warm_starts +
-     *  cold_rebuilds = problems when both problem kinds are
-     *  optimized (ablations answer the disabled kind by default). */
+     *  cold_rebuilds = problems. */
     uint64_t cold_rebuilds = 0;
 
     /**
@@ -106,8 +96,8 @@ struct CocoResult
 };
 
 /**
- * Run COCO. Dependences whose kind is disabled by @p opts fall back
- * to the default MTCG placement (after the source instruction).
+ * Run COCO. A register dependence whose min cut is empty falls back to
+ * the default MTCG placement (after the source instruction).
  */
 CocoResult cocoOptimize(const Function &f, const Pdg &pdg,
                         const ThreadPartition &partition,

@@ -83,10 +83,7 @@ planKey(const PipelineContext &ctx)
     const CocoOptions &c = ctx.opts.coco;
     key += "|coco";
     key += c.control_flow_penalties ? "|cfp=1" : "|cfp=0";
-    key += c.optimize_registers ? "|reg=1" : "|reg=0";
-    key += c.optimize_memory ? "|mem=1" : "|mem=0";
     key += c.multi_pair_memory ? "|mpm=1" : "|mpm=0";
-    key += "|maxit=" + std::to_string(c.max_iterations);
     return key;
 }
 
@@ -115,19 +112,14 @@ queueAllocKey(const PipelineContext &ctx)
 namespace
 {
 
-/** Result axes of the autotune loop (part of every key that depends
- *  on the tuned schedule). Empty when the pass is off, so baseline
- *  cells and autotuned cells share every upstream artifact. */
+/** Tag of every key that depends on the tuned schedule (the loop
+ *  has no settings, so on/off is its only axis). Empty when the pass
+ *  is off, so baseline cells and autotuned cells share every upstream
+ *  artifact. */
 std::string
-autotuneAxes(const PipelineOptions &o)
+autotuneTag(const PipelineOptions &o)
 {
-    if (!o.autotune)
-        return "";
-    const AutotuneOptions &a = o.autotune_opts;
-    return "|at|maxit=" + std::to_string(a.max_iterations) +
-           "|eps=" + std::to_string(a.min_rel_improvement) +
-           "|topq=" + std::to_string(a.migrate_top_queues) +
-           "|migmax=" + std::to_string(a.migrate_max_candidates);
+    return o.autotune ? "|autotuned" : "";
 }
 
 } // namespace
@@ -140,7 +132,7 @@ autotuneKey(const PipelineContext &ctx)
     return "autotune|" + queueAllocKey(ctx) + '|' +
            machineKey(ctx.opts.machine) +
            (ctx.opts.sim_engine == SimEngine::Reference ? "|ref" : "") +
-           autotuneAxes(ctx.opts);
+           autotuneTag(ctx.opts);
 }
 
 std::string
@@ -149,11 +141,11 @@ obsProfileKey(const PipelineContext &ctx)
     // The attribution itself is engine-independent, but the keys stay
     // apart per engine so differential tests exercise both engines'
     // instrumentation instead of sharing one cached artifact. The
-    // autotune axes describe the tuned schedule being profiled.
+    // autotune tag marks a tuned schedule being profiled.
     return "obs|" + queueAllocKey(ctx) + '|' +
            machineKey(ctx.opts.machine) +
            (ctx.opts.sim_engine == SimEngine::Reference ? "|ref" : "") +
-           autotuneAxes(ctx.opts);
+           autotuneTag(ctx.opts);
 }
 
 std::string
@@ -162,8 +154,8 @@ provenanceKey(const PipelineContext &ctx)
     // Decisions are fixed once the multiplexed program is: every
     // upstream decision axis is already encoded in queueAllocKey.
     // With autotuning on, the record describes the tuned schedule,
-    // which additionally depends on the loop's axes.
-    return "prov|" + queueAllocKey(ctx) + autotuneAxes(ctx.opts);
+    // which the autotune tag marks.
+    return "prov|" + queueAllocKey(ctx) + autotuneTag(ctx.opts);
 }
 
 std::string
@@ -621,11 +613,10 @@ passMtRun(PipelineContext &ctx, PassStats &ps)
             auto mt = interpretMt(prog->prog, w.ref_args, mt_mem);
             if (mt.deadlock)
                 fatal("deadlock in generated code for ", ctx.cellId());
-            if (!mt.queues_drained)
-                fatal("queues not drained for ", ctx.cellId());
-            if (mt.live_outs != st_ref->live_outs ||
-                !(mt_mem == st_ref->final_mem))
-                fatal("MT output mismatch for ", ctx.cellId());
+            if (const char *what = outputMismatch(
+                    mt.live_outs, mt_mem, mt.queues_drained,
+                    st_ref->live_outs, st_ref->final_mem))
+                fatal("MT output mismatch for ", ctx.cellId(), ": ", what);
             ps.add("mt_dyn_instrs",
                    static_cast<int64_t>(mt.totalDynamicInstrs()));
             auto art = std::make_shared<MtRunArtifact>();

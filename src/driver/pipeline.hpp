@@ -126,14 +126,16 @@ struct PipelineOptions
      * Run the autotune pass: close the profile -> schedule loop
      * (src/autotune/) starting from this cell's schedule, folding the
      * simulator's stall attribution back into re-cuts, re-partitions,
-     * and boundary migrations until the relative improvement drops
-     * below autotune_opts.min_rel_improvement. Requires simulate; the
-     * downstream artifacts (program, cycles, counts, provenance)
-     * describe the tuned schedule, and the result carries both
-     * baseline and tuned cycles. Deterministic at any jobs/cache
-     * setting.
+     * and boundary migrations until no candidate improves simulated
+     * cycles by the loop's relative epsilon or its round cap is hit
+     * (both constants in autotune.cpp, so on/off is the pass's only
+     * cache-key axis). Requires simulate; the downstream artifacts
+     * (program, cycles, counts, provenance) describe the tuned
+     * schedule, and the result carries both baseline and tuned
+     * cycles. Deterministic at any jobs/cache setting.
      */
     bool autotune = false;
+    /** The loop's execution-only hooks (never keyed). */
     AutotuneOptions autotune_opts;
 };
 

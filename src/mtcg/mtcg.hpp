@@ -29,15 +29,16 @@ struct MtcgOptions
     int queue_capacity = 32;
 
     /**
-     * Architected queue budget: placements are multiplexed onto at
-     * most this many queues (see mtcg/queue_alloc.hpp). 0 = one
-     * queue per placement (the paper's simplification).
+     * Must be 0: runMtcg emits placement i on queue i (the paper's
+     * simplification), and assignQueues (mtcg/queue_alloc.hpp)
+     * multiplexes onto a budget afterwards.
      */
     int max_queues = 0;
 };
 
 /**
- * Generate one function per thread.
+ * Generate one function per thread, one queue per placement (queue i
+ * carries placement i).
  *
  * @param f          verified original function (critical edges split).
  * @param pdg        its PDG (used for sanity checks only).

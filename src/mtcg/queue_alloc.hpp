@@ -54,11 +54,12 @@ QueueAllocation allocateQueues(const CommPlan &plan, int max_queues,
                                QueueProvenance *prov = nullptr);
 
 /**
- * Bind @p prog, as runMtcg emits it for @p plan with max_queues 0
- * (placement i owns queue i), to its final queues and record why in
- * @p prov. With @p max_queues <= 0 that is the identity (rule
- * "identity"); otherwise allocateQueues, with every communication
- * instruction's queue id and prog.num_queues rewritten to match.
+ * Bind @p prog, as runMtcg emits it for @p plan (placement i owns
+ * queue i), to its final queues and record why in @p prov: the only
+ * queue multiplexer. With @p max_queues <= 0 that is the identity
+ * (rule "identity"); otherwise allocateQueues, with every
+ * communication instruction's queue id and prog.num_queues rewritten
+ * to match.
  * @return queue_of[placement index].
  */
 std::vector<int> assignQueues(const CommPlan &plan, int max_queues,

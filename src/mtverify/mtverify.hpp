@@ -48,7 +48,8 @@ namespace gmt
 
 /** Everything the verifier needs. All pointers must be non-null
  *  except queue_of (null means the identity assignment: placement i
- *  uses queue i, which is what MTCG does with max_queues == 0). */
+ *  uses queue i, which is how MTCG emits every program before
+ *  assignQueues multiplexes it). */
 struct MtVerifyInput
 {
     const Function *orig = nullptr;

@@ -10,7 +10,7 @@ namespace gmt
 
 ThreadPartition
 dswpPartition(const Pdg &pdg, const EdgeProfile &profile,
-              const DswpOptions &opts, PartitionProvenance *prov)
+              const PartitionOptions &opts, PartitionProvenance *prov)
 {
     const Function &f = pdg.func();
     GMT_ASSERT(opts.num_threads >= 1);

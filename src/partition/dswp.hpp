@@ -19,29 +19,17 @@
 namespace gmt
 {
 
-/** DSWP knobs. */
-struct DswpOptions
-{
-    int num_threads = 2;
-
-    /**
-     * Optional stall-feedback boosts (autotuner). Stall-charged
-     * blocks weigh more during the greedy stage fill, pulling stage
-     * boundaries toward an even split of *observed* cost rather than
-     * raw profile weight. Not owned; may be null.
-     */
-    const PartitionFeedback *feedback = nullptr;
-};
-
 /**
  * Partition @p pdg into a pipeline. Guaranteed to satisfy the
  * pipeline invariant (validatePartition with require_pipeline).
+ * Stall feedback in @p opts pulls stage boundaries toward an even
+ * split of *observed* cost rather than raw profile weight.
  *
  * When @p prov is non-null, records per-component greedy-fill
  * decisions (unit ids = SCC component ids) into it.
  */
 ThreadPartition dswpPartition(const Pdg &pdg, const EdgeProfile &profile,
-                              const DswpOptions &opts = {},
+                              const PartitionOptions &opts = {},
                               PartitionProvenance *prov = nullptr);
 
 } // namespace gmt

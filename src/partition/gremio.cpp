@@ -14,12 +14,15 @@ namespace gmt
 namespace
 {
 
-int
-latencyOf(const Instr &in, const GremioOptions &opts)
+// Latency estimates of the ready-time model, in cycles.
+constexpr uint64_t kAluLatency = 1;  ///< per ALU instruction
+constexpr uint64_t kMemLatency = 2;  ///< per memory access
+constexpr uint64_t kCommLatency = 2; ///< produce -> consume
+
+uint64_t
+latencyOf(const Instr &in)
 {
-    if (in.isMemoryAccess())
-        return opts.mem_latency;
-    return opts.alu_latency;
+    return in.isMemoryAccess() ? kMemLatency : kAluLatency;
 }
 
 } // namespace
@@ -44,7 +47,7 @@ latencyOf(const Instr &in, const GremioOptions &opts)
  */
 ThreadPartition
 gremioPartition(const Pdg &pdg, const EdgeProfile &profile,
-                const GremioOptions &opts, PartitionProvenance *prov)
+                const PartitionOptions &opts, PartitionProvenance *prov)
 {
     const Function &f = pdg.func();
     GMT_ASSERT(opts.num_threads >= 1);
@@ -80,7 +83,7 @@ gremioPartition(const Pdg &pdg, const EdgeProfile &profile,
     // Weighted work per instruction and total.
     auto instr_work = [&](InstrId i) -> uint64_t {
         const Instr &in = f.instr(i);
-        uint64_t w = static_cast<uint64_t>(latencyOf(in, opts)) *
+        uint64_t w = latencyOf(in) *
                      std::max<uint64_t>(profile.blockWeight(in.block), 1);
         if (opts.feedback)
             w += opts.feedback->blockBoost(in.block);
@@ -196,8 +199,7 @@ gremioPartition(const Pdg &pdg, const EdgeProfile &profile,
     // hot region, load imbalance eventually outweighs a per-iteration
     // crossing and the region splits anyway (cyclic inter-thread
     // dependences are allowed, unlike DSWP).
-    const uint64_t comm_cost_per_value =
-        2 + static_cast<uint64_t>(opts.comm_latency);
+    const uint64_t comm_cost_per_value = 2 + kCommLatency;
     int decision_order = 0;
     for (int u : order) {
         uint64_t best_score = ~uint64_t{0};

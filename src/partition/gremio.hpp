@@ -24,30 +24,6 @@
 namespace gmt
 {
 
-/** GREMIO knobs. */
-struct GremioOptions
-{
-    int num_threads = 2;
-
-    /** Estimated produce->consume latency in cycles. */
-    int comm_latency = 2;
-
-    /** Latency charged per ALU instruction. */
-    int alu_latency = 1;
-
-    /** Latency charged per memory access. */
-    int mem_latency = 2;
-
-    /**
-     * Optional stall-feedback boosts (autotuner). block_boost joins
-     * each instruction's work term (biasing busy/work scoring toward
-     * stall-charged blocks); arc_boost is added to the communication
-     * cost of keeping the corresponding PDG arc cross-thread. Not
-     * owned; may be null.
-     */
-    const PartitionFeedback *feedback = nullptr;
-};
-
 /**
  * Partition @p pdg by ready-time list scheduling.
  *
@@ -56,7 +32,7 @@ struct GremioOptions
  * candidate triple with the winner flagged.
  */
 ThreadPartition gremioPartition(const Pdg &pdg, const EdgeProfile &profile,
-                                const GremioOptions &opts = {},
+                                const PartitionOptions &opts = {},
                                 PartitionProvenance *prov = nullptr);
 
 } // namespace gmt

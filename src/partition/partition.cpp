@@ -34,13 +34,9 @@ runPartitioner(const Pdg &pdg, const EdgeProfile &profile, bool gremio,
                int num_threads, const PartitionFeedback *feedback,
                PartitionProvenance *prov)
 {
-    if (gremio)
-        return gremioPartition(
-            pdg, profile, {.num_threads = num_threads, .feedback = feedback},
-            prov);
-    return dswpPartition(
-        pdg, profile, {.num_threads = num_threads, .feedback = feedback},
-        prov);
+    const PartitionOptions opts{num_threads, feedback};
+    return gremio ? gremioPartition(pdg, profile, opts, prov)
+                  : dswpPartition(pdg, profile, opts, prov);
 }
 
 std::vector<std::string>

@@ -68,18 +68,20 @@ struct PartitionFeedback
         size_t idx = static_cast<size_t>(arc);
         return idx < arc_boost.size() ? arc_boost[idx] : 0;
     }
+};
 
-    bool
-    empty() const
-    {
-        for (uint64_t v : block_boost)
-            if (v)
-                return false;
-        for (uint64_t v : arc_boost)
-            if (v)
-                return false;
-        return true;
-    }
+/** Partitioner knobs, shared by DSWP and GREMIO. */
+struct PartitionOptions
+{
+    int num_threads = 2;
+
+    /**
+     * Optional stall-feedback boosts (autotuner). DSWP weighs
+     * stall-charged blocks more in its greedy stage fill; GREMIO adds
+     * block_boost to each instruction's work term and arc_boost to the
+     * cost of keeping an arc cross-thread. Not owned; may be null.
+     */
+    const PartitionFeedback *feedback = nullptr;
 };
 
 /**

@@ -46,6 +46,18 @@ MtRunResult::totalCommunication() const
     return n;
 }
 
+const char *
+outputMismatch(const std::vector<int64_t> &live_outs,
+               const MemoryImage &mem, bool queues_drained,
+               const std::vector<int64_t> &ref_live_outs,
+               const MemoryImage &ref_mem)
+{
+    return live_outs != ref_live_outs ? "live-outs differ"
+           : !(mem == ref_mem)        ? "final memory differs"
+           : !queues_drained          ? "queues not drained"
+                                      : nullptr;
+}
+
 namespace
 {
 

@@ -562,21 +562,6 @@ simulate(const MachineConfig &config, SimProfile *profile_in,
     return result;
 }
 
-/** The oracle rule (see simulateChecked). */
-void
-checkSimOutput(const SimResult &r, const MemoryImage &mem,
-               const std::vector<int64_t> &ref_live_outs,
-               const MemoryImage &ref_mem, const char *which,
-               const std::string &cell)
-{
-    const char *what = r.live_outs != ref_live_outs ? "live-outs differ"
-                       : !(mem == ref_mem) ? "final memory differs"
-                       : !r.queues_drained ? "queues not drained"
-                                           : nullptr;
-    if (what)
-        fatal(which, " output mismatch for ", cell, ": ", what);
-}
-
 } // namespace
 
 const char *
@@ -627,7 +612,10 @@ simulateChecked(const SimCheck &chk, const DecodedProgram &prog,
     sim.setProfile(profile);
     sim.setTimeline(timeline);
     SimResult r = sim.run(prog, *chk.args, mem);
-    checkSimOutput(r, mem, *chk.live_outs, *chk.final_mem, which, cell);
+    if (const char *what = outputMismatch(r.live_outs, mem,
+                                          r.queues_drained,
+                                          *chk.live_outs, *chk.final_mem))
+        fatal(which, " output mismatch for ", cell, ": ", what);
     return r;
 }
 

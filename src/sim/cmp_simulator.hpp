@@ -227,9 +227,9 @@ struct SimCheck
 /**
  * Every schedule's timing run (sim pass, obs-profile, autotuner):
  * simulate @p prog on a fresh reference-input image, @p profile and
- * @p timeline attached when non-null. Live-outs, final memory and
- * queue drain must match the reference, else a FatalError
- * "<which> output mismatch for <cell>: <what differs>".
+ * @p timeline attached when non-null. The run must pass the oracle
+ * rule (outputMismatch: live-outs, final memory, queue drain), else a
+ * FatalError "<which> output mismatch for <cell>: <what differs>".
  */
 SimResult simulateChecked(const SimCheck &chk, const DecodedProgram &prog,
                           const char *which, const std::string &cell,

@@ -57,22 +57,11 @@ checkEquivalence(const Function &f, const MtProgram &prog,
     if (out.mt.deadlock) {
         out.ok = false;
         out.detail = "deadlock";
-        return out;
-    }
-    if (!out.mt.queues_drained) {
+    } else if (const char *what = outputMismatch(
+                   out.mt.live_outs, mt_mem, out.mt.queues_drained,
+                   st.live_outs, st_mem)) {
         out.ok = false;
-        out.detail = "queues not drained";
-        return out;
-    }
-    if (out.mt.live_outs != st.live_outs) {
-        out.ok = false;
-        out.detail = "live-out mismatch";
-        return out;
-    }
-    if (!(mt_mem == st_mem)) {
-        out.ok = false;
-        out.detail = "memory mismatch";
-        return out;
+        out.detail = what;
     }
     return out;
 }

@@ -193,7 +193,7 @@ TEST(Autotune, CellIdAndCacheKeyCarryTheAutotuneAxes)
     EXPECT_EQ(off.cellId().find("+AT"), std::string::npos);
 
     EXPECT_NE(autotuneKey(on), autotuneKey(off));
-    EXPECT_NE(autotuneKey(on).find("|at|"), std::string::npos);
+    EXPECT_NE(autotuneKey(on).find("|autotuned"), std::string::npos);
     // Upstream keys are shared: baseline and autotuned cells reuse
     // the same codegen artifacts.
     EXPECT_EQ(queueAllocKey(on), queueAllocKey(off));

@@ -370,7 +370,7 @@ TEST(Coco, ConvergesWithinIterationBudget)
         auto partition =
             gremioPartition(st.pdg, st.profile, {.num_threads = 2});
         auto coco = cocoOptimize(st.f, st.pdg, partition, *st.cd,
-                                 st.profile, {.max_iterations = 16});
+                                 st.profile, {});
         EXPECT_LT(coco.iterations, 16);
     }
 }

@@ -195,7 +195,8 @@ storeBeforeRet(Function &f, int64_t cell)
  * Mutation test of the oracle: a verified program corrupted to store
  * into a cell nothing reads keeps its live-outs and differs only in
  * final memory. Simulated cells (the sim pass's check) and
- * counts-only cells (mt-run's interpretation) must both reject it.
+ * counts-only cells (mt-run's interpretation) must both reject it,
+ * with the same message naming the cell and what differs.
  */
 TEST(PassManager, FinalMemoryMismatchIsFatal)
 {
@@ -227,7 +228,10 @@ TEST(PassManager, FinalMemoryMismatchIsFatal)
             pm.run(ctx);
             ADD_FAILURE() << "corrupted program accepted";
         } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find("MT output mismatch"),
+            // Both executors answer to one oracle rule and one message.
+            EXPECT_NE(std::string(e.what()).find(
+                          "MT output mismatch for " + ctx.cellId() +
+                          ": final memory differs"),
                       std::string::npos)
                 << e.what();
         }

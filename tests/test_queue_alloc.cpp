@@ -102,11 +102,23 @@ TEST_P(QueueAllocProperty, EquivalentUnderTinyBudgets)
             x = static_cast<int>(rng.nextBelow(2));
         CommPlan plan = defaultMtcgPlan(f, pdg, p, cd);
 
-        MtcgOptions opts;
-        opts.queue_capacity = 1; // worst case for backpressure
-        opts.max_queues = max_queues;
-        MtProgram prog = runMtcg(f, pdg, p, plan, cd, opts);
+        // The pipeline's codegen step: runMtcg, then assignQueues
+        // multiplexes onto the budget. Queue capacity 1 is the worst
+        // case for backpressure.
+        MtProgram prog;
+        QueueProvenance prov;
+        std::vector<int> queue_of = generateMtProgram(
+            f, pdg, p, plan, cd, /*queue_capacity=*/1, max_queues, prog,
+            prov);
         EXPECT_LE(prog.num_queues, max_queues);
+        ASSERT_EQ(queue_of.size(), plan.placements.size());
+        for (int q : queue_of)
+            EXPECT_LT(q, max_queues) << "trial=" << trial;
+        // assignQueues is the only multiplexer: runMtcg refuses a
+        // budget.
+        EXPECT_THROW(runMtcg(f, pdg, p, plan, cd,
+                             {.queue_capacity = 1, .max_queues = max_queues}),
+                     PanicError);
 
         for (uint64_t seed = 0; seed < 3; ++seed) {
             auto out = checkEquivalence(

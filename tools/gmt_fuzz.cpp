@@ -217,9 +217,10 @@ cellOptions(const CellConfig &cfg, const FuzzOptions &fuzz,
 /**
  * Run @p prog (codegen of @p st_func) on every executor: the MT
  * interpreter under round-robin and random interleaving and the
- * timing simulator. Each must reproduce the ST reference (live-outs,
- * final memory, queue drain) and the same per-thread counts. Returns
- * the first divergence, or "" when they all agree.
+ * timing simulator. Each must pass the oracle rule (outputMismatch:
+ * live-outs, final memory, queue drain against the ST reference) and
+ * produce the same per-thread counts. Returns the first divergence,
+ * or "" when they all agree.
  */
 std::string
 executorDivergence(const Workload &w, const Function &st_func,
@@ -238,9 +239,13 @@ executorDivergence(const Workload &w, const Function &st_func,
         MemoryImage mem = input();
         MtRunResult mt =
             interpretMt(prog, w.ref_args, mem, policy, /*seed=*/1);
-        if (mt.deadlock || !mt.queues_drained ||
-            mt.live_outs != st.live_outs || !(mem == st_mem))
-            return name + " output differs from the ST reference";
+        if (mt.deadlock)
+            return name + " deadlocked";
+        if (const char *what = outputMismatch(mt.live_outs, mem,
+                                              mt.queues_drained,
+                                              st.live_outs, st_mem))
+            return name + " output differs from the ST reference: " +
+                   what;
         if (policy == SchedulePolicy::RoundRobin)
             rr_counts = mt.stats;
         else if (mt.stats != rr_counts)
@@ -249,9 +254,12 @@ executorDivergence(const Workload &w, const Function &st_func,
 
     MemoryImage mem = input();
     SimResult sim = CmpSimulator(machine).run(prog, w.ref_args, mem);
-    if (!sim.queues_drained || sim.live_outs != st.live_outs ||
-        !(mem == st_mem))
-        return "simulator output differs from the ST reference";
+    if (const char *what = outputMismatch(sim.live_outs, mem,
+                                          sim.queues_drained,
+                                          st.live_outs, st_mem))
+        return std::string("simulator output differs from the ST "
+                           "reference: ") +
+               what;
     for (size_t t = 0; t < sim.core.size(); ++t)
         if (!(sim.core[t].counts == rr_counts.at(t)))
             return "simulator counts differ from the interpreter";
