@@ -100,31 +100,26 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
         }
     }
 
-    // Per-point safety of r for ts, forward per block.
+    // Per-point safety of r for ts, forward per block: equation (1)
+    // restricted to bit r (any def of r resets it, ts's own defs and
+    // uses of r set it).
     auto &point_safe = sc.point_safe;
     point_safe.resize(f.numBlocks());
     for (BlockId b = 0; b < f.numBlocks(); ++b) {
         const auto &instrs = f.block(b).instrs();
         point_safe[b].assign(instrs.size() + 1, 0);
-        sc.safe = safety.safeIn(b);
-        BitVector &safe = sc.safe;
-        for (size_t pos = 0; pos <= instrs.size(); ++pos) {
-            if (pos > 0) {
-                // Re-run the transfer via safeAt once per block would
-                // be O(n^2); replicate the transfer inline instead.
-                InstrId i = instrs[pos - 1];
-                Reg def = f.defOf(i);
-                bool mine = (in.partition->threadOf(i) == ts);
-                if (def != kNoReg)
-                    safe.reset(def);
-                if (mine) {
-                    if (def != kNoReg)
-                        safe.set(def);
-                    for (Reg use : f.usesOf(i))
-                        safe.set(use);
-                }
+        bool safe = safety.safeIn(b).test(r);
+        point_safe[b][0] = safe;
+        for (size_t pos = 0; pos < instrs.size(); ++pos) {
+            InstrId i = instrs[pos];
+            bool mine = in.partition->threadOf(i) == ts;
+            if (f.defOf(i) == r)
+                safe = mine;
+            if (mine && !safe) {
+                for (Reg use : f.usesOf(i))
+                    safe |= use == r;
             }
-            point_safe[b][pos] = safe.test(r);
+            point_safe[b][pos + 1] = safe;
         }
     }
 

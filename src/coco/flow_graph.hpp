@@ -99,7 +99,6 @@ struct FlowGraphScratch
     std::vector<std::vector<char>> point_safe;
     std::vector<int> entry_node;
     std::vector<std::vector<int>> instr_node;
-    BitVector safe;
 
     /** Fallback for FlowGraphInputs::trans_deps == nullptr. */
     std::vector<std::vector<BlockId>> local_trans_deps;

@@ -2,58 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <sstream>
 
 #include "coco/safety.hpp"
-#include "support/error.hpp"
+#include "mtverify/uncovered_path.hpp"
 
 namespace gmt
 {
-
-namespace
-{
-
-/**
- * True if some instruction-level CFG path from @p start reaches the
- * point just before instruction @p target without crossing any point
- * in @p barrier.
- */
-bool
-pathEscapes(const Function &f, ProgramPoint start, InstrId target,
-            const std::set<ProgramPoint> &barrier, Reg kill_reg)
-{
-    ProgramPoint goal{f.instr(target).block, f.positionOf(target)};
-    std::set<ProgramPoint> seen;
-    std::vector<ProgramPoint> work{start};
-    while (!work.empty()) {
-        ProgramPoint p = work.back();
-        work.pop_back();
-        if (barrier.count(p))
-            continue; // communication intercepts here
-        if (p == goal)
-            return true;
-        if (!seen.insert(p).second)
-            continue;
-        const BasicBlock &bb = f.block(p.block);
-        int size = static_cast<int>(bb.size());
-        GMT_ASSERT(p.pos >= 0 && p.pos < size);
-        // A redefinition of the register kills the dependence along
-        // this path: the value no longer needs to flow further.
-        InstrId here = bb.instrs()[p.pos];
-        if (kill_reg != kNoReg && f.defOf(here) == kill_reg)
-            continue;
-        if (p.pos < size - 1) {
-            work.push_back({p.block, p.pos + 1});
-        } else {
-            for (BlockId s : bb.succs())
-                work.push_back({s, 0});
-        }
-    }
-    return false;
-}
-
-} // namespace
 
 std::vector<MtvDiag>
 validatePlanDiags(const Function &f, const Pdg &pdg,
@@ -143,28 +98,13 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
     }
 
     // Coverage of every cross-thread PDG arc.
+    UncoveredPathSearch paths(f, partition, plan);
     for (const auto &arc : pdg.arcs()) {
         int ts = partition.threadOf(arc.src);
         int tt = partition.threadOf(arc.dst);
         if (ts == tt || arc.kind == DepKind::Control)
             continue;
-        // Union the points of all matching placements.
-        std::set<ProgramPoint> barrier;
-        for (const auto &pl : plan.placements) {
-            bool matches =
-                pl.src_thread == ts && pl.dst_thread == tt &&
-                ((arc.kind == DepKind::Register &&
-                  pl.kind == CommKind::RegisterData &&
-                  pl.reg == arc.reg) ||
-                 (arc.kind == DepKind::Memory &&
-                  pl.kind == CommKind::MemorySync));
-            if (matches)
-                barrier.insert(pl.points.begin(), pl.points.end());
-        }
-        ProgramPoint start{f.instr(arc.src).block,
-                           f.positionOf(arc.src) + 1};
-        Reg kill = arc.kind == DepKind::Register ? arc.reg : kNoReg;
-        if (pathEscapes(f, start, arc.dst, barrier, kill)) {
+        if (paths.escapes(arc)) {
             complain(MtvCode::PlanUncoveredArc,
                      {.thread = tt,
                       .block = f.instr(arc.dst).block,

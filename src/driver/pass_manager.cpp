@@ -427,8 +427,9 @@ passPdg(PipelineContext &ctx, PassStats &ps)
             const Function &f = ctx.ir->func;
             auto pdom = DominatorTree::postDominators(f);
             ControlDependence cd(f, pdom);
+            Pdg pdg = buildPdg(f, cd);
             return std::make_shared<PdgArtifact>(PdgArtifact{
-                ctx.ir, buildPdg(f), std::move(pdom), std::move(cd)});
+                ctx.ir, std::move(pdg), std::move(pdom), std::move(cd)});
         },
         ps);
     ps.add("arcs", ctx.pdg->pdg.numArcs());

@@ -8,6 +8,52 @@
 namespace gmt
 {
 
+Digraph::Digraph(int n, const std::vector<std::pair<NodeId, NodeId>> &edges)
+    : succs_(n), preds_(n)
+{
+    // Edge indices grouped by source, ascending within a group.
+    std::vector<int> start(n + 1, 0);
+    for (auto [u, v] : edges) {
+        GMT_ASSERT(u >= 0 && u < n && v >= 0 && v < n);
+        ++start[u + 1];
+    }
+    for (NodeId u = 0; u < n; ++u)
+        start[u + 1] += start[u];
+    std::vector<int> by_src(edges.size());
+    {
+        std::vector<int> fill(start.begin(), start.end() - 1);
+        for (size_t k = 0; k < edges.size(); ++k)
+            by_src[fill[edges[k].first]++] = static_cast<int>(k);
+    }
+    // An edge is new unless an earlier one of its group has its target.
+    std::vector<NodeId> stamp(n, -1);
+    std::vector<char> first(edges.size(), 0);
+    std::vector<int> in_deg(n, 0);
+    for (NodeId u = 0; u < n; ++u) {
+        int out_deg = 0;
+        for (int j = start[u]; j < start[u + 1]; ++j) {
+            NodeId v = edges[by_src[j]].second;
+            if (stamp[v] != u) {
+                stamp[v] = u;
+                first[by_src[j]] = 1;
+                ++out_deg;
+                ++in_deg[v];
+            }
+        }
+        succs_[u].reserve(out_deg);
+    }
+    for (NodeId v = 0; v < n; ++v)
+        preds_[v].reserve(in_deg[v]);
+    for (size_t k = 0; k < edges.size(); ++k) {
+        if (!first[k])
+            continue;
+        auto [u, v] = edges[k];
+        succs_[u].push_back(v);
+        preds_[v].push_back(u);
+        ++numEdges_;
+    }
+}
+
 NodeId
 Digraph::addNode()
 {
@@ -30,8 +76,12 @@ Digraph::addEdge(NodeId u, NodeId v)
 bool
 Digraph::hasEdge(NodeId u, NodeId v) const
 {
+    // The edge is on both adjacency lists; search the shorter.
     const auto &s = succs_[u];
-    return std::find(s.begin(), s.end(), v) != s.end();
+    const auto &p = preds_[v];
+    if (s.size() <= p.size())
+        return std::find(s.begin(), s.end(), v) != s.end();
+    return std::find(p.begin(), p.end(), u) != p.end();
 }
 
 std::vector<NodeId>

@@ -9,6 +9,7 @@
  */
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace gmt
@@ -25,6 +26,14 @@ class Digraph
 
     /** Create a graph with @p n initial nodes. */
     explicit Digraph(int n) : succs_(n), preds_(n) {}
+
+    /**
+     * Create a graph with @p n nodes and @p edges. Parallel edges
+     * collapse and adjacency lists keep first-occurrence order, as if
+     * each edge went through addEdge in turn, but duplicates are found
+     * with one stamp per node instead of adjacency scans.
+     */
+    Digraph(int n, const std::vector<std::pair<NodeId, NodeId>> &edges);
 
     /** Add a node and return its id (ids are 0..numNodes()-1). */
     NodeId addNode();

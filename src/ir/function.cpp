@@ -96,25 +96,6 @@ Function::ensureRegs(int n)
     num_regs_ = std::max(num_regs_, n);
 }
 
-std::vector<Reg>
-Function::usesOf(InstrId i) const
-{
-    const Instr &instr = instrs_[i];
-    std::vector<Reg> uses;
-    int n = numSrcs(instr.op);
-    if (n >= 1 && instr.src1 != kNoReg)
-        uses.push_back(instr.src1);
-    if (n >= 2 && instr.src2 != kNoReg)
-        uses.push_back(instr.src2);
-    // Store addresses live in src1, the stored value in src2; both are
-    // covered above (numSrcs(Store) == 2). Ret uses the live-outs.
-    if (instr.op == Opcode::Ret) {
-        for (Reg r : live_outs_)
-            uses.push_back(r);
-    }
-    return uses;
-}
-
 Reg
 Function::defOf(InstrId i) const
 {

@@ -34,6 +34,29 @@ struct ProgramPoint
 };
 
 /**
+ * The registers one instruction reads, as a view that allocates
+ * nothing: the source operands numSrcs() names (kNoReg skipped), held
+ * inline, or the function's live-out list for Ret. A Ret view points
+ * into its Function and is valid while the live-outs are unchanged.
+ */
+class UseList
+{
+  public:
+    const Reg *begin() const { return ext_ ? ext_ : inline_; }
+    const Reg *end() const { return begin() + size_; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Reg operator[](size_t k) const { return begin()[k]; }
+
+  private:
+    friend class Function;
+
+    Reg inline_[2] = {kNoReg, kNoReg};
+    const Reg *ext_ = nullptr;
+    size_t size_ = 0;
+};
+
+/**
  * Single-entry single-exit CFG over virtual registers.
  *
  * Instructions live in an arena indexed by InstrId; their order within
@@ -130,7 +153,24 @@ class Function
      * Registers read by instruction @p i, including the live-out set
      * for Ret (live-outs are "used" by leaving the region).
      */
-    std::vector<Reg> usesOf(InstrId i) const;
+    UseList
+    usesOf(InstrId i) const
+    {
+        const Instr &instr = instrs_[i];
+        UseList uses;
+        if (instr.op == Opcode::Ret) {
+            uses.ext_ = live_outs_.data();
+            uses.size_ = live_outs_.size();
+            return uses;
+        }
+        // Store addresses live in src1, the stored value in src2.
+        int n = numSrcs(instr.op);
+        if (n >= 1 && instr.src1 != kNoReg)
+            uses.inline_[uses.size_++] = instr.src1;
+        if (n >= 2 && instr.src2 != kNoReg)
+            uses.inline_[uses.size_++] = instr.src2;
+        return uses;
+    }
 
     /** Destination register of @p i, or kNoReg. */
     Reg defOf(InstrId i) const;

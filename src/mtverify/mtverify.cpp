@@ -1,13 +1,13 @@
 #include "mtverify/mtverify.hpp"
 
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "ir/verifier.hpp"
 #include "mtverify/deadlock.hpp"
 #include "mtverify/hb.hpp"
 #include "mtverify/queue_balance.hpp"
+#include "mtverify/uncovered_path.hpp"
 #include "support/error.hpp"
 
 namespace gmt
@@ -388,45 +388,6 @@ checkCopies(const MtVerifyInput &in,
     }
 }
 
-/**
- * True if some instruction-level CFG path from @p start reaches the
- * point just before @p target without crossing @p barrier; a
- * redefinition of @p kill_reg kills the dependence along a path.
- * (Same search as coco/validate.cpp, run here against the plan that
- * actually drove emission.)
- */
-bool
-pathEscapes(const Function &f, ProgramPoint start, InstrId target,
-            const std::set<ProgramPoint> &barrier, Reg kill_reg)
-{
-    ProgramPoint goal{f.instr(target).block, f.positionOf(target)};
-    std::set<ProgramPoint> seen;
-    std::vector<ProgramPoint> work{start};
-    while (!work.empty()) {
-        ProgramPoint p = work.back();
-        work.pop_back();
-        if (barrier.count(p))
-            continue;
-        if (p == goal)
-            return true;
-        if (!seen.insert(p).second)
-            continue;
-        const BasicBlock &bb = f.block(p.block);
-        int size = static_cast<int>(bb.size());
-        GMT_ASSERT(p.pos >= 0 && p.pos < size);
-        InstrId here = bb.instrs()[p.pos];
-        if (kill_reg != kNoReg && f.defOf(here) == kill_reg)
-            continue;
-        if (p.pos < size - 1) {
-            work.push_back({p.block, p.pos + 1});
-        } else {
-            for (BlockId s : bb.succs())
-                work.push_back({s, 0});
-        }
-    }
-    return false;
-}
-
 /** Theorem 1 over the PDG arcs. */
 void
 checkDependences(const MtVerifyInput &in,
@@ -435,6 +396,7 @@ checkDependences(const MtVerifyInput &in,
 {
     const Function &orig = *in.orig;
     const ThreadPartition &part = *in.partition;
+    UncoveredPathSearch paths(orig, part, *in.plan);
 
     for (const PdgArc &arc : in.pdg->arcs()) {
         int ts = part.threadOf(arc.src);
@@ -488,23 +450,10 @@ checkDependences(const MtVerifyInput &in,
         }
 
         // Cross-thread data dependence: some matching placement must
-        // cut every path from the source to the destination.
-        std::set<ProgramPoint> barrier;
-        for (const CommPlacement &pl : in.plan->placements) {
-            bool matches =
-                pl.src_thread == ts && pl.dst_thread == tt &&
-                ((arc.kind == DepKind::Register &&
-                  pl.kind == CommKind::RegisterData &&
-                  pl.reg == arc.reg) ||
-                 (arc.kind == DepKind::Memory &&
-                  pl.kind == CommKind::MemorySync));
-            if (matches)
-                barrier.insert(pl.points.begin(), pl.points.end());
-        }
-        ProgramPoint start{orig.instr(arc.src).block,
-                           orig.positionOf(arc.src) + 1};
-        Reg kill = arc.kind == DepKind::Register ? arc.reg : kNoReg;
-        if (pathEscapes(orig, start, arc.dst, barrier, kill)) {
+        // cut every path from the source to the destination (the same
+        // search as coco/validate.cpp, run here against the plan that
+        // actually drove emission).
+        if (paths.escapes(arc)) {
             std::ostringstream msg;
             if (arc.kind == DepKind::Register)
                 msg << "register r" << arc.reg;

@@ -1,8 +1,10 @@
 #include "mtverify/queue_balance.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 namespace gmt
 {
@@ -17,37 +19,9 @@ isProduce(Opcode op)
 }
 
 bool
-isConsume(Opcode op)
-{
-    return op == Opcode::Consume || op == Opcode::ConsumeSync;
-}
-
-bool
 isSync(Opcode op)
 {
     return op == Opcode::ProduceSync || op == Opcode::ConsumeSync;
-}
-
-/** Comm ops of thread t's copy of original block ob, in emitted
- *  order, restricted to queue q and a produce/consume role. */
-std::vector<InstrId>
-commSeq(const Function &emitted, const ThreadCodeMap &map, BlockId ob,
-        QueueId q, bool produces)
-{
-    std::vector<InstrId> seq;
-    BlockId eb = ob < static_cast<BlockId>(map.emitted_block.size())
-                     ? map.emitted_block[ob]
-                     : kNoBlock;
-    if (eb == kNoBlock)
-        return seq;
-    for (InstrId ei : emitted.block(eb).instrs()) {
-        const Instr &in = emitted.instr(ei);
-        if (!in.isCommunication() || in.queue != q)
-            continue;
-        if (produces ? isProduce(in.op) : isConsume(in.op))
-            seq.push_back(ei);
-    }
-    return seq;
 }
 
 } // namespace
@@ -119,35 +93,64 @@ checkQueueBalance(const Function &orig, const MtProgram &prog,
                          .message = msg.str()});
     }
 
+    // --- group every comm op by (queue, original block) -------------
+    // One pass over each thread's block images, then a stable sort: a
+    // group keeps thread order, and emitted order within a thread. On
+    // a queue with sound roles every op of its producer thread is a
+    // produce and every op of its consumer thread a consume. A missing
+    // endpoint thread contributes no ops, which the dataflow then
+    // reports as an imbalance at the exit.
+    const int nb = orig.numBlocks();
+    struct CommOp
+    {
+        QueueId queue;
+        BlockId block; ///< original block
+        Opcode op;
+    };
+    std::vector<CommOp> ops;
+    for (int t = 0; t < static_cast<int>(prog.threads.size()); ++t) {
+        const Function &f = prog.threads[t];
+        const auto &images = maps[t].emitted_block;
+        for (BlockId ob = 0;
+             ob < nb && ob < static_cast<BlockId>(images.size()); ++ob) {
+            if (images[ob] == kNoBlock)
+                continue;
+            for (InstrId i : f.block(images[ob]).instrs()) {
+                const Instr &in = f.instr(i);
+                if (in.isCommunication() && in.queue >= 0 &&
+                    in.queue < prog.num_queues)
+                    ops.push_back({in.queue, ob, in.op});
+            }
+        }
+    }
+    std::stable_sort(ops.begin(), ops.end(),
+                     [](const CommOp &a, const CommOp &b) {
+                         return std::tie(a.queue, a.block) <
+                                std::tie(b.queue, b.block);
+                     });
+
     // --- per-queue token-count dataflow on the original CFG ---------
     constexpr int kUnvisited = std::numeric_limits<int>::min();
     constexpr int kTop = std::numeric_limits<int>::min() + 1;
 
+    std::vector<int> net(nb), in(nb);
+    size_t next = 0; // first op of the current queue
     for (QueueId q = 0; q < prog.num_queues; ++q) {
+        const size_t first = next;
+        while (next < ops.size() && ops[next].queue == q)
+            ++next;
         const QueueEndpoints &e = ends[q];
         if (e.conflict)
             continue; // roles are already broken; counts are moot
         if (e.producer == -1 && e.consumer == -1)
             continue; // unused queue (multiplexing slack)
 
-        // Net token delta and per-block sequences. A missing endpoint
-        // thread contributes empty sequences, which the dataflow then
-        // reports as an imbalance at the exit.
-        std::vector<int> net(orig.numBlocks(), 0);
-        std::vector<std::vector<InstrId>> prod_seq(orig.numBlocks());
-        std::vector<std::vector<InstrId>> cons_seq(orig.numBlocks());
-        for (BlockId b = 0; b < orig.numBlocks(); ++b) {
-            if (e.producer != -1)
-                prod_seq[b] = commSeq(prog.threads[e.producer],
-                                      maps[e.producer], b, q, true);
-            if (e.consumer != -1)
-                cons_seq[b] = commSeq(prog.threads[e.consumer],
-                                      maps[e.consumer], b, q, false);
-            net[b] = static_cast<int>(prod_seq[b].size()) -
-                     static_cast<int>(cons_seq[b].size());
-        }
+        // Net token delta per block.
+        std::fill(net.begin(), net.end(), 0);
+        for (size_t k = first; k < next; ++k)
+            net[ops[k].block] += isProduce(ops[k].op) ? 1 : -1;
 
-        std::vector<int> in(orig.numBlocks(), kUnvisited);
+        std::fill(in.begin(), in.end(), kUnvisited);
         in[orig.entry()] = 0;
         std::deque<BlockId> work{orig.entry()};
         bool reported_merge = false;
@@ -202,14 +205,24 @@ checkQueueBalance(const Function &orig, const MtProgram &prog,
         // when an imbalance already offset the pairing.)
         if (e.producer == -1 || e.consumer == -1)
             continue;
-        for (BlockId b = 0; b < orig.numBlocks(); ++b) {
-            if (in[b] != 0 || prod_seq[b].size() != cons_seq[b].size())
+        for (size_t lo = first, hi = first; lo < next; lo = hi) {
+            const BlockId b = ops[lo].block;
+            while (hi < next && ops[hi].block == b)
+                ++hi;
+            if (in[b] != 0 || net[b] != 0)
                 continue;
-            for (size_t k = 0; k < prod_seq[b].size(); ++k) {
-                Opcode po =
-                    prog.threads[e.producer].instr(prod_seq[b][k]).op;
-                Opcode co =
-                    prog.threads[e.consumer].instr(cons_seq[b][k]).op;
+            // The group is the producer's ops, then the consumer's (or
+            // the reverse): pair the k-th of each.
+            size_t pi = lo, ci = lo;
+            for (int k = 0;; ++k) {
+                while (pi < hi && !isProduce(ops[pi].op))
+                    ++pi;
+                while (ci < hi && isProduce(ops[ci].op))
+                    ++ci;
+                if (pi == hi || ci == hi)
+                    break;
+                Opcode po = ops[pi++].op;
+                Opcode co = ops[ci++].op;
                 if (isSync(po) == isSync(co))
                     continue;
                 std::ostringstream msg;

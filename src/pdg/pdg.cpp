@@ -15,9 +15,14 @@ void
 Pdg::addArc(PdgArc arc)
 {
     GMT_ASSERT(arc.src != kNoInstr && arc.dst != kNoInstr);
-    for (int a : from_[arc.src]) {
+    // A duplicate sits on both endpoint lists: search the shorter
+    // (a branch's control arcs or a hot def's uses make one side long).
+    const auto &out = from_[arc.src];
+    const auto &in = to_[arc.dst];
+    for (int a : out.size() <= in.size() ? out : in) {
         const PdgArc &e = arcs_[a];
-        if (e.dst == arc.dst && e.kind == arc.kind && e.reg == arc.reg)
+        if (e.src == arc.src && e.dst == arc.dst && e.kind == arc.kind &&
+            e.reg == arc.reg)
             return; // duplicate
     }
     int id = static_cast<int>(arcs_.size());
@@ -39,10 +44,11 @@ Pdg::memArcs() const
 Digraph
 Pdg::asDigraph() const
 {
-    Digraph g(func_->numInstrs());
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    edges.reserve(arcs_.size());
     for (const auto &arc : arcs_)
-        g.addEdge(arc.src, arc.dst);
-    return g;
+        edges.emplace_back(arc.src, arc.dst);
+    return Digraph(func_->numInstrs(), edges);
 }
 
 } // namespace gmt

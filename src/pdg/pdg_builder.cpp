@@ -75,18 +75,19 @@ addRegisterArcs(const Function &f, Pdg &pdg)
         }
     }
 
-    // Attach def -> use arcs by walking each block.
+    // Attach def -> use arcs by walking each block. A use of r can
+    // only be reached by r's own sites, so each use tests the reaching
+    // bit of those alone; sites ascend, so arcs come out in the order
+    // a scan of the whole reaching set would give.
     for (BlockId b = 0; b < nb; ++b) {
         BitVector reaching = in[b];
         for (InstrId i : f.block(b).instrs()) {
             for (Reg use : f.usesOf(i)) {
-                reaching.forEach([&](size_t s) {
-                    InstrId def_instr = def_sites[s];
-                    if (f.defOf(def_instr) == use) {
-                        pdg.addArc({def_instr, i, DepKind::Register, use,
-                                    MemDepKind::Flow});
-                    }
-                });
+                for (int s : sites_of_reg[use]) {
+                    if (reaching.test(s))
+                        pdg.addArc({def_sites[s], i, DepKind::Register,
+                                    use, MemDepKind::Flow});
+                }
             }
             Reg def = f.defOf(i);
             if (def != kNoReg) {
@@ -108,10 +109,8 @@ addMemoryArcs(const Function &f, Pdg &pdg)
 }
 
 void
-addControlArcs(const Function &f, Pdg &pdg)
+addControlArcs(const Function &f, const ControlDependence &cd, Pdg &pdg)
 {
-    auto pdom = DominatorTree::postDominators(f);
-    ControlDependence cd(f, pdom);
     for (BlockId a = 0; a < f.numBlocks(); ++a) {
         const BasicBlock &bb = f.block(a);
         if (bb.succs().size() < 2)
@@ -132,13 +131,19 @@ addControlArcs(const Function &f, Pdg &pdg)
 } // namespace
 
 Pdg
-buildPdg(const Function &f)
+buildPdg(const Function &f, const ControlDependence &cd)
 {
     Pdg pdg(f);
     addRegisterArcs(f, pdg);
     addMemoryArcs(f, pdg);
-    addControlArcs(f, pdg);
+    addControlArcs(f, cd, pdg);
     return pdg;
+}
+
+Pdg
+buildPdg(const Function &f)
+{
+    return buildPdg(f, ControlDependence(f, DominatorTree::postDominators(f)));
 }
 
 } // namespace gmt

@@ -13,12 +13,17 @@
  * by MTCG/COCO rather than materialized as PDG arcs.
  */
 
+#include "analysis/control_dep.hpp"
 #include "pdg/pdg.hpp"
 
 namespace gmt
 {
 
-/** Build the full PDG of @p f. */
+/** Build the full PDG of @p f, taking control arcs from @p cd (the
+ *  control dependence of @p f, built once by the caller). */
+Pdg buildPdg(const Function &f, const ControlDependence &cd);
+
+/** Build the full PDG of @p f, deriving its control dependence. */
 Pdg buildPdg(const Function &f);
 
 } // namespace gmt

@@ -70,6 +70,50 @@ TEST(IrFunction, UsesAndDefs)
     ASSERT_EQ(uses.size(), 1u);
     EXPECT_EQ(uses[0], f.liveOuts()[0]);
     EXPECT_EQ(f.defOf(ret), kNoReg);
+
+    // Every opcode, with both sources set and with either one
+    // kNoReg: the uses are the first numSrcs() sources in order with
+    // kNoReg skipped, except Ret, which lists the live-outs in order
+    // (a repeated one included) and ignores its source fields.
+    Function g("all_ops");
+    BlockId bb = g.addBlock("b");
+    Reg x = g.newReg(), y = g.newReg(), d = g.newReg();
+    g.setLiveOuts({y, x, y});
+    for (int o = 0; o <= static_cast<int>(Opcode::ConsumeSync); ++o) {
+        const Opcode op = static_cast<Opcode>(o);
+        for (auto [s1, s2] : {std::pair{x, y}, std::pair{kNoReg, y},
+                              std::pair{x, kNoReg}}) {
+            InstrId i = g.append(
+                bb, {.op = op, .dst = d, .src1 = s1, .src2 = s2});
+            std::vector<Reg> expect;
+            if (op == Opcode::Ret) {
+                expect = {y, x, y};
+            } else {
+                if (numSrcs(op) >= 1 && s1 != kNoReg)
+                    expect.push_back(s1);
+                if (numSrcs(op) >= 2 && s2 != kNoReg)
+                    expect.push_back(s2);
+            }
+            auto got = g.usesOf(i);
+            ASSERT_EQ(got.size(), expect.size()) << opcodeName(op);
+            for (size_t k = 0; k < expect.size(); ++k)
+                EXPECT_EQ(got[k], expect[k]) << opcodeName(op) << " " << k;
+            EXPECT_EQ(std::vector<Reg>(got.begin(), got.end()), expect)
+                << opcodeName(op);
+            EXPECT_EQ(g.defOf(i), hasDest(op) ? d : kNoReg)
+                << opcodeName(op);
+        }
+    }
+    // Spot checks of the operand counts the loop relies on.
+    InstrId st = g.append(
+        bb, {.op = Opcode::Store, .src1 = x, .src2 = y});
+    EXPECT_EQ(g.usesOf(st).size(), 2u);
+    InstrId mov = g.append(
+        bb, {.op = Opcode::Mov, .dst = d, .src1 = x, .src2 = y});
+    ASSERT_EQ(g.usesOf(mov).size(), 1u);
+    EXPECT_EQ(g.usesOf(mov)[0], x);
+    InstrId cst = g.append(bb, {.op = Opcode::Const, .dst = d, .src1 = x});
+    EXPECT_TRUE(g.usesOf(cst).empty());
 }
 
 TEST(IrFunction, PointBefore)

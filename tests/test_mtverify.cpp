@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
+#include <utility>
 
 #include "analysis/control_dep.hpp"
 #include "analysis/dominators.hpp"
@@ -842,6 +845,193 @@ TEST(MtVerifyPlan, InvalidPointAndUncoveredArcCodes)
     for (const MtvDiag &d : diags)
         found |= d.code == MtvCode::PlanUncoveredArc;
     EXPECT_TRUE(found);
+}
+
+// ---------------------------------------------------------------------
+// Theorem 1 coverage: plan validation and verify-mt run one uncovered-
+// path search, so given the same plan they must flag the same arcs.
+// ---------------------------------------------------------------------
+
+using UncoveredSite = std::tuple<int, BlockId, InstrId>;
+
+/** (thread, block, instr) of each PlanUncoveredArc validatePlanDiags
+ *  finds in @p plan, and of each DepUncovered verify-mt finds given
+ *  the same plan as its witness for @p prog. */
+std::pair<std::set<UncoveredSite>, std::set<UncoveredSite>>
+uncoveredBoth(const Function &f, const Pdg &pdg,
+              const ThreadPartition &part, const ControlDependence &cd,
+              const CommPlan &plan, const MtProgram &prog,
+              const std::vector<int> *queue_of)
+{
+    std::set<UncoveredSite> validator, verifier;
+    for (const MtvDiag &d : validatePlanDiags(f, pdg, part, cd, plan))
+        if (d.code == MtvCode::PlanUncoveredArc)
+            validator.insert({d.thread, d.block, d.instr});
+    MtVerifyInput in{.orig = &f,
+                     .pdg = &pdg,
+                     .partition = &part,
+                     .plan = &plan,
+                     .queue_of = queue_of,
+                     .prog = &prog,
+                     .check_hb = false};
+    for (const MtvDiag &d : verifyMtProgram(in).diags)
+        if (d.code == MtvCode::DepUncovered)
+            verifier.insert({d.thread, d.block, d.instr});
+    return {validator, verifier};
+}
+
+/** The Fig. 7 matrix (every kernel x {DSWP, GREMIO} x COCO off/on),
+ *  each placement's first point dropped in turn. */
+TEST(MtVerifyPlan, ValidatorAndVerifierAgreeOnUncoveredPaths)
+{
+    size_t drops = 0, flagged = 0;
+    for (const Workload &w : allWorkloads()) {
+        for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio}) {
+            for (bool coco : {false, true}) {
+                PipelineOptions po;
+                po.scheduler = sched;
+                po.use_coco = coco;
+                po.simulate = false;
+                po.verify_mt = false;
+                PipelineContext ctx(w, po);
+                PassManager::codegenPipeline().run(ctx);
+                const CommPlan &plan = ctx.plan->plan;
+                for (size_t pi = 0; pi < plan.placements.size(); ++pi) {
+                    CommPlan dropped = plan;
+                    auto &points = dropped.placements[pi].points;
+                    ASSERT_FALSE(points.empty()) << ctx.cellId();
+                    points.erase(points.begin());
+                    auto [validator, verifier] = uncoveredBoth(
+                        ctx.ir->func, ctx.pdg->pdg,
+                        ctx.partition->partition, ctx.pdg->cd, dropped,
+                        ctx.prog->prog, &ctx.prog->queue_of);
+                    EXPECT_EQ(validator, verifier)
+                        << ctx.cellId() << " placement " << pi;
+                    ++drops;
+                    flagged += validator.size();
+                }
+            }
+        }
+    }
+    EXPECT_GT(drops, 500u);
+    EXPECT_GT(flagged, 500u);
+}
+
+/** Loop: T1 reads r at the top of the body, T0 redefines it below.
+ *  A plan that communicates r only after the entry def leaves the
+ *  loop-carried arc uncovered on exactly one path, the one around the
+ *  back edge. */
+TEST(MtVerifyPlan, UncoveredPathAroundBackEdge)
+{
+    FunctionBuilder b("backedge");
+    Reg n = b.param();
+    BlockId entry = b.newBlock("entry");
+    BlockId body = b.newBlock("body");
+    BlockId exit = b.newBlock("exit");
+    b.setBlock(entry);
+    Reg r = b.constI(0);
+    Reg acc = b.constI(0);
+    b.jmp(body);
+    b.setBlock(body);
+    b.addInto(acc, acc, r); // T1 reads r
+    Reg one = b.constI(1);
+    b.addInto(r, r, one); // T0 redefines r
+    Reg c = b.cmpLt(r, n);
+    b.br(c, body, exit);
+    b.setBlock(exit);
+    b.ret({acc});
+    Function f = b.finish();
+    splitCriticalEdges(f);
+
+    const auto &bi = f.block(body).instrs();
+    const InstrId use = bi[0];
+    ThreadPartition p;
+    p.num_threads = 2;
+    p.assign.assign(f.numInstrs(), 0);
+    p.assign[f.block(entry).instrs()[1]] = 1; // acc = 0
+    p.assign[use] = 1;
+    for (InstrId i : f.block(exit).instrs())
+        p.assign[i] = 1;
+    Cell cell = makeCell(std::move(f), std::move(p));
+    ASSERT_TRUE(cell.verify().ok()) << cell.verify().render();
+    ControlDependence cd(*cell.f,
+                         DominatorTree::postDominators(*cell.f));
+
+    // Communicate r only right after the entry def.
+    CommPlan plan = cell.plan;
+    int rp = -1;
+    for (size_t pi = 0; pi < plan.placements.size(); ++pi)
+        if (plan.placements[pi].kind == CommKind::RegisterData &&
+            plan.placements[pi].reg == r)
+            rp = static_cast<int>(pi);
+    ASSERT_NE(rp, -1);
+    plan.placements[rp].points = {{entry, 1}};
+
+    auto [validator, verifier] = uncoveredBoth(
+        *cell.f, *cell.pdg, cell.part, cd, plan, cell.prog, nullptr);
+    std::set<UncoveredSite> expect{{1, body, use}};
+    EXPECT_EQ(validator, expect);
+    EXPECT_EQ(verifier, expect);
+
+    // Adding the point right after the loop's def covers it.
+    plan.placements[rp].points.push_back({body, 3});
+    auto [v2, m2] = uncoveredBoth(*cell.f, *cell.pdg, cell.part, cd,
+                                  plan, cell.prog, nullptr);
+    EXPECT_TRUE(v2.empty());
+    EXPECT_TRUE(m2.empty());
+}
+
+/** Diamond: T0 defines r on entry, T1 reads it at the join. The plan
+ *  covers only the right arm; on the left arm T1 redefines r, which
+ *  kills the path, so nothing is uncovered. With the left arm
+ *  defining another register instead, the left path escapes. */
+TEST(MtVerifyPlan, RedefinitionKillsUncoveredPath)
+{
+    for (bool kill : {true, false}) {
+        FunctionBuilder b("killpath");
+        Reg cnd = b.param();
+        BlockId entry = b.newBlock("entry");
+        BlockId left = b.newBlock("left");
+        BlockId right = b.newBlock("right");
+        BlockId join = b.newBlock("join");
+        b.setBlock(entry);
+        Reg r = b.constI(1);
+        Reg other = b.constI(0);
+        b.br(cnd, left, right);
+        b.setBlock(left);
+        b.constInto(kill ? r : other, 2);
+        b.jmp(join);
+        b.setBlock(right);
+        b.jmp(join);
+        b.setBlock(join);
+        Reg s = b.add(r, other);
+        b.ret({s});
+        Function f = b.finish();
+        splitCriticalEdges(f);
+
+        const InstrId use = f.block(join).instrs()[0];
+        ThreadPartition p;
+        p.num_threads = 2;
+        p.assign.assign(f.numInstrs(), 1);
+        p.assign[f.block(entry).instrs()[0]] = 0; // r = 1
+        Cell cell = makeCell(std::move(f), std::move(p));
+        ASSERT_TRUE(cell.verify().ok()) << cell.verify().render();
+        ControlDependence cd(*cell.f,
+                             DominatorTree::postDominators(*cell.f));
+
+        CommPlan plan = cell.plan;
+        ASSERT_EQ(plan.placements.size(), 1u);
+        ASSERT_EQ(plan.placements[0].reg, r);
+        plan.placements[0].points = {{right, 0}};
+
+        auto [validator, verifier] = uncoveredBoth(
+            *cell.f, *cell.pdg, cell.part, cd, plan, cell.prog, nullptr);
+        std::set<UncoveredSite> expect;
+        if (!kill)
+            expect.insert({1, join, use});
+        EXPECT_EQ(validator, expect) << "kill=" << kill;
+        EXPECT_EQ(verifier, expect) << "kill=" << kill;
+    }
 }
 
 TEST(MtVerifyDiag, RenderAndDedupe)

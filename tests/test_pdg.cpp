@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "ir/builder.hpp"
+#include "ir/edge_split.hpp"
 #include "pdg/pdg_builder.hpp"
 #include "testgen.hpp"
+#include "workloads/generate.hpp"
+#include "workloads/workload.hpp"
 
 namespace gmt
 {
@@ -198,6 +207,105 @@ TEST(PdgProperty, ArcWellFormedness)
             }
         }
     }
+}
+
+/**
+ * Register arcs by their definition, one instruction-level walk per
+ * def: (d, u, r) for every u that reads r at a point some path from
+ * just after d reaches with no other def of r on the way. The walk
+ * records a read before it stops at a def, so u = d (a loop-carried
+ * self dependence) and reads by a redefining instruction count.
+ */
+std::vector<std::tuple<InstrId, InstrId, Reg>>
+definitionalRegisterArcs(const Function &f)
+{
+    std::vector<std::tuple<InstrId, InstrId, Reg>> arcs;
+    std::vector<int> seen(f.numInstrs(), -1);
+    for (BlockId db = 0; db < f.numBlocks(); ++db) {
+        const auto &dinstrs = f.block(db).instrs();
+        for (size_t dpos = 0; dpos < dinstrs.size(); ++dpos) {
+            const InstrId d = dinstrs[dpos];
+            const Reg r = f.defOf(d);
+            if (r == kNoReg)
+                continue;
+            // Work items are (block, pos) points; a point names the
+            // instruction at it.
+            std::vector<std::pair<BlockId, size_t>> work;
+            auto step = [&](BlockId b, size_t pos) {
+                if (pos < f.block(b).size()) {
+                    work.push_back({b, pos});
+                } else {
+                    for (BlockId s : f.block(b).succs())
+                        work.push_back({s, 0});
+                }
+            };
+            step(db, dpos + 1);
+            while (!work.empty()) {
+                auto [b, pos] = work.back();
+                work.pop_back();
+                const InstrId u = f.block(b).instrs()[pos];
+                if (seen[u] == d)
+                    continue;
+                seen[u] = d;
+                auto uses = f.usesOf(u);
+                if (std::find(uses.begin(), uses.end(), r) != uses.end())
+                    arcs.emplace_back(d, u, r);
+                if (f.defOf(u) != r)
+                    step(b, pos + 1);
+            }
+        }
+    }
+    std::sort(arcs.begin(), arcs.end());
+    return arcs;
+}
+
+/** The property inputs of test_analysis: 25 random structured
+ *  programs, then the edge-split CFGs the pipeline analyses (36
+ *  generated workloads and the 11 benchmark kernels). */
+std::vector<std::pair<std::string, Function>>
+pdgPropertyInputs(uint64_t seed)
+{
+    std::vector<std::pair<std::string, Function>> out;
+    Rng rng(seed);
+    for (int trial = 0; trial < 25; ++trial)
+        out.emplace_back("trial " + std::to_string(trial),
+                         generateProgram(rng).func);
+    std::vector<Workload> cells = allWorkloads();
+    for (uint64_t gen = 1; gen <= 36; ++gen)
+        cells.push_back(generateWorkload(gen));
+    for (Workload &w : cells) {
+        splitCriticalEdges(w.func);
+        out.emplace_back(w.name, std::move(w.func));
+    }
+    return out;
+}
+
+// Property: the register arcs are exactly the reaching-definition
+// relation (d defines r, u reads r, and a path from just after d
+// reaches u with no other def of r), and no arc appears twice.
+TEST(PdgProperty, RegisterArcsMatchDefinition)
+{
+    size_t total = 0;
+    for (const auto &[name, f] : pdgPropertyInputs(808)) {
+        Pdg pdg = buildPdg(f);
+        std::vector<std::tuple<InstrId, InstrId, Reg>> got;
+        std::vector<std::tuple<InstrId, InstrId, int, Reg>> keys;
+        for (const PdgArc &arc : pdg.arcs()) {
+            keys.emplace_back(arc.src, arc.dst,
+                              static_cast<int>(arc.kind), arc.reg);
+            if (arc.kind == DepKind::Register)
+                got.emplace_back(arc.src, arc.dst, arc.reg);
+        }
+        std::sort(keys.begin(), keys.end());
+        EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()),
+                  keys.end())
+            << name << ": duplicate arc";
+        std::sort(got.begin(), got.end());
+        auto expect = definitionalRegisterArcs(f);
+        ASSERT_EQ(got, expect) << name;
+        total += expect.size();
+    }
+    EXPECT_GT(total, 10000u);
 }
 
 } // namespace
