@@ -290,12 +290,9 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         safety.push_back(
             std::make_unique<SafetyAnalysis>(f, partition, t));
 
-    // Transitive control dependences are immutable per function:
-    // hoisted out of the per-problem graph builders (§3.1.2 penalty
-    // terms read them for every arc cost).
-    std::vector<std::vector<BlockId>> trans_deps(f.numBlocks());
-    for (BlockId b = 0; b < f.numBlocks(); ++b)
-        trans_deps[b] = cd.transitiveDeps(b);
+    // Transitive control dependences and each register's def/use
+    // blocks are immutable per function: built once for every graph.
+    const CutGraphIndex index(f, cd);
 
     // Per-register index over the PDG's register arcs, so the default
     // placement fallback stops re-scanning every arc per problem.
@@ -484,7 +481,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
 
         FlowGraphInputs inputs{&f,        &cd,
                                &profile,  &partition,
-                               &relevant, &trans_deps,
+                               &relevant, &index,
                                opts.control_flow_penalties};
 
         auto fresh = [&](const CutProblem &p) {

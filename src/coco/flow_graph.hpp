@@ -20,6 +20,7 @@
  * per problem.
  */
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -66,6 +67,39 @@ struct FlowGraph
     }
 };
 
+/**
+ * Per-function facts the builders read, built once per cocoOptimize
+ * call: each block's transitive control dependences (the §3.1.2
+ * penalty terms read them for every arc cost) and, per register, the
+ * blocks that define or use it.
+ */
+class CutGraphIndex
+{
+  public:
+    CutGraphIndex(const Function &f, const ControlDependence &cd);
+
+    /** ControlDependence::transitiveDeps(@p b). */
+    const std::vector<BlockId> &
+    transDeps(BlockId b) const
+    {
+        return trans_deps_[b];
+    }
+
+    /** Blocks holding a def or use of @p r, ascending. */
+    std::span<const BlockId>
+    blocksOf(Reg r) const
+    {
+        return {blocks_.data() + reg_off_[r],
+                blocks_.data() + reg_off_[r + 1]};
+    }
+
+  private:
+    std::vector<std::vector<BlockId>> trans_deps_;
+    /** blocksOf(r) is blocks_[reg_off_[r] .. reg_off_[r + 1]). */
+    std::vector<int> reg_off_;
+    std::vector<BlockId> blocks_;
+};
+
 /** Inputs shared by both builders. */
 struct FlowGraphInputs
 {
@@ -77,13 +111,8 @@ struct FlowGraphInputs
     /** Per-thread relevant-branch sets (current Algorithm 2 state). */
     const std::vector<BitVector> *relevant;
 
-    /**
-     * Per-block transitive control dependences, computed once per
-     * cocoOptimize call (ControlDependence::transitiveDeps per block
-     * is too hot to redo per problem). May be null: each builder call
-     * then derives them itself.
-     */
-    const std::vector<std::vector<BlockId>> *trans_deps = nullptr;
+    /** The CutGraphIndex of *f (required). */
+    const CutGraphIndex *index;
 
     /** Apply §3.1.2 control-flow penalties? */
     bool penalties = true;
@@ -91,24 +120,30 @@ struct FlowGraphInputs
 
 /**
  * Reusable working memory for the builders. One instance per worker;
- * inner vectors keep their capacity across problems.
+ * the vectors keep their capacity across problems. Per-point arrays
+ * are flat: block k's points (positions 0..size) start at first[k].
  */
 struct FlowGraphScratch
 {
-    std::vector<std::vector<char>> point_live;
-    std::vector<std::vector<char>> point_safe;
-    std::vector<int> entry_node;
-    std::vector<std::vector<int>> instr_node;
+    /** Register graph: the blocks it walks, ascending, and each
+     *  block's index among them (-1 if not walked). */
+    std::vector<BlockId> blocks;
+    std::vector<int> slot;
 
-    /** Fallback for FlowGraphInputs::trans_deps == nullptr. */
-    std::vector<std::vector<BlockId>> local_trans_deps;
+    std::vector<int> first;
+    std::vector<char> point_live;
+    std::vector<char> point_safe;
+    std::vector<int> entry_node;
+    std::vector<int> instr_node;
 };
 
 /**
  * Build G_f for register @p r from thread @p ts to thread @p tt
  * (§3.1.1 + §3.1.2) into @p out. @p safety is the SafetyAnalysis of
  * @p ts; @p live the ThreadLiveness of @p tt (with its current
- * relevant branches).
+ * relevant branches). Walks only the blocks r is live out of or that
+ * define or use r: every other block has no live point of r, hence no
+ * node and no arc.
  */
 void buildRegisterFlowGraph(const FlowGraphInputs &in,
                             const SafetyAnalysis &safety,

@@ -13,40 +13,64 @@ SafetyAnalysis::SafetyAnalysis(const Function &f,
     const int nb = f.numBlocks();
     const int nr = f.numRegs();
 
+    // Equation (1) over a whole block, summarized once as
+    // SAFE_out = (SAFE_in - KILL) u GEN: the last instruction that
+    // touches a register decides its bit. KILL holds every register
+    // the block defines, GEN those whose last touch is a def or use of
+    // the source thread (another thread's later def clears them).
+    std::vector<BitVector> kill(nb, BitVector(nr));
+    std::vector<BitVector> gen(nb, BitVector(nr));
+    for (BlockId b = 0; b < nb; ++b) {
+        for (InstrId i : f.block(b).instrs()) {
+            Reg def = f.defOf(i);
+            if (def != kNoReg) {
+                kill[b].set(def);
+                gen[b].reset(def);
+            }
+            if (partition_.threadOf(i) != src_thread_)
+                continue;
+            if (def != kNoReg)
+                gen[b].set(def);
+            for (Reg use : f.usesOf(i))
+                gen[b].set(use);
+        }
+    }
+
     // Optimistic (top) initialization; the entry boundary is "all
     // safe" because live-ins are broadcast at spawn. Iterating the
     // intersection to the greatest fixpoint yields the precise
     // merge-over-paths solution of this distributive framework.
+    // safe_out[b] is kept equal to block b's summary applied to
+    // safe_in_[b]; the loop reuses its sets and allocates nothing.
     safe_in_.assign(nb, BitVector(nr));
-    for (auto &s : safe_in_)
-        s.setAll();
+    std::vector<BitVector> safe_out(nb, BitVector(nr));
+    auto summarize = [&](BlockId b) {
+        safe_out[b] = safe_in_[b];
+        safe_out[b].subtract(kill[b]);
+        safe_out[b].unionWith(gen[b]);
+    };
+    for (BlockId b = 0; b < nb; ++b) {
+        safe_in_[b].setAll();
+        summarize(b);
+    }
 
+    BitVector in(nr);
     bool changed = true;
     while (changed) {
         changed = false;
         for (BlockId b = 0; b < nb; ++b) {
-            BitVector in(nr);
-            if (b == f.entry()) {
-                in.setAll();
-            } else {
-                bool first = true;
-                for (BlockId p : f.block(b).preds()) {
-                    BitVector out = safe_in_[p];
-                    for (InstrId i : f.block(p).instrs())
-                        transfer(out, i);
-                    if (first) {
-                        in = std::move(out);
-                        first = false;
-                    } else {
-                        in.intersectWith(out);
-                    }
-                }
-                // A block with no predecessors other than entry
-                // cannot occur (verifier guarantees reachability).
-                GMT_ASSERT(!first, "block without predecessors");
-            }
+            if (b == f.entry())
+                continue; // stays all-safe
+            const auto &preds = f.block(b).preds();
+            // A block with no predecessors other than entry cannot
+            // occur (verifier guarantees reachability).
+            GMT_ASSERT(!preds.empty(), "block without predecessors");
+            in = safe_out[preds[0]];
+            for (size_t k = 1; k < preds.size(); ++k)
+                in.intersectWith(safe_out[preds[k]]);
             if (!(in == safe_in_[b])) {
-                safe_in_[b] = std::move(in);
+                std::swap(safe_in_[b], in);
+                summarize(b);
                 changed = true;
             }
         }
@@ -87,7 +111,12 @@ SafetyAnalysis::safeAt(const ProgramPoint &p) const
 bool
 SafetyAnalysis::isSafeAt(Reg r, const ProgramPoint &p) const
 {
-    return safeAt(p).test(r);
+    const BasicBlock &bb = func_.block(p.block);
+    GMT_ASSERT(p.pos >= 0 && p.pos <= static_cast<int>(bb.size()));
+    bool safe = safe_in_[p.block].test(r);
+    for (int k = 0; k < p.pos; ++k)
+        safe = safeAfter(r, safe, bb.instrs()[k]);
+    return safe;
 }
 
 } // namespace gmt

@@ -43,6 +43,22 @@ class SafetyAnalysis
 
     bool isSafeAt(Reg r, const ProgramPoint &p) const;
 
+    /** Equation (1) for register @p r alone across instruction @p i:
+     *  @p safe before it, the result after. Any def of r resets the
+     *  bit; the source thread's own defs and uses of r set it. */
+    bool
+    safeAfter(Reg r, bool safe, InstrId i) const
+    {
+        const bool mine = partition_.threadOf(i) == src_thread_;
+        if (func_.defOf(i) == r)
+            safe = mine;
+        if (mine && !safe) {
+            for (Reg use : func_.usesOf(i))
+                safe = safe || use == r;
+        }
+        return safe;
+    }
+
   private:
     /** Apply equation (1) for one instruction. */
     void transfer(BitVector &safe, InstrId i) const;

@@ -16,6 +16,39 @@ namespace gmt
 namespace
 {
 
+/**
+ * Function::positionOf of every instruction, tabulated once per
+ * function (positionOf scans the block). An instruction its block does
+ * not list falls back to positionOf, which reports it.
+ */
+class PositionTable
+{
+  public:
+    explicit PositionTable(const Function &f)
+        : f_(&f), pos_(f.numInstrs(), -1)
+    {
+        for (BlockId b = 0; b < f.numBlocks(); ++b) {
+            const auto &instrs = f.block(b).instrs();
+            for (int k = static_cast<int>(instrs.size()) - 1; k >= 0;
+                 --k) {
+                const InstrId i = instrs[k];
+                if (i >= 0 && i < f.numInstrs() && f.instr(i).block == b)
+                    pos_[i] = k; // descending: the first listing wins
+            }
+        }
+    }
+
+    int
+    operator()(InstrId i) const
+    {
+        return pos_[i] >= 0 ? pos_[i] : f_->positionOf(i);
+    }
+
+  private:
+    const Function *f_;
+    std::vector<int> pos_;
+};
+
 /** One communication op the plan expects a thread to emit in the
  *  image of an original block, in (point, plan) order. */
 struct ExpectedComm
@@ -99,8 +132,9 @@ expectedCommByBlock(const MtVerifyInput &in)
  * flushes expected entries whose point has been passed.
  */
 void
-walkBlock(const MtVerifyInput &in, int t, const ThreadCodeMap &map,
-          BlockId ob, const std::vector<ExpectedComm> &expected,
+walkBlock(const MtVerifyInput &in, const PositionTable &orig_pos, int t,
+          const ThreadCodeMap &map, BlockId ob,
+          const std::vector<ExpectedComm> &expected,
           std::vector<MtvDiag> &diags)
 {
     const Function &emitted = in.prog->threads[t];
@@ -138,7 +172,7 @@ walkBlock(const MtVerifyInput &in, int t, const ThreadCodeMap &map,
                 continue; // orphan; reported elsewhere
             // Passing the copy of original position p means every
             // point at positions <= p should already have fired.
-            int opos = in.orig->positionOf(ins.origin);
+            int opos = orig_pos(ins.origin);
             while (xi < expected.size() && expected[xi].pos <= opos)
                 reportMissing(expected[xi++]);
             continue;
@@ -392,6 +426,8 @@ checkCopies(const MtVerifyInput &in,
 void
 checkDependences(const MtVerifyInput &in,
                  const std::vector<ThreadCodeMap> &maps,
+                 const PositionTable &orig_pos,
+                 const std::vector<PositionTable> &thread_pos,
                  std::vector<MtvDiag> &diags)
 {
     const Function &orig = *in.orig;
@@ -432,10 +468,10 @@ checkDependences(const MtVerifyInput &in,
             if (emitted.instr(sc[0]).block !=
                 emitted.instr(dc[0]).block)
                 continue; // wrong block already reported
-            int so = orig.positionOf(arc.src);
-            int de = orig.positionOf(arc.dst);
-            int se = emitted.positionOf(sc[0]);
-            int dee = emitted.positionOf(dc[0]);
+            int so = orig_pos(arc.src);
+            int de = orig_pos(arc.dst);
+            int se = thread_pos[ts](sc[0]);
+            int dee = thread_pos[ts](dc[0]);
             if ((so < de) != (se < dee))
                 diags.push_back(
                     {.code = MtvCode::DepIntraThreadOrder,
@@ -518,14 +554,20 @@ verifyMtProgram(const MtVerifyInput &in)
     checkCopies(in, maps, res.diags);
 
     // Theorem 1: plan fidelity + PDG coverage.
+    const PositionTable orig_pos(*in.orig);
+    std::vector<PositionTable> thread_pos;
+    thread_pos.reserve(nt);
+    for (int t = 0; t < nt; ++t)
+        thread_pos.emplace_back(in.prog->threads[t]);
     auto expected = expectedCommByBlock(in);
     for (int t = 0; t < nt; ++t) {
         if (maps[t].broken)
             continue; // block images unusable; already reported
         for (BlockId ob = 0; ob < in.orig->numBlocks(); ++ob)
-            walkBlock(in, t, maps[t], ob, expected[t][ob], res.diags);
+            walkBlock(in, orig_pos, t, maps[t], ob, expected[t][ob],
+                      res.diags);
     }
-    checkDependences(in, maps, res.diags);
+    checkDependences(in, maps, orig_pos, thread_pos, res.diags);
 
     // Theorems 2 and 3, from the emitted code alone.
     checkQueueBalance(*in.orig, *in.prog, maps, res.diags);

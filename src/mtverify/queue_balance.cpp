@@ -133,6 +133,25 @@ checkQueueBalance(const Function &orig, const MtProgram &prog,
     constexpr int kUnvisited = std::numeric_limits<int>::min();
     constexpr int kTop = std::numeric_limits<int>::min() + 1;
 
+    // Blocks reachable from the entry: where a queue whose every block
+    // nets zero tokens has count 0 at block entry. The dataflow could
+    // only confirm that, so such queues skip it.
+    std::vector<char> reachable(nb, 0);
+    {
+        std::vector<BlockId> stack{orig.entry()};
+        reachable[orig.entry()] = 1;
+        while (!stack.empty()) {
+            BlockId b = stack.back();
+            stack.pop_back();
+            for (BlockId s : orig.block(b).succs()) {
+                if (!reachable[s]) {
+                    reachable[s] = 1;
+                    stack.push_back(s);
+                }
+            }
+        }
+    }
+
     std::vector<int> net(nb), in(nb);
     size_t next = 0; // first op of the current queue
     for (QueueId q = 0; q < prog.num_queues; ++q) {
@@ -145,56 +164,70 @@ checkQueueBalance(const Function &orig, const MtProgram &prog,
         if (e.producer == -1 && e.consumer == -1)
             continue; // unused queue (multiplexing slack)
 
-        // Net token delta per block.
-        std::fill(net.begin(), net.end(), 0);
-        for (size_t k = first; k < next; ++k)
-            net[ops[k].block] += isProduce(ops[k].op) ? 1 : -1;
+        // Net token delta of the queue's ops in one original block.
+        auto groupDelta = [&](size_t lo, size_t &hi) {
+            int delta = 0;
+            for (hi = lo; hi < next && ops[hi].block == ops[lo].block;
+                 ++hi)
+                delta += isProduce(ops[hi].op) ? 1 : -1;
+            return delta;
+        };
+        bool balanced = true;
+        for (size_t lo = first, hi = first; balanced && lo < next;
+             lo = hi)
+            balanced = groupDelta(lo, hi) == 0;
 
-        std::fill(in.begin(), in.end(), kUnvisited);
-        in[orig.entry()] = 0;
-        std::deque<BlockId> work{orig.entry()};
-        bool reported_merge = false;
-        while (!work.empty()) {
-            BlockId b = work.front();
-            work.pop_front();
-            int out = in[b] == kTop ? kTop : in[b] + net[b];
-            for (BlockId s : orig.block(b).succs()) {
-                int merged;
-                if (in[s] == kUnvisited || in[s] == out)
-                    merged = out;
-                else
-                    merged = kTop;
-                if (merged == kTop && !reported_merge) {
-                    reported_merge = true;
-                    diags.push_back(
-                        {.code = MtvCode::QueueImbalance,
-                         .block = s,
-                         .queue = q,
-                         .message =
-                             "in-flight token count diverges between "
-                             "paths reaching " +
-                             orig.block(s).label()});
-                }
-                if (merged != in[s]) {
-                    in[s] = merged;
-                    work.push_back(s);
+        if (!balanced) {
+            std::fill(net.begin(), net.end(), 0);
+            for (size_t k = first; k < next; ++k)
+                net[ops[k].block] += isProduce(ops[k].op) ? 1 : -1;
+            std::fill(in.begin(), in.end(), kUnvisited);
+            in[orig.entry()] = 0;
+            std::deque<BlockId> work{orig.entry()};
+            bool reported_merge = false;
+            while (!work.empty()) {
+                BlockId b = work.front();
+                work.pop_front();
+                int out = in[b] == kTop ? kTop : in[b] + net[b];
+                for (BlockId s : orig.block(b).succs()) {
+                    int merged;
+                    if (in[s] == kUnvisited || in[s] == out)
+                        merged = out;
+                    else
+                        merged = kTop;
+                    if (merged == kTop && !reported_merge) {
+                        reported_merge = true;
+                        diags.push_back(
+                            {.code = MtvCode::QueueImbalance,
+                             .block = s,
+                             .queue = q,
+                             .message =
+                                 "in-flight token count diverges "
+                                 "between paths reaching " +
+                                 orig.block(s).label()});
+                    }
+                    if (merged != in[s]) {
+                        in[s] = merged;
+                        work.push_back(s);
+                    }
                 }
             }
-        }
 
-        BlockId ex = orig.exitBlock();
-        int at_exit = in[ex] == kTop || in[ex] == kUnvisited
-                          ? in[ex]
-                          : in[ex] + net[ex];
-        if (at_exit != 0 && at_exit != kTop && at_exit != kUnvisited) {
-            std::ostringstream msg;
-            msg << "queue ends with " << at_exit
-                << " unmatched token(s) at exit (produces vs consumes "
-                   "diverge)";
-            diags.push_back({.code = MtvCode::QueueImbalance,
-                             .block = ex,
-                             .queue = q,
-                             .message = msg.str()});
+            BlockId ex = orig.exitBlock();
+            int at_exit = in[ex] == kTop || in[ex] == kUnvisited
+                              ? in[ex]
+                              : in[ex] + net[ex];
+            if (at_exit != 0 && at_exit != kTop &&
+                at_exit != kUnvisited) {
+                std::ostringstream msg;
+                msg << "queue ends with " << at_exit
+                    << " unmatched token(s) at exit (produces vs "
+                       "consumes diverge)";
+                diags.push_back({.code = MtvCode::QueueImbalance,
+                                 .block = ex,
+                                 .queue = q,
+                                 .message = msg.str()});
+            }
         }
 
         // --- token-kind mirroring per block -------------------------
@@ -207,9 +240,8 @@ checkQueueBalance(const Function &orig, const MtProgram &prog,
             continue;
         for (size_t lo = first, hi = first; lo < next; lo = hi) {
             const BlockId b = ops[lo].block;
-            while (hi < next && ops[hi].block == b)
-                ++hi;
-            if (in[b] != 0 || net[b] != 0)
+            const bool zero_in = balanced ? reachable[b] : in[b] == 0;
+            if (groupDelta(lo, hi) != 0 || !zero_in)
                 continue;
             // The group is the producer's ops, then the consumer's (or
             // the reverse): pair the k-th of each.

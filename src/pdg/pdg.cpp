@@ -5,30 +5,56 @@
 namespace gmt
 {
 
-Pdg::Pdg(const Function &f) : func_(&f)
+namespace
 {
-    from_.resize(f.numInstrs());
-    to_.resize(f.numInstrs());
+
+/** Counting sort of arc ids by one endpoint into offset arrays; ids
+ *  ascend within each node's list. */
+template <typename Endpoint>
+void
+indexBy(const std::vector<PdgArc> &arcs, int n, Endpoint end,
+        std::vector<int> &off, std::vector<int> &ids)
+{
+    off.assign(n + 1, 0);
+    for (const PdgArc &a : arcs)
+        ++off[end(a) + 1];
+    for (int i = 0; i < n; ++i)
+        off[i + 1] += off[i];
+    ids.resize(arcs.size());
+    std::vector<int> next(off.begin(), off.end() - 1);
+    for (int a = 0; a < static_cast<int>(arcs.size()); ++a)
+        ids[next[end(arcs[a])]++] = a;
+}
+
+} // namespace
+
+Pdg::Pdg(const Function &f, std::vector<PdgArc> arcs)
+    : func_(&f), arcs_(std::move(arcs))
+{
+    index();
+}
+
+void
+Pdg::index()
+{
+    const int n = func_->numInstrs();
+    indexBy(arcs_, n, [](const PdgArc &a) { return a.src; }, from_off_,
+            from_);
+    indexBy(arcs_, n, [](const PdgArc &a) { return a.dst; }, to_off_,
+            to_);
 }
 
 void
 Pdg::addArc(PdgArc arc)
 {
     GMT_ASSERT(arc.src != kNoInstr && arc.dst != kNoInstr);
-    // A duplicate sits on both endpoint lists: search the shorter
-    // (a branch's control arcs or a hot def's uses make one side long).
-    const auto &out = from_[arc.src];
-    const auto &in = to_[arc.dst];
-    for (int a : out.size() <= in.size() ? out : in) {
+    for (int a : arcsFrom(arc.src)) {
         const PdgArc &e = arcs_[a];
-        if (e.src == arc.src && e.dst == arc.dst && e.kind == arc.kind &&
-            e.reg == arc.reg)
+        if (e.dst == arc.dst && e.kind == arc.kind && e.reg == arc.reg)
             return; // duplicate
     }
-    int id = static_cast<int>(arcs_.size());
     arcs_.push_back(arc);
-    from_[arc.src].push_back(id);
-    to_[arc.dst].push_back(id);
+    index();
 }
 
 std::vector<const PdgArc *>

@@ -11,6 +11,7 @@
  * inter-thread arcs (paper Property 1).
  */
 
+#include <span>
 #include <vector>
 
 #include "analysis/mem_dep.hpp"
@@ -37,11 +38,16 @@ struct PdgArc
     MemDepKind mem_kind = MemDepKind::Flow;
 };
 
-/** Program dependence graph of one function. */
+/**
+ * Program dependence graph of one function: one flat arc vector, and
+ * in/out adjacency as offset arrays over it (each list ascending).
+ */
 class Pdg
 {
   public:
-    explicit Pdg(const Function &f);
+    /** The PDG of @p f with arcs @p arcs, which hold no two arcs
+     *  equal on (src, dst, kind, reg). */
+    Pdg(const Function &f, std::vector<PdgArc> arcs);
 
     const Function &func() const { return *func_; }
 
@@ -49,11 +55,22 @@ class Pdg
     const PdgArc &arc(int a) const { return arcs_[a]; }
     const std::vector<PdgArc> &arcs() const { return arcs_; }
 
-    /** Arc indices leaving / entering an instruction. */
-    const std::vector<int> &arcsFrom(InstrId i) const { return from_[i]; }
-    const std::vector<int> &arcsTo(InstrId i) const { return to_[i]; }
+    /** Arc indices leaving / entering an instruction, ascending. */
+    std::span<const int>
+    arcsFrom(InstrId i) const
+    {
+        return {from_.data() + from_off_[i],
+                from_.data() + from_off_[i + 1]};
+    }
+    std::span<const int>
+    arcsTo(InstrId i) const
+    {
+        return {to_.data() + to_off_[i], to_.data() + to_off_[i + 1]};
+    }
 
-    /** Add an arc (deduplicated on (src, dst, kind, reg)). */
+    /** Add an arc to the built graph unless one equal on (src, dst,
+     *  kind, reg) exists; re-indexes the adjacency (for mutation
+     *  tests, not for construction). */
     void addArc(PdgArc arc);
 
     /** The memory arcs, in arc order (the happens-before engine and
@@ -67,9 +84,14 @@ class Pdg
     Digraph asDigraph() const;
 
   private:
+    /** Rebuild the offset arrays from arcs_. */
+    void index();
+
     const Function *func_;
     std::vector<PdgArc> arcs_;
-    std::vector<std::vector<int>> from_, to_;
+    /** Arcs leaving i: from_[from_off_[i] .. from_off_[i + 1]); to_
+     *  likewise for arcs entering i. */
+    std::vector<int> from_off_, from_, to_off_, to_;
 };
 
 } // namespace gmt

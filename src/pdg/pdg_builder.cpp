@@ -1,5 +1,6 @@
 #include "pdg/pdg_builder.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/control_dep.hpp"
@@ -16,7 +17,7 @@ namespace
 
 /** Register flow arcs via iterative reaching definitions. */
 void
-addRegisterArcs(const Function &f, Pdg &pdg)
+addRegisterArcs(const Function &f, std::vector<PdgArc> &arcs)
 {
     // Enumerate definition sites.
     std::vector<InstrId> def_sites;
@@ -51,25 +52,27 @@ addRegisterArcs(const Function &f, Pdg &pdg)
         }
     }
 
-    // Forward union fixpoint.
+    // Forward union fixpoint. The two scratch sets are reused across
+    // blocks and passes (a changed set is swapped in, not copied).
     std::vector<BitVector> in(nb, BitVector(nd));
     std::vector<BitVector> out(nb, BitVector(nd));
+    BitVector new_in(nd), new_out(nd);
     bool changed = true;
     while (changed) {
         changed = false;
         for (BlockId b = 0; b < nb; ++b) {
-            BitVector new_in(nd);
+            new_in.clearAll();
             for (BlockId p : f.block(b).preds())
                 new_in.unionWith(out[p]);
-            BitVector new_out = new_in;
+            new_out = new_in;
             new_out.subtract(kill[b]);
             new_out.unionWith(gen[b]);
             if (!(new_in == in[b])) {
-                in[b] = std::move(new_in);
+                std::swap(in[b], new_in);
                 changed = true;
             }
             if (!(new_out == out[b])) {
-                out[b] = std::move(new_out);
+                std::swap(out[b], new_out);
                 changed = true;
             }
         }
@@ -78,15 +81,24 @@ addRegisterArcs(const Function &f, Pdg &pdg)
     // Attach def -> use arcs by walking each block. A use of r can
     // only be reached by r's own sites, so each use tests the reaching
     // bit of those alone; sites ascend, so arcs come out in the order
-    // a scan of the whole reaching set would give.
+    // a scan of the whole reaching set would give. A register an
+    // instruction reads twice (two equal operands, or a Ret repeating
+    // a live-out) gets its arcs once.
+    BitVector &reaching = new_in; // reuses the scratch storage
     for (BlockId b = 0; b < nb; ++b) {
-        BitVector reaching = in[b];
+        reaching = in[b];
         for (InstrId i : f.block(b).instrs()) {
-            for (Reg use : f.usesOf(i)) {
+            const UseList uses = f.usesOf(i);
+            for (size_t k = 0; k < uses.size(); ++k) {
+                const Reg use = uses[k];
+                if (std::find(uses.begin(), uses.begin() + k, use) !=
+                    uses.begin() + k)
+                    continue;
                 for (int s : sites_of_reg[use]) {
                     if (reaching.test(s))
-                        pdg.addArc({def_sites[s], i, DepKind::Register,
-                                    use, MemDepKind::Flow});
+                        arcs.push_back({def_sites[s], i,
+                                        DepKind::Register, use,
+                                        MemDepKind::Flow});
                 }
             }
             Reg def = f.defOf(i);
@@ -100,17 +112,20 @@ addRegisterArcs(const Function &f, Pdg &pdg)
 }
 
 void
-addMemoryArcs(const Function &f, Pdg &pdg)
+addMemoryArcs(const Function &f, std::vector<PdgArc> &arcs)
 {
-    for (const MemDep &dep : computeMemDeps(f)) {
-        pdg.addArc({dep.src, dep.dst, DepKind::Memory, kNoReg,
-                    dep.kind});
-    }
+    // computeMemDeps lists each (src, dst) pair at most once.
+    for (const MemDep &dep : computeMemDeps(f))
+        arcs.push_back(
+            {dep.src, dep.dst, DepKind::Memory, kNoReg, dep.kind});
 }
 
 void
-addControlArcs(const Function &f, const ControlDependence &cd, Pdg &pdg)
+addControlArcs(const Function &f, const ControlDependence &cd,
+               std::vector<PdgArc> &arcs)
 {
+    // controlledBy lists each block once, so each (branch, i) comes
+    // once.
     for (BlockId a = 0; a < f.numBlocks(); ++a) {
         const BasicBlock &bb = f.block(a);
         if (bb.succs().size() < 2)
@@ -120,8 +135,8 @@ addControlArcs(const Function &f, const ControlDependence &cd, Pdg &pdg)
         for (BlockId c : cd.controlledBy(a)) {
             for (InstrId i : f.block(c).instrs()) {
                 if (i != branch) {
-                    pdg.addArc({branch, i, DepKind::Control, kNoReg,
-                                MemDepKind::Flow});
+                    arcs.push_back({branch, i, DepKind::Control, kNoReg,
+                                    MemDepKind::Flow});
                 }
             }
         }
@@ -133,11 +148,14 @@ addControlArcs(const Function &f, const ControlDependence &cd, Pdg &pdg)
 Pdg
 buildPdg(const Function &f, const ControlDependence &cd)
 {
-    Pdg pdg(f);
-    addRegisterArcs(f, pdg);
-    addMemoryArcs(f, pdg);
-    addControlArcs(f, cd, pdg);
-    return pdg;
+    // Arcs of different kinds never compare equal on (src, dst, kind,
+    // reg), and no builder repeats one of its own, so the vector is
+    // duplicate-free as assembled.
+    std::vector<PdgArc> arcs;
+    addRegisterArcs(f, arcs);
+    addMemoryArcs(f, arcs);
+    addControlArcs(f, cd, arcs);
+    return Pdg(f, std::move(arcs));
 }
 
 Pdg

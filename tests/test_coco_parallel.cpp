@@ -13,7 +13,9 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "coco/coco.hpp"
@@ -25,6 +27,7 @@
 #include "graph/max_flow.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "workloads/generate.hpp"
 #include "workloads/workload.hpp"
 
 namespace gmt
@@ -210,6 +213,7 @@ TEST(CocoCutCache, GraphsIgnoreAThirdThreadsRelevantSet)
         const ControlDependence &cd = ctx.pdg->cd;
         const ThreadPartition &part = ctx.partition->partition;
         ASSERT_EQ(part.num_threads, 3);
+        const CutGraphIndex index(f, cd);
 
         // One register problem and the memory problem per ordered
         // thread pair, taken from the PDG's cross-thread arcs.
@@ -244,7 +248,7 @@ TEST(CocoCutCache, GraphsIgnoreAThirdThreadsRelevantSet)
                 std::vector<BitVector> relevant =
                     initRelevantBranches(f, cd, part);
                 FlowGraphInputs in{&f,   &cd,       &ctx.profile->profile,
-                                   &part, &relevant, nullptr, true};
+                                   &part, &relevant, &index,  true};
                 SafetyAnalysis safety(f, part, ts);
                 FlowGraphScratch scratch;
                 auto build = [&](FlowGraph &reg_fg, FlowGraph &mem_fg) {
@@ -284,6 +288,229 @@ TEST(CocoCutCache, GraphsIgnoreAThirdThreadsRelevantSet)
     EXPECT_GT(reg_checked, 0);
     EXPECT_GT(mem_checked, 0);
 }
+// ---------------------------------------------------------------
+// Register cut graphs over a register's live blocks.
+// ---------------------------------------------------------------
+
+/**
+ * G_f for register @p r by its whole-function definition: per-point
+ * liveness and safety over every block, then nodes, chain arcs,
+ * inter-block arcs and special arcs, each a walk over all blocks.
+ */
+FlowGraph
+wholeFunctionRegisterGraph(const FlowGraphInputs &in,
+                           const SafetyAnalysis &safety,
+                           const ThreadLiveness &live, Reg r, int ts,
+                           int tt)
+{
+    const Function &f = *in.f;
+    const int nb = f.numBlocks();
+    std::vector<std::vector<char>> point_live(nb), point_safe(nb);
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        point_live[b].assign(instrs.size() + 1, 0);
+        bool l = live.liveness().liveOut(b).test(r);
+        point_live[b][instrs.size()] = l;
+        for (int pos = static_cast<int>(instrs.size()) - 1; pos >= 0;
+             --pos) {
+            InstrId i = instrs[pos];
+            if (f.defOf(i) == r)
+                l = false;
+            if (live.usesCount(i)) {
+                for (Reg use : f.usesOf(i))
+                    l = l || use == r;
+            }
+            point_live[b][pos] = l;
+        }
+        point_safe[b].assign(instrs.size() + 1, 0);
+        bool safe = safety.safeIn(b).test(r);
+        point_safe[b][0] = safe;
+        for (size_t pos = 0; pos < instrs.size(); ++pos) {
+            InstrId i = instrs[pos];
+            bool mine = in.partition->threadOf(i) == ts;
+            if (f.defOf(i) == r)
+                safe = mine;
+            if (mine) {
+                for (Reg use : f.usesOf(i))
+                    safe = safe || use == r;
+            }
+            point_safe[b][pos + 1] = safe;
+        }
+    }
+
+    FlowGraph out;
+    FlowNetwork &net = out.net;
+    std::vector<int> entry_node(nb, -1);
+    std::vector<std::vector<int>> instr_node(nb);
+    for (BlockId b = 0; b < nb; ++b) {
+        const size_t n = f.block(b).size();
+        instr_node[b].assign(n, -1);
+        if (point_live[b][0])
+            entry_node[b] = net.addNode();
+        for (size_t pos = 0; pos < n; ++pos) {
+            if (point_live[b][pos] || point_live[b][pos + 1])
+                instr_node[b][pos] = net.addNode();
+        }
+    }
+    out.source = net.addNode();
+    out.sink = net.addNode();
+
+    auto pointCost = [&](BlockId b, int pos, Capacity base) -> Capacity {
+        if (!point_safe[b][pos] ||
+            !isRelevantPoint(*in.cd, (*in.relevant)[ts], b))
+            return kInfCapacity;
+        Capacity pen = 0;
+        if (in.penalties) {
+            for (BlockId br : in.cd->transitiveDeps(b)) {
+                if (!(*in.relevant)[tt].test(br))
+                    pen += static_cast<Capacity>(
+                        in.profile->blockWeight(br));
+            }
+        }
+        return base + pen;
+    };
+    auto addArc = [&](int u, int v, Capacity cost, ProgramPoint p) {
+        net.addArc(u, v, cost);
+        out.arc_points.push_back(p);
+    };
+    for (BlockId b = 0; b < nb; ++b) {
+        const int n = static_cast<int>(f.block(b).size());
+        Capacity bw = static_cast<Capacity>(in.profile->blockWeight(b));
+        if (entry_node[b] != -1 && n > 0 && instr_node[b][0] != -1)
+            addArc(entry_node[b], instr_node[b][0], pointCost(b, 0, bw),
+                   {b, 0});
+        for (int pos = 0; pos + 1 < n; ++pos) {
+            if (instr_node[b][pos] != -1 &&
+                instr_node[b][pos + 1] != -1 && point_live[b][pos + 1])
+                addArc(instr_node[b][pos], instr_node[b][pos + 1],
+                       pointCost(b, pos + 1, bw), {b, pos + 1});
+        }
+    }
+    for (BlockId b = 0; b < nb; ++b) {
+        const int last = static_cast<int>(f.block(b).size()) - 1;
+        if (last < 0 || instr_node[b][last] == -1)
+            continue;
+        const auto &succs = f.block(b).succs();
+        for (size_t k = 0; k < succs.size(); ++k) {
+            BlockId s = succs[k];
+            if (entry_node[s] == -1)
+                continue;
+            Capacity ew = static_cast<Capacity>(
+                in.profile->edgeWeight(b, static_cast<int>(k)));
+            if (succs.size() > 1)
+                addArc(instr_node[b][last], entry_node[s],
+                       pointCost(s, 0, ew), {s, 0});
+            else
+                addArc(instr_node[b][last], entry_node[s],
+                       pointCost(b, last, ew), {b, last});
+        }
+    }
+    bool have_source = false, have_sink = false;
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        for (size_t pos = 0; pos < instrs.size(); ++pos) {
+            InstrId i = instrs[pos];
+            if (instr_node[b][pos] == -1)
+                continue;
+            if (f.defOf(i) == r && in.partition->threadOf(i) == ts &&
+                point_live[b][pos + 1]) {
+                addArc(out.source, instr_node[b][pos], kInfCapacity,
+                       {kNoBlock, -1});
+                have_source = true;
+            }
+            auto uses = f.usesOf(i);
+            if (live.usesCount(i) &&
+                std::find(uses.begin(), uses.end(), r) != uses.end()) {
+                addArc(instr_node[b][pos], out.sink, kInfCapacity,
+                       {kNoBlock, -1});
+                have_sink = true;
+            }
+        }
+    }
+    out.trivial = !have_source || !have_sink;
+    return out;
+}
+
+// buildRegisterFlowGraph walks only the blocks r is live out of or
+// that define or use r; the graph must equal the whole-function one
+// on every register problem (ts, tt, r) of the Fig. 7 COCO cells
+// (GREMIO and DSWP, penalties on and off) and of generated cells,
+// under the initial relevant-branch sets and under full ones.
+TEST(CocoFlowGraph, LiveBlocksMatchWholeFunctionWalk)
+{
+    std::vector<Workload> cells = allWorkloads();
+    for (uint64_t seed = 1; seed <= 12; ++seed)
+        cells.push_back(generateWorkload(seed));
+    int problems = 0, nontrivial = 0;
+    for (const Workload &w : cells) {
+        for (Scheduler sched : {Scheduler::Gremio, Scheduler::Dswp}) {
+            PipelineOptions po;
+            po.scheduler = sched;
+            po.use_coco = true;
+            PipelineContext ctx(w, po);
+            PassManager::codegenPipeline().run(ctx);
+            const Function &f = ctx.pdg->ir->func;
+            const ControlDependence &cd = ctx.pdg->cd;
+            const ThreadPartition &part = ctx.partition->partition;
+            const CutGraphIndex index(f, cd);
+            FlowGraphScratch scratch;
+
+            for (bool full_relevant : {false, true}) {
+                std::vector<BitVector> relevant =
+                    initRelevantBranches(f, cd, part);
+                if (full_relevant)
+                    for (auto &set : relevant)
+                        set.setAll();
+                std::set<std::tuple<int, int, Reg>> keys;
+                for (const PdgArc &arc : ctx.pdg->pdg.arcs()) {
+                    if (arc.kind != DepKind::Register)
+                        continue;
+                    const int ts = part.threadOf(arc.src);
+                    const Instr &use = f.instr(arc.dst);
+                    for (int tt = 0; tt < part.num_threads; ++tt) {
+                        if (tt != ts &&
+                            (tt == part.threadOf(arc.dst) ||
+                             (use.isBranch() &&
+                              relevant[tt].test(use.block))))
+                            keys.insert({ts, tt, arc.reg});
+                    }
+                }
+                std::vector<std::unique_ptr<SafetyAnalysis>> safety;
+                std::vector<std::unique_ptr<ThreadLiveness>> live;
+                for (int t = 0; t < part.num_threads; ++t) {
+                    safety.push_back(
+                        std::make_unique<SafetyAnalysis>(f, part, t));
+                    live.push_back(std::make_unique<ThreadLiveness>(
+                        f, part, t, relevant[t]));
+                }
+                for (bool penalties : {true, false}) {
+                    FlowGraphInputs in{&f,    &cd,       &ctx.profile->profile,
+                                       &part, &relevant, &index,
+                                       penalties};
+                    for (const auto &[ts, tt, r] : keys) {
+                        const std::string what =
+                            ctx.cellId() + " ts=" + std::to_string(ts) +
+                            " tt=" + std::to_string(tt) + " r" +
+                            std::to_string(r) +
+                            (full_relevant ? " full" : " init") +
+                            (penalties ? " pen" : " nopen");
+                        FlowGraph got;
+                        buildRegisterFlowGraph(in, *safety[ts], *live[tt],
+                                               r, ts, tt, got, scratch);
+                        FlowGraph want = wholeFunctionRegisterGraph(
+                            in, *safety[ts], *live[tt], r, ts, tt);
+                        expectSameGraph(want, got, what);
+                        ++problems;
+                        nontrivial += got.trivial ? 0 : 1;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(problems, 2000);
+    EXPECT_GT(nontrivial, 2000);
+}
+
 // ---------------------------------------------------------------
 // Nested submission on the shared pool.
 // ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -14,6 +15,8 @@
 #include "ir/verifier.hpp"
 #include "mtcg/mtcg.hpp"
 #include "mtverify/mtverify.hpp"
+#include "mtverify/queue_balance.hpp"
+#include "mtverify/thread_map.hpp"
 #include "pdg/pdg_builder.hpp"
 #include "workloads/generate.hpp"
 #include "workloads/workload.hpp"
@@ -675,8 +678,14 @@ TEST(MtVerifyMutation, ControlArcWithoutBranchCopy)
             cell.part.threadOf(i) == 1)
             victim = i;
     ASSERT_NE(victim, kNoInstr);
+    const int added = cell.pdg->numArcs();
     cell.pdg->addArc(
         {.src = br, .dst = victim, .kind = DepKind::Control});
+    ASSERT_EQ(cell.pdg->numArcs(), added + 1);
+    auto out = cell.pdg->arcsFrom(br);
+    auto in = cell.pdg->arcsTo(victim);
+    EXPECT_NE(std::find(out.begin(), out.end(), added), out.end());
+    EXPECT_NE(std::find(in.begin(), in.end(), added), in.end());
     auto res = cell.verify();
     EXPECT_TRUE(hasCode(res, MtvCode::ControlUncovered))
         << res.render();
@@ -694,6 +703,140 @@ TEST(MtVerifyMutation, PlanWitnessLosesItsPoints)
     EXPECT_TRUE(hasCode(res, MtvCode::DepUncovered)) << res.render();
     EXPECT_TRUE(hasCode(res, MtvCode::ExtraComm)) << res.render();
     EXPECT_FALSE(res.ok());
+}
+
+// ---------------------------------------------------------------------
+// Theorem 2 alone: a queue whose every original block nets zero tokens
+// skips the token-count dataflow; any other queue still runs it.
+// ---------------------------------------------------------------------
+
+/** checkQueueBalance's findings on the cell's emitted program. */
+std::vector<MtvDiag>
+balanceDiags(const Cell &cell)
+{
+    std::vector<MtvDiag> diags;
+    std::vector<ThreadCodeMap> maps;
+    for (int t = 0; t < cell.part.num_threads; ++t)
+        maps.push_back(buildThreadCodeMap(*cell.f, cell.prog.threads[t],
+                                          t, diags));
+    EXPECT_TRUE(diags.empty());
+    checkQueueBalance(*cell.f, cell.prog, maps, diags);
+    return diags;
+}
+
+bool
+hasDiag(const std::vector<MtvDiag> &diags, MtvCode code)
+{
+    return std::any_of(diags.begin(), diags.end(),
+                       [&](const MtvDiag &d) { return d.code == code; });
+}
+
+/** v = x + 1 in block a (t0), v + 2 in its successor c (t1): one
+ *  queue, produced and consumed in a's images. */
+Cell
+crossBlockCell()
+{
+    FunctionBuilder b("xblock");
+    Reg x = b.param();
+    BlockId a = b.newBlock("a");
+    BlockId c = b.newBlock("c");
+    b.setBlock(a);
+    Reg v = b.addImm(x, 1);
+    b.jmp(c);
+    b.setBlock(c);
+    Reg s = b.addImm(v, 2);
+    b.ret({s});
+    Function f = b.finish();
+
+    ThreadPartition p;
+    p.num_threads = 2;
+    p.assign.assign(f.numInstrs(), 0);
+    for (InstrId i : f.block(c).instrs())
+        p.assign[i] = 1;
+    return makeCell(std::move(f), std::move(p));
+}
+
+/** Move the instruction at @p at to the front of the (single)
+ *  successor of its block. */
+void
+moveToSuccessor(Function &t, Found at)
+{
+    ASSERT_NE(at.id, kNoInstr);
+    const BlockId succ = t.block(at.block).succs().at(0);
+    eraseAt(t, at);
+    auto &list = t.block(succ).instrs();
+    list.insert(list.begin(), at.id);
+    t.instr(at.id).block = succ;
+}
+
+/** The first instruction of @p t with opcode @p op in a block ending
+ *  in a Jmp. */
+Found
+findInJmpBlock(const Function &t, Opcode op)
+{
+    for (BlockId b = 0; b < t.numBlocks(); ++b) {
+        InstrId term = t.block(b).terminator();
+        if (term == kNoInstr || t.instr(term).op != Opcode::Jmp)
+            continue;
+        const auto &list = t.block(b).instrs();
+        for (int p = 0; p < static_cast<int>(list.size()); ++p)
+            if (t.instr(list[p]).op == op)
+                return {b, p, list[p]};
+    }
+    return {};
+}
+
+TEST(MtVerifyQueueBalance, CrossBlockQueueTakesTheDataflow)
+{
+    Cell cell = crossBlockCell();
+    ASSERT_EQ(cell.prog.num_queues, 1);
+    EXPECT_TRUE(balanceDiags(cell).empty());
+    // Produced in a, consumed in c: a nets +1 and c -1, so the count
+    // is 1 at c's entry and 0 at the exit.
+    moveToSuccessor(cell.prog.threads[1],
+                    findInJmpBlock(cell.prog.threads[1], Opcode::Consume));
+    EXPECT_TRUE(balanceDiags(cell).empty());
+}
+
+TEST(MtVerifyQueueBalance, CrossBlockImbalanceStillReported)
+{
+    Cell cell = crossBlockCell();
+    Function &t1 = cell.prog.threads[1];
+    moveToSuccessor(t1, findInJmpBlock(t1, Opcode::Consume));
+    // A second consume in c leaves the exit count at -1.
+    Found co = findInstr(t1, [](const Instr &i) {
+        return i.op == Opcode::Consume;
+    });
+    ASSERT_NE(co.id, kNoInstr);
+    t1.insertAt(co.block, co.pos + 1, t1.instr(co.id));
+    EXPECT_TRUE(hasDiag(balanceDiags(cell), MtvCode::QueueImbalance));
+
+    // Per-block deltas that sum to zero but depend on the path: the
+    // consume of the then-block's produce moved to the join, which the
+    // path around the then-block reaches with count 0.
+    Cell cond = conditionalCell();
+    Function &c1 = cond.prog.threads[1];
+    ASSERT_TRUE(balanceDiags(cond).empty());
+    moveToSuccessor(c1, findInJmpBlock(c1, Opcode::Consume));
+    EXPECT_TRUE(hasDiag(balanceDiags(cond), MtvCode::QueueImbalance));
+}
+
+TEST(MtVerifyQueueBalance, BlockBalancedKindMismatchStillReported)
+{
+    // One produce and one consume in the same block image: the queue
+    // nets zero in every block and skips the dataflow, but the data
+    // produce still meets a sync consume.
+    Cell cell = crossBlockCell();
+    Function &t1 = cell.prog.threads[1];
+    Found co = findInstr(t1, [](const Instr &i) {
+        return i.op == Opcode::Consume;
+    });
+    ASSERT_NE(co.id, kNoInstr);
+    t1.instr(co.id).op = Opcode::ConsumeSync;
+    t1.instr(co.id).dst = kNoReg;
+    auto diags = balanceDiags(cell);
+    EXPECT_TRUE(hasDiag(diags, MtvCode::TokenKindMismatch));
+    EXPECT_FALSE(hasDiag(diags, MtvCode::QueueImbalance));
 }
 
 // ---------------------------------------------------------------------

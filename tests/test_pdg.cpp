@@ -308,5 +308,114 @@ TEST(PdgProperty, RegisterArcsMatchDefinition)
     EXPECT_GT(total, 10000u);
 }
 
+/** No two arcs of @p pdg agree on (src, dst, kind, reg). */
+bool
+duplicateFree(const Pdg &pdg)
+{
+    std::vector<std::tuple<InstrId, InstrId, int, Reg>> keys;
+    for (const PdgArc &arc : pdg.arcs())
+        keys.emplace_back(arc.src, arc.dst, static_cast<int>(arc.kind),
+                          arc.reg);
+    std::sort(keys.begin(), keys.end());
+    return std::adjacent_find(keys.begin(), keys.end()) == keys.end();
+}
+
+// Property: the offset-array adjacency lists, for every instruction,
+// exactly the arcs leaving (arcsFrom) and entering (arcsTo) it, in
+// ascending arc order.
+TEST(PdgProperty, AdjacencyListsEveryArcByEndpointAscending)
+{
+    size_t total = 0;
+    for (const auto &[name, f] : pdgPropertyInputs(808)) {
+        Pdg pdg = buildPdg(f);
+        std::vector<std::vector<int>> from(f.numInstrs()),
+            to(f.numInstrs());
+        for (int a = 0; a < pdg.numArcs(); ++a) {
+            from[pdg.arc(a).src].push_back(a);
+            to[pdg.arc(a).dst].push_back(a);
+        }
+        for (InstrId i = 0; i < f.numInstrs(); ++i) {
+            auto out = pdg.arcsFrom(i);
+            auto in = pdg.arcsTo(i);
+            ASSERT_EQ(std::vector<int>(out.begin(), out.end()), from[i])
+                << name << " i" << i;
+            ASSERT_EQ(std::vector<int>(in.begin(), in.end()), to[i])
+                << name << " i" << i;
+        }
+        total += pdg.arcs().size();
+    }
+    EXPECT_GT(total, 10000u);
+}
+
+/** Arcs of @p pdg from @p src to @p dst carrying @p r. */
+int
+countArcs(const Pdg &pdg, InstrId src, InstrId dst, Reg r)
+{
+    int n = 0;
+    for (int a : pdg.arcsFrom(src))
+        n += pdg.arc(a).dst == dst && pdg.arc(a).reg == r;
+    return n;
+}
+
+// `add z = y, y` reads y twice but gets one arc from y's def.
+TEST(Pdg, RepeatedOperandGivesOneArc)
+{
+    FunctionBuilder b("twice");
+    Reg x = b.param();
+    BlockId bb = b.newBlock("b");
+    b.setBlock(bb);
+    Reg y = b.addImm(x, 1);
+    Reg z = b.add(y, y);
+    b.ret({z});
+    Function f = b.finish();
+    Pdg pdg = buildPdg(f);
+    EXPECT_TRUE(duplicateFree(pdg));
+    const auto &il = f.block(bb).instrs();
+    EXPECT_EQ(countArcs(pdg, il[1], il[2], y), 1);
+}
+
+// A Ret repeating a live-out gets one arc per reaching def.
+TEST(Pdg, RepeatedLiveOutGivesOneArc)
+{
+    FunctionBuilder b("liveouts");
+    Reg x = b.param();
+    BlockId bb = b.newBlock("b");
+    b.setBlock(bb);
+    Reg y = b.addImm(x, 1);
+    b.ret({y, x, y});
+    Function f = b.finish();
+    Pdg pdg = buildPdg(f);
+    EXPECT_TRUE(duplicateFree(pdg));
+    const auto &il = f.block(bb).instrs();
+    EXPECT_EQ(countArcs(pdg, il[1], f.block(bb).terminator(), y), 1);
+}
+
+// addArc on a built PDG keeps the dedup contract and re-indexes both
+// adjacency lists.
+TEST(Pdg, AddArcOnBuiltGraph)
+{
+    FunctionBuilder b("add");
+    Reg x = b.param();
+    BlockId bb = b.newBlock("b");
+    b.setBlock(bb);
+    Reg y = b.addImm(x, 1);
+    b.ret({y});
+    Function f = b.finish();
+    Pdg pdg = buildPdg(f);
+    const int before = pdg.numArcs();
+    const auto &il = f.block(bb).instrs();
+
+    pdg.addArc(pdg.arc(0)); // already present
+    EXPECT_EQ(pdg.numArcs(), before);
+
+    pdg.addArc({.src = il[0], .dst = il[2], .kind = DepKind::Control});
+    ASSERT_EQ(pdg.numArcs(), before + 1);
+    auto out = pdg.arcsFrom(il[0]);
+    auto in = pdg.arcsTo(il[2]);
+    EXPECT_EQ(out.back(), before);
+    EXPECT_EQ(in.back(), before);
+    EXPECT_TRUE(duplicateFree(pdg));
+}
+
 } // namespace
 } // namespace gmt
