@@ -66,7 +66,8 @@ main(int argc, char **argv)
                     100.0 *
                     (1.0 - static_cast<double>(coco.mem_sync) /
                                static_cast<double>(mtcg.mem_sync));
-                mem_cols.push_back("-" + Table::fmt(removed, 1) + "%");
+                mem_cols.push_back(
+                    std::string("-").append(Table::fmt(removed, 1)) + "%");
             } else {
                 mem_cols.push_back("(none)");
             }

@@ -163,8 +163,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
         if (reject.empty()) {
             c.placement = placeCommunication(
                 *in.f, *in.pdg, c.partition, *in.cd, prof,
-                in.use_coco ? &in.coco : nullptr,
-                CocoExec{in.pool, in.coco_jobs, nullptr});
+                in.use_coco ? &in.coco : nullptr);
             result.coco_warm_starts += c.placement.warm_starts;
             result.coco_cold_rebuilds += c.placement.cold_rebuilds;
             if (c.placement.problems.empty()) {

@@ -61,8 +61,6 @@
 namespace gmt
 {
 
-class ThreadPool;
-
 /** One complete schedule the loop holds or proposes. */
 struct AutotuneSchedule
 {
@@ -178,8 +176,8 @@ struct AutotuneInputs
     const std::vector<int64_t> *st_live_outs = nullptr;
     const MemoryImage *st_final_mem = nullptr;
 
-    /** Shared worker pool for COCO's cut solver (may be null). */
-    ThreadPool *pool = nullptr;
+    /** Inert: no code reads it. Kept only because gmtbench/replay.cpp
+     *  sets it, until the ROADMAP's benchmark revision deletes it. */
     int coco_jobs = 1;
 
     /** Cell the oracle's fatal errors name ("ks/GREMIO+COCO+AT"). */

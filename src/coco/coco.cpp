@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <tuple>
 #include <utility>
 
@@ -16,7 +15,6 @@
 #include "graph/scc.hpp"
 #include "obs/trace_writer.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace gmt
 {
@@ -91,55 +89,13 @@ defaultRegPoints(const Function &f, const Pdg &pdg,
 
 using ProblemKey = std::tuple<int, int, bool, Reg>; // (ts, tt, mem, r)
 
-/** Per-worker solving arena: flow graph + builder scratch + solver,
+/** The walk's solving arena: flow graph + builder scratch + solver,
  *  all storage reused across problems. */
 struct CutArena
 {
     FlowGraph fg;
     FlowGraphScratch scratch;
     MaxFlow mf;
-};
-
-/** Mutex-guarded free list of arenas, one checkout per in-flight
- *  solve. */
-class ArenaPool
-{
-  public:
-    std::unique_ptr<CutArena>
-    acquire()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (free_.empty())
-            return std::make_unique<CutArena>();
-        auto arena = std::move(free_.back());
-        free_.pop_back();
-        return arena;
-    }
-
-    void
-    release(std::unique_ptr<CutArena> arena)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        free_.push_back(std::move(arena));
-    }
-
-  private:
-    std::mutex mu_;
-    std::vector<std::unique_ptr<CutArena>> free_;
-};
-
-/** RAII checkout. */
-struct ArenaLease
-{
-    explicit ArenaLease(ArenaPool &pool)
-        : pool_(pool), arena_(pool.acquire())
-    {
-    }
-    ~ArenaLease() { pool_.release(std::move(arena_)); }
-    CutArena &operator*() { return *arena_; }
-
-    ArenaPool &pool_;
-    std::unique_ptr<CutArena> arena_;
 };
 
 /** One enumerated cut problem, in canonical (apply) order. */
@@ -156,12 +112,12 @@ struct CutProblem
 
 /**
  * A solved cut, tagged with the relevant-set versions it was built
- * under. Valid for consumption only while both versions still match —
- * the reuse rule of the cut cache, serial and parallel alike.
+ * under. Valid for consumption only while both versions still match:
+ * the reuse rule of the cut cache.
  */
 struct CachedCut
 {
-    bool valid = false; ///< solve completed (no exception)
+    bool valid = false; ///< holds a solved cut
     uint64_t vts = 0, vtt = 0;
     bool finite = true;
     Capacity cost = 0;
@@ -230,9 +186,7 @@ clearCut(CachedCut &out)
     out.graph_arcs = 0;
 }
 
-/** Build and solve the min-cut for one register problem (shared by
- *  the speculative tasks and the inline apply path — identical code,
- *  identical cut). */
+/** Build and solve the min-cut for one register problem. */
 void
 solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
             const ThreadLiveness &live, Reg r, int ts, int tt,
@@ -335,18 +289,16 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                     .first->second;
     };
 
-    // Solved-cut cache, persistent across speculation rounds and
-    // repeat-until iterations (validity is version-checked, and the
-    // relevant sets are monotone, so stale entries never revalidate).
-    // The serial apply walk and the speculative tasks share it: one
-    // reuse rule at any job count.
+    // Solved-cut cache, persistent across repeat-until iterations
+    // (validity is version-checked, and the relevant sets are
+    // monotone, so stale entries never revalidate).
     std::map<ProblemKey, CachedCut> cut_cache;
     auto slotFor = [&](const CutProblem &p) -> CachedCut & {
         return cut_cache[ProblemKey{p.ts, p.tt, p.is_mem, p.r}];
     };
 
-    ArenaPool arenas;
-    const bool parallel = exec.pool != nullptr && exec.jobs > 1;
+    CutArena arena;
+    CachedCut inline_cut;
 
     // Flat sorted accumulators (same iteration order as the old
     // std::map-keyed ones: ascending unique keys).
@@ -484,132 +436,44 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                                &relevant, &index,
                                opts.control_flow_penalties};
 
-        auto fresh = [&](const CutProblem &p) {
-            const CachedCut &slot = slotFor(p);
-            return slot.valid && slot.vts == rel_version[p.ts] &&
-                   slot.vtt == rel_version[p.tt];
-        };
-
-        // ---- Phase 2: speculative parallel solve. Relevant sets are
-        // frozen while a round runs (the apply walk is paused), so
-        // every task reads a consistent snapshot; results are tagged
-        // with the snapshot versions. ----
-        auto speculate = [&](size_t from) {
-            // Materialize the livenesses tasks will share (serial:
-            // the memo map must not be mutated concurrently).
-            for (size_t j = from; j < problems.size(); ++j) {
-                const CutProblem &p = problems[j];
-                if (!fresh(p) && !p.is_mem)
-                    livenessFor(p.tt);
-            }
-            struct SpecTask
-            {
-                CachedCut *slot;
-                const ThreadLiveness *live;
-                uint64_t vts, vtt;
-                const CutProblem *pp;
-            };
-            std::vector<SpecTask> todo;
-            for (size_t j = from; j < problems.size(); ++j) {
-                const CutProblem &p = problems[j];
-                if (fresh(p))
-                    continue;
-                CachedCut *slot = &slotFor(p);
-                slot->valid = false;
-                const ThreadLiveness *live =
-                    p.is_mem ? nullptr : &livenessFor(p.tt);
-                todo.push_back({slot, live, rel_version[p.ts],
-                                rel_version[p.tt], &problems[j]});
-            }
-            // Batch the solves: individual cuts are microseconds, so
-            // one task per cut would drown in dispatch overhead.
-            // ~4 chunks per worker keeps the pool load-balanced while
-            // amortizing the queue mutex and the arena lease.
-            const size_t chunk = std::max<size_t>(
-                1, todo.size() /
-                       (static_cast<size_t>(std::max(exec.jobs, 1)) *
-                        4));
-            TaskGroup group(*exec.pool);
-            for (size_t b = 0; b < todo.size(); b += chunk) {
-                const size_t e = std::min(todo.size(), b + chunk);
-                group.run([&, b, e] {
-                    ArenaLease arena(arenas);
-                    for (size_t k = b; k < e; ++k) {
-                        const SpecTask &t = todo[k];
-                        double t0 =
-                            exec.trace ? exec.trace->nowUs() : 0.0;
-                        try {
-                            if (t.pp->is_mem)
-                                solveMemCut(inputs, *t.pp->deps,
-                                            t.pp->ts, t.pp->tt, opts,
-                                            *arena, *t.slot);
-                            else
-                                solveRegCut(inputs,
-                                            *safety[t.pp->ts],
-                                            *t.live, t.pp->r,
-                                            t.pp->ts, t.pp->tt,
-                                            *arena, *t.slot);
-                            t.slot->vts = t.vts;
-                            t.slot->vtt = t.vtt;
-                            t.slot->valid = true;
-                        } catch (...) {
-                            // Solve failures (e.g. no finite cut)
-                            // replay deterministically on the apply
-                            // thread.
-                            t.slot->valid = false;
-                        }
-                        if (exec.trace) {
-                            exec.trace->completeEvent(
-                                t.pp->is_mem ? "coco-mem-cut"
-                                             : "coco-reg-cut",
-                                "coco", TraceCollector::kPipelinePid,
-                                exec.trace->laneForThisThread(), t0,
-                                exec.trace->nowUs() - t0, {},
-                                {{"ts", t.pp->ts},
-                                 {"tt", t.pp->tt}});
-                        }
-                    }
-                });
-            }
-            group.wait();
-        };
-
-        if (parallel && problems.size() > 1)
-            speculate(0);
-
-        // ---- Phase 3: apply in canonical order. This walk *is* the
-        // serial algorithm; a cached cut is consumed only when its
-        // versions prove a fresh solve would build the identical
-        // graph, otherwise it is built and solved inline. ----
+        // ---- Phase 2: apply in canonical order. A cached cut is
+        // consumed only when its versions prove a fresh solve would
+        // build the identical graph, otherwise it is built and solved
+        // on the walk. ----
         std::vector<std::pair<RegKey, PointList>> new_reg;
         std::vector<std::pair<PairKey, PointList>> new_mem;
         std::vector<std::pair<RegKey, PlacementDecision>> new_reg_dec;
         std::vector<std::pair<PairKey, PlacementDecision>> new_mem_dec;
 
-        ArenaLease main_arena(arenas);
-        CachedCut inline_cut;
-
-        // Answer problem @p p from the cache, or solve it inline. A
+        // Answer problem @p p from the cache, or build and solve it
+        // (one trace span per solve, on the calling pass's lane). A
         // fresh solve is cached only when @p cacheable says its
         // inputs match the versions it is tagged with.
         auto answer = [&](const CutProblem &p, bool cacheable,
                           auto &&solve) -> const CachedCut & {
             CachedCut &slot = slotFor(p);
-            if (cacheable && fresh(p)) {
+            if (cacheable && slot.valid && slot.vts == rel_version[p.ts] &&
+                slot.vtt == rel_version[p.tt]) {
                 ++result.warm_starts;
                 return slot;
             }
             ++result.cold_rebuilds;
-            if (!cacheable) {
-                solve(inline_cut);
-                return inline_cut;
+            CachedCut &out = cacheable ? slot : inline_cut;
+            const double t0 = exec.trace ? exec.trace->nowUs() : 0.0;
+            solve(out);
+            if (exec.trace)
+                exec.trace->completeEvent(
+                    p.is_mem ? "coco-mem-cut" : "coco-reg-cut", "coco",
+                    TraceCollector::kPipelinePid,
+                    exec.trace->laneForThisThread(), t0,
+                    exec.trace->nowUs() - t0, {},
+                    {{"ts", p.ts}, {"tt", p.tt}});
+            if (cacheable) {
+                slot.vts = rel_version[p.ts];
+                slot.vtt = rel_version[p.tt];
+                slot.valid = true;
             }
-            slot.valid = false;
-            solve(slot);
-            slot.vts = rel_version[p.ts];
-            slot.vtt = rel_version[p.tt];
-            slot.valid = true;
-            return slot;
+            return out;
         };
 
         // Decision record of problem @p i, solved as @p cut: the cut's
@@ -655,18 +519,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         for (size_t i = 0; i < problems.size(); ++i) {
             const CutProblem &p = problems[i];
             if (p.pair_idx != cur_pair) {
-                // Pair boundary: if speculation went stale (earlier
-                // pairs grew a relevant set), re-solve the remaining
-                // tail in parallel before continuing.
-                if (parallel && !fresh(p)) {
-                    size_t stale = 0;
-                    for (size_t j = i; j < problems.size(); ++j) {
-                        if (!fresh(problems[j]))
-                            ++stale;
-                    }
-                    if (stale >= 2)
-                        speculate(i);
-                }
                 cur_pair = p.pair_idx;
                 pair_entry_vtt = rel_version[p.tt];
                 // Snapshot of tt's relevant branches for liveness.
@@ -682,7 +534,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                     p, rel_version[p.tt] == pair_entry_vtt,
                     [&](CachedCut &out) {
                         solveRegCut(inputs, *safety[p.ts], *live, p.r,
-                                    p.ts, p.tt, *main_arena, out);
+                                    p.ts, p.tt, arena, out);
                     });
                 GMT_ASSERT(cut.finite, "no finite register cut");
                 result.register_cut_cost += cut.cost;
@@ -705,7 +557,7 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                 const CachedCut &cut =
                     answer(p, true, [&](CachedCut &out) {
                         solveMemCut(inputs, *p.deps, p.ts, p.tt, opts,
-                                    *main_arena, out);
+                                    arena, out);
                     });
                 GMT_ASSERT(cut.finite, "no finite memory cut");
                 result.memory_cut_cost += cut.cost;

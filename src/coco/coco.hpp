@@ -41,22 +41,18 @@ struct CocoOptions
     bool multi_pair_memory = true;
 };
 
-/**
- * Execution resources for the optimizer. COCO's cut problems are
- * solved speculatively in parallel on the shared pool (nested inside
- * the experiment runner's cell-level tasks via TaskGroup), then
- * applied serially in canonical order, so the plan is bit-identical
- * to the serial result at any job count. Defaults mean "all inline".
- */
+/** Execution hooks for the optimizer, which is one serial walk. */
 struct CocoExec
 {
-    /** Shared worker pool (may be null: solve inline). */
+    /** Inert: no code reads it. Kept only because gmtbench/replay.cpp
+     *  sets it, until the ROADMAP's benchmark revision deletes it. */
     ThreadPool *pool = nullptr;
 
-    /** Parallelism switch: <= 1 solves every cut inline (serial). */
+    /** Inert, kept for gmtbench/replay.cpp like `pool`. */
     int jobs = 1;
 
-    /** Optional Chrome-trace collector for per-solve spans. */
+    /** Optional Chrome-trace collector: one span per cut the walk
+     *  builds and solves (none for a cut-cache answer). */
     TraceCollector *trace = nullptr;
 };
 
@@ -88,9 +84,8 @@ struct CocoResult
     /**
      * Why each placement of `plan` is where it is: rule, Algorithm-2
      * iteration, cut problem id and arc-cost breakdown per placement,
-     * plus the elided decisions. Built on every call by the serial
-     * apply walk, so it is identical at any job count (the min cut is
-     * unique).
+     * plus the elided decisions. Built on every call by the apply
+     * walk.
      */
     PlacementProvenance provenance;
 };

@@ -16,12 +16,10 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
                   const ControlDependence &cd, const CommPlan &plan)
 {
     std::vector<MtvDiag> problems;
-    auto complain = [&](MtvCode code, MtvDiag coords, auto &&...parts) {
+    auto text = [](auto &&...parts) {
         std::ostringstream os;
         (os << ... << parts);
-        coords.code = code;
-        coords.message = os.str();
-        problems.push_back(std::move(coords));
+        return os.str();
     };
 
     // Structural pre-check: every point must name a real program
@@ -30,8 +28,9 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
         for (const auto &p : plan.placements[pi].points) {
             if (p.block < 0 || p.block >= f.numBlocks() || p.pos < 0 ||
                 p.pos >= static_cast<int>(f.block(p.block).size())) {
-                complain(MtvCode::PlanInvalidPoint, {},
-                         "placement ", pi, ": invalid point");
+                problems.push_back(
+                    {.code = MtvCode::PlanInvalidPoint,
+                     .message = text("placement ", pi, ": invalid point")});
             }
         }
     }
@@ -54,15 +53,17 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
         }
         for (const auto &p : pl.points) {
             if (!relevant.isRelevantPoint(pl.src_thread, p.block, cd)) {
-                complain(MtvCode::PlanSourceIrrelevant,
-                         {.thread = pl.src_thread,
-                          .block = p.block,
-                          .pos = p.pos},
+                problems.push_back(
+                    {.code = MtvCode::PlanSourceIrrelevant,
+                     .thread = pl.src_thread,
+                     .block = p.block,
+                     .pos = p.pos,
+                     .message = text(
                          "placement ", pi,
                          ": Property 2 violated (point in block ",
                          f.block(p.block).label(),
                          " not relevant to source thread ",
-                         pl.src_thread, ")");
+                         pl.src_thread, ")")});
             }
             if (pl.kind == CommKind::RegisterData &&
                 !safety[pl.src_thread]->isSafeAt(pl.reg, p)) {
@@ -84,14 +85,16 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
                                   p) != prev.points.end();
                 }
                 if (!forwarded) {
-                    complain(MtvCode::PlanUnsafePoint,
-                             {.thread = pl.src_thread,
-                              .block = p.block,
-                              .pos = p.pos},
-                             "placement ", pi,
-                             ": Property 3 violated (r", pl.reg,
-                             " unsafe at ", f.block(p.block).label(),
-                             ":", p.pos, ")");
+                    problems.push_back(
+                        {.code = MtvCode::PlanUnsafePoint,
+                         .thread = pl.src_thread,
+                         .block = p.block,
+                         .pos = p.pos,
+                         .message = text("placement ", pi,
+                                         ": Property 3 violated (r",
+                                         pl.reg, " unsafe at ",
+                                         f.block(p.block).label(), ":",
+                                         p.pos, ")")});
                 }
             }
         }
@@ -105,14 +108,16 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
         if (ts == tt || arc.kind == DepKind::Control)
             continue;
         if (paths.escapes(arc)) {
-            complain(MtvCode::PlanUncoveredArc,
-                     {.thread = tt,
-                      .block = f.instr(arc.dst).block,
-                      .instr = arc.dst},
+            problems.push_back(
+                {.code = MtvCode::PlanUncoveredArc,
+                 .thread = tt,
+                 .block = f.instr(arc.dst).block,
+                 .instr = arc.dst,
+                 .message = text(
                      "arc i", arc.src, " -> i", arc.dst, " (",
                      arc.kind == DepKind::Register ? "reg" : "mem",
                      ") from T", ts, " to T", tt,
-                     " has an uncovered path");
+                     " has an uncovered path")});
         }
     }
     sortDiags(problems);

@@ -21,10 +21,9 @@ usage(const char *argv0, int exit_code)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--jobs N] [--serial] [--coco-jobs N] "
-        "[--no-cache] [--stats FILE] [--only W1,W2,...] [--quiet] "
-        "[--no-mtverify] [--trace FILE] [--workload-dir DIR] "
-        "[--provenance FILE]\n",
+        "usage: %s [--jobs N] [--serial] [--no-cache] [--stats FILE] "
+        "[--only W1,W2,...] [--quiet] [--no-mtverify] [--trace FILE] "
+        "[--workload-dir DIR] [--provenance FILE]\n",
         argv0);
     std::exit(exit_code);
 }
@@ -45,16 +44,11 @@ parseBenchOptions(int argc, char **argv)
             }
             return argv[++i];
         };
-        auto jobCount = [&]() {
-            return static_cast<int>(
-                intFlag(argv[0], arg, value(), 0, kMaxJobs, usage));
-        };
         if (arg == "--jobs")
-            opts.jobs = jobCount();
+            opts.jobs = static_cast<int>(
+                intFlag(argv[0], arg, value(), 0, kMaxJobs, usage));
         else if (arg == "--serial")
             opts.jobs = 1;
-        else if (arg == "--coco-jobs")
-            opts.coco_jobs = jobCount();
         else if (arg == "--no-cache")
             opts.use_cache = false;
         else if (arg == "--stats")
@@ -153,8 +147,6 @@ BenchHarness::runAll(const std::vector<ExperimentCell> &cells)
     for (ExperimentCell &cell : batch) {
         if (!opts_.verify_mt)
             cell.opts.verify_mt = false;
-        if (opts_.coco_jobs > 0)
-            cell.opts.coco_jobs = opts_.coco_jobs;
         if (!opts_.provenance_path.empty())
             cell.opts.record_provenance = true;
     }

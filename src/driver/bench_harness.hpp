@@ -9,8 +9,6 @@
  *
  *   --jobs N        worker threads (default: hardware threads)
  *   --serial        shorthand for --jobs 1
- *   --coco-jobs N   nested tasks for COCO's cut solver (default 1 =
- *                   serial; the plan is bit-identical at any value)
  *   --no-cache      recompute every artifact (the seed behaviour)
  *   --stats FILE    per-pass / per-cell JSONL records (see stats.hpp)
  *   --only CSV      restrict to the named workloads (e.g. ks,mcf)
@@ -43,10 +41,6 @@ namespace gmt
 struct BenchOptions
 {
     int jobs = 0; ///< 0 = hardware default
-
-    /** COCO solver tasks per cell; 0 = leave the cells' own values. */
-    int coco_jobs = 0;
-
     bool use_cache = true;
     std::string stats_path;
     std::vector<std::string> only; ///< empty = all workloads

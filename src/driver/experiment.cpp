@@ -1,9 +1,7 @@
 #include "driver/experiment.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
-#include <memory>
 
 #include "support/thread_pool.hpp"
 
@@ -39,26 +37,12 @@ ExperimentRunner::runAll(const std::vector<ExperimentCell> &cells)
     provenances_.assign(cells.size(), nullptr);
     pass_stats_.assign(cells.size(), {});
 
-    // One shared pool serves both levels of parallelism: cell tasks
-    // here, and COCO's nested cut tasks (via TaskGroup, so a cell
-    // blocked on its cuts executes them itself instead of holding a
-    // worker idle). Size for whichever level wants more.
-    const bool parallel_cells = jobs != 1 && cells.size() > 1;
-    int max_coco_jobs = 1;
-    for (const ExperimentCell &cell : cells)
-        max_coco_jobs = std::max(max_coco_jobs, cell.opts.coco_jobs);
-    std::unique_ptr<ThreadPool> pool;
-    if (parallel_cells || max_coco_jobs > 1)
-        pool = std::make_unique<ThreadPool>(
-            std::max(parallel_cells ? jobs : 1, max_coco_jobs));
-
     auto run_cell = [&](size_t i) {
         try {
             PipelineContext ctx(cells[i].workload, cells[i].opts);
             ctx.cache = cache;
             ctx.stats = opts_.stats;
             ctx.trace = opts_.trace;
-            ctx.pool = pool.get();
             pipeline.run(ctx);
             results[i] = std::move(ctx.result);
             obs_profiles_[i] = ctx.obs;
@@ -69,13 +53,14 @@ ExperimentRunner::runAll(const std::vector<ExperimentCell> &cells)
         }
     };
 
-    if (!parallel_cells) {
+    if (jobs == 1 || cells.size() <= 1) {
         for (size_t i = 0; i < cells.size(); ++i)
             run_cell(i);
     } else {
+        ThreadPool pool(jobs);
         for (size_t i = 0; i < cells.size(); ++i)
-            pool->submit([&, i] { run_cell(i); });
-        pool->wait();
+            pool.submit([&, i] { run_cell(i); });
+        pool.wait();
     }
 
     summary_.cells = static_cast<int>(cells.size());

@@ -469,14 +469,11 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
     ctx.plan = ctx.cached<PlanArtifact>(
         planKey(ctx),
         [&]() -> std::shared_ptr<const PlanArtifact> {
-            // The plan is bit-identical at any job count (the artifact
-            // may be shared across cells that differ only in
-            // coco_jobs — planKey() has no jobs axis).
             Placement p = placeCommunication(
                 ctx.ir->func, ctx.pdg->pdg, ctx.partition->partition,
                 ctx.pdg->cd, ctx.profile->profile,
                 ctx.opts.use_coco ? &ctx.opts.coco : nullptr,
-                CocoExec{ctx.pool, ctx.opts.coco_jobs, ctx.trace});
+                CocoExec{.trace = ctx.trace});
             if (!p.problems.empty())
                 fatal(ctx.opts.use_coco ? "COCO" : "MTCG",
                       " plan invalid for ", ctx.cellId(), ": ",
@@ -754,8 +751,6 @@ makeAutotuneInputs(const PipelineContext &ctx)
     in.make_memory = [&w]() { return workloadMemory(w, /*ref=*/true); };
     in.st_live_outs = &ctx.st_ref->live_outs;
     in.st_final_mem = &ctx.st_ref->final_mem;
-    in.pool = ctx.pool;
-    in.coco_jobs = ctx.opts.coco_jobs;
     in.cell = ctx.cellId();
     return in;
 }

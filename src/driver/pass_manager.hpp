@@ -58,8 +58,6 @@
 namespace gmt
 {
 
-class ThreadPool;
-
 /**
  * Timing + counters for one executed pass: the one home of the
  * cell's per-pass counts. Work counters (a call's own counts, e.g.
@@ -273,14 +271,6 @@ struct PipelineContext
      * simulator lanes.
      */
     TraceCollector *trace = nullptr;
-
-    /**
-     * Optional shared worker pool (may be null). Passes with
-     * deterministic internal parallelism (placement's COCO cut
-     * solver) nest their tasks here via TaskGroup, composing with the
-     * experiment runner's cell-level tasks without oversubscription.
-     */
-    ThreadPool *pool = nullptr;
 
     // Stage artifacts, filled in pipeline order.
     std::shared_ptr<const IrArtifact> ir;

@@ -1,9 +1,6 @@
 #include "driver/pipeline.hpp"
 
-#include <memory>
-
 #include "driver/pass_manager.hpp"
-#include "support/thread_pool.hpp"
 
 namespace gmt
 {
@@ -22,11 +19,6 @@ PipelineResult
 runPipeline(const Workload &workload, const PipelineOptions &opts)
 {
     PipelineContext ctx(workload, opts);
-    std::unique_ptr<ThreadPool> pool;
-    if (opts.coco_jobs > 1) {
-        pool = std::make_unique<ThreadPool>(opts.coco_jobs);
-        ctx.pool = pool.get();
-    }
     PassManager::standardPipeline().run(ctx);
     return ctx.result;
 }

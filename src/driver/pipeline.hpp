@@ -40,12 +40,8 @@ struct PipelineOptions
     bool use_coco = false;
     CocoOptions coco;
 
-    /**
-     * Worker tasks for COCO's cut solver (nested in the experiment
-     * runner's shared pool); <= 1 solves serially. The comm plan is
-     * bit-identical at any value — this is an execution resource, not
-     * a result axis, so it is deliberately absent from planKey().
-     */
+    /** Inert: no code reads it. Kept only because gmtbench/replay.cpp
+     *  sets it, until the ROADMAP's benchmark revision deletes it. */
     int coco_jobs = 1;
 
     MachineConfig machine = MachineConfig::paperDefault();

@@ -12,7 +12,8 @@ namespace
 std::string
 regName(Reg r)
 {
-    return r == kNoReg ? std::string("_") : "r" + std::to_string(r);
+    return r == kNoReg ? std::string("_")
+                       : std::string("r").append(std::to_string(r));
 }
 
 } // namespace

@@ -17,7 +17,7 @@
 namespace gmt
 {
 
-/** Upper bound of every worker-count flag (--jobs, --coco-jobs). */
+/** Upper bound of every worker-count flag (--jobs). */
 constexpr int64_t kMaxJobs = 1024;
 
 /** Upper bound of every scheduler thread-count flag (--threads). */

@@ -17,10 +17,11 @@ void
 nameWorker(std::thread &t, int index)
 {
 #if defined(__linux__)
-    // Comm names are capped at 15 chars + NUL; "gmt-worker-N" fits
-    // for any realistic pool size.
+    // Comm names are capped at 15 chars + NUL: "gmt-worker-" leaves
+    // four digits, enough for any pool up to kMaxJobs workers.
     char name[16];
-    std::snprintf(name, sizeof(name), "gmt-worker-%d", index);
+    std::snprintf(name, sizeof(name), "gmt-worker-%u",
+                  static_cast<unsigned>(index) % 10000u);
     pthread_setname_np(t.native_handle(), name);
 #else
     (void)t;
@@ -66,84 +67,6 @@ ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(mu_);
     idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-TaskGroup::TaskGroup(ThreadPool &pool)
-    : pool_(pool), st_(std::make_shared<State>())
-{
-}
-
-void
-TaskGroup::runClaimed(const std::shared_ptr<State> &st,
-                      const std::shared_ptr<Item> &item)
-{
-    item->fn();
-    item->fn = nullptr; // release captures eagerly
-    std::lock_guard<std::mutex> lock(st->mu);
-    if (--st->pending == 0)
-        st->done.notify_all();
-}
-
-void
-TaskGroup::run(std::function<void()> job)
-{
-    auto item = std::make_shared<Item>();
-    item->fn = std::move(job);
-    {
-        std::lock_guard<std::mutex> lock(st_->mu);
-        st_->items.push_back(item);
-        ++st_->pending;
-        // Wake a concurrent wait(): group jobs may grow their own
-        // group, and the waiter must notice the new unclaimed item.
-        st_->done.notify_all();
-    }
-    // The pool wrapper holds the state alive on its own, so the
-    // TaskGroup may be destroyed while lost-race wrappers still sit
-    // in the pool queue.
-    std::shared_ptr<State> st = st_;
-    pool_.submit([st, item] {
-        {
-            std::lock_guard<std::mutex> lock(st->mu);
-            if (item->claimed)
-                return;
-            item->claimed = true;
-        }
-        runClaimed(st, item);
-    });
-}
-
-void
-TaskGroup::wait()
-{
-    std::unique_lock<std::mutex> lock(st_->mu);
-    for (;;) {
-        // Claim the next not-yet-started job and run it inline.
-        std::shared_ptr<Item> mine;
-        while (st_->scan_from < st_->items.size()) {
-            const auto &item = st_->items[st_->scan_from];
-            if (!item->claimed) {
-                item->claimed = true;
-                mine = item;
-                break;
-            }
-            ++st_->scan_from;
-        }
-        if (mine) {
-            lock.unlock();
-            runClaimed(st_, mine);
-            lock.lock();
-            continue;
-        }
-        if (st_->pending == 0) {
-            st_->items.clear();
-            st_->scan_from = 0;
-            return;
-        }
-        // Everything is claimed but still running on pool workers.
-        // New run() calls also signal `done` so freshly queued jobs
-        // get picked up by this loop.
-        st_->done.wait(lock);
-    }
 }
 
 int

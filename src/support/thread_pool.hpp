@@ -3,26 +3,17 @@
 
 /**
  * @file
- * A fixed-size worker pool for the experiment runner: jobs are
- * submitted as plain closures, workers drain them FIFO, and wait()
- * blocks until every submitted job has finished. Exceptions must be
- * handled inside the job (the pool aborts the process otherwise, the
- * same policy as an escaped exception on any std::thread).
- *
- * Nested submission: a job running *on* a pool worker may submit
- * further jobs through a TaskGroup and block on TaskGroup::wait()
- * without deadlocking the pool — the waiter executes its group's
- * still-queued jobs inline instead of sleeping while every worker is
- * occupied. Cell-level tasks (driver/experiment.cpp) and cut-level
- * tasks (coco/coco.cpp) compose this way on one shared pool without
- * oversubscription: the pool never grows beyond its worker count and
- * the waiting thread is never idle while its own work is runnable.
+ * A fixed-size worker pool for the experiment runner and gmt-fuzz:
+ * jobs are submitted as plain closures, workers drain them FIFO, and
+ * wait() blocks until every submitted job has finished. Exceptions
+ * must be handled inside the job (the pool aborts the process
+ * otherwise, the same policy as an escaped exception on any
+ * std::thread).
  */
 
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -49,7 +40,7 @@ class ThreadPool
     /**
      * Block until the queue is empty and no job is running. Only
      * meaningful from a non-worker thread (a worker calling this
-     * would wait for itself); nested jobs use TaskGroup::wait().
+     * would wait for itself).
      */
     void wait();
 
@@ -68,62 +59,6 @@ class ThreadPool
     int in_flight_ = 0;
     bool stopping_ = false;
     std::vector<std::thread> workers_;
-};
-
-/**
- * A waitable batch of jobs on a ThreadPool, safe to use from inside
- * another pool job (nested submission).
- *
- * Every job is offered to the pool *and* kept on the group's own
- * claim list. Whoever gets to a job first — a pool worker or the
- * thread blocked in wait() — claims and runs it; the other side sees
- * the claim and skips it. wait() therefore makes progress even when
- * all workers are busy with (or blocked waiting on) other work, which
- * is what makes multi-level submission deadlock-free: a waiter never
- * sleeps while one of its own jobs is still unclaimed.
- *
- * The group's bookkeeping outlives the TaskGroup object itself
- * (shared state), so pool-queued wrappers that lost the claim race
- * may drain after the group is destroyed.
- */
-class TaskGroup
-{
-  public:
-    explicit TaskGroup(ThreadPool &pool);
-
-    TaskGroup(const TaskGroup &) = delete;
-    TaskGroup &operator=(const TaskGroup &) = delete;
-
-    /** Enqueue a job into the group. Must not throw out of it. */
-    void run(std::function<void()> job);
-
-    /**
-     * Block until every job submitted so far has finished, executing
-     * unclaimed group jobs inline. Callable from a pool worker.
-     */
-    void wait();
-
-  private:
-    struct Item
-    {
-        std::function<void()> fn;
-        bool claimed = false;
-    };
-
-    struct State
-    {
-        std::mutex mu;
-        std::condition_variable done;
-        std::vector<std::shared_ptr<Item>> items;
-        size_t scan_from = 0; ///< first possibly-unclaimed item
-        int pending = 0;      ///< submitted minus finished
-    };
-
-    static void runClaimed(const std::shared_ptr<State> &st,
-                           const std::shared_ptr<Item> &item);
-
-    ThreadPool &pool_;
-    std::shared_ptr<State> st_;
 };
 
 } // namespace gmt

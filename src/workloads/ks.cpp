@@ -54,7 +54,7 @@ makeKs()
     BlockId done = b.newBlock("done");
 
     b.setBlock(entry);
-    Reg zero = b.constI(0);
+    b.constI(0); // unused, but it numbers the registers after it
     Reg one = b.constI(1);
     Reg dimmask = b.constI(kDim - 1);
     Reg total = b.constI(0);

@@ -12,7 +12,6 @@
 
 #include "driver/pass_manager.hpp"
 #include "mtverify/mtverify.hpp"
-#include "support/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace gmt
@@ -93,8 +92,7 @@ TEST(Autotune, AcceptedMovesNeverWorsenCycles)
  * The determinism contract: the tuned plan, the move log (canonical
  * JSON bytes), the trajectory, and the whole PipelineResult are
  * identical however the cell is executed — serially with no cache,
- * against a cold cache, against a warm cache (pure hit), and with
- * COCO's cut solver running 4-way parallel on a shared pool.
+ * against a cold cache, and against a warm cache (pure hit).
  */
 TEST(Autotune, DeterministicAcrossJobsAndCache)
 {
@@ -138,15 +136,6 @@ TEST(Autotune, DeterministicAcrossJobsAndCache)
         if (ps.pass == "autotune")
             autotune_hit = ps.cached;
     EXPECT_TRUE(autotune_hit);
-
-    // Parallel COCO cut solving on a shared pool.
-    ThreadPool pool(4);
-    PipelineOptions po = autotuneOptions(Scheduler::Gremio);
-    po.coco_jobs = 4;
-    PipelineContext pooled(w, po);
-    pooled.pool = &pool;
-    runCell(pooled);
-    expectSame(pooled, "coco_jobs=4");
 }
 
 /**

@@ -1,16 +1,16 @@
 /**
  * @file
- * The parallel COCO contract: speculative parallel cut solving must
- * produce a comm plan and a decision record identical to the serial
- * algorithm on every cell, the version-tagged cut cache that serial
- * and parallel runs share must fire and rest on a sound key, and the
- * nested ThreadPool submission parallel runs rely on must be
- * deadlock-free.
+ * COCO's cut walk: the version-tagged cut cache answers every
+ * enumerated problem exactly once and rests on a sound key, the
+ * pipeline's placement record equals a direct cocoOptimize call, a
+ * traced run shows one span per cut the walk solves, register cut
+ * graphs over a register's live blocks match the whole-function
+ * definition, and the solver's reused network arena behaves like
+ * fresh networks.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,9 +24,10 @@
 #include "coco/safety.hpp"
 #include "coco/thread_liveness.hpp"
 #include "driver/pass_manager.hpp"
+#include "driver/experiment.hpp"
 #include "graph/max_flow.hpp"
+#include "obs/trace_writer.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "workloads/generate.hpp"
 #include "workloads/workload.hpp"
 
@@ -36,140 +37,101 @@ namespace
 {
 
 // ---------------------------------------------------------------
-// Plan identity over the full {GREMIO, DSWP} x workload matrix.
+// The cut cache over the fig7 matrix.
 // ---------------------------------------------------------------
 
-void
-expectSamePlan(const CommPlan &serial, const CommPlan &parallel,
-               const std::string &cell)
+// Every enumerated problem is answered exactly once, from the cache or
+// by building and solving it, and the repeat-until loop revisits
+// problems whose inputs did not change, so the cache fires. The plan
+// and decision record a cell publishes come from the pipeline's own
+// COCO call and must equal a direct call on the same inputs. Both
+// ablation switches vary, as extra inputs to every cell.
+TEST(CocoCutCache, AnswersEveryProblemOnce)
 {
-    ASSERT_EQ(serial.placements.size(), parallel.placements.size())
-        << cell;
-    for (size_t i = 0; i < serial.placements.size(); ++i) {
-        const CommPlacement &a = serial.placements[i];
-        const CommPlacement &b = parallel.placements[i];
-        EXPECT_EQ(a.kind, b.kind) << cell << " placement " << i;
-        EXPECT_EQ(a.reg, b.reg) << cell << " placement " << i;
-        EXPECT_EQ(a.src_thread, b.src_thread)
-            << cell << " placement " << i;
-        EXPECT_EQ(a.dst_thread, b.dst_thread)
-            << cell << " placement " << i;
-        EXPECT_EQ(a.points, b.points) << cell << " placement " << i;
+    uint64_t cache_answers = 0;
+    for (const Workload &w : allWorkloads()) {
+        for (Scheduler sched : {Scheduler::Gremio, Scheduler::Dswp}) {
+            for (bool penalties : {true, false}) {
+                for (bool multi_pair : {true, false}) {
+                    PipelineOptions po;
+                    po.scheduler = sched;
+                    po.use_coco = true;
+                    po.coco.control_flow_penalties = penalties;
+                    po.coco.multi_pair_memory = multi_pair;
+                    PipelineContext ctx(w, po);
+                    PassManager::codegenPipeline().run(ctx);
+                    const std::string what =
+                        ctx.cellId() + " penalties=" +
+                        std::to_string(penalties) +
+                        " multi_pair=" + std::to_string(multi_pair);
+
+                    CocoResult r = cocoOptimize(
+                        ctx.pdg->ir->func, ctx.pdg->pdg,
+                        ctx.partition->partition, ctx.pdg->cd,
+                        ctx.profile->profile, po.coco);
+                    EXPECT_EQ(r.warm_starts + r.cold_rebuilds,
+                              r.problems)
+                        << what;
+                    cache_answers += r.warm_starts;
+                    EXPECT_EQ(ctx.plan->plan, r.plan) << what;
+                    EXPECT_EQ(ctx.plan->prov, r.provenance) << what;
+                    EXPECT_EQ(ctx.plan->prov.source, "coco") << what;
+                }
+            }
+        }
     }
+    EXPECT_GT(cache_answers, 0u);
 }
 
-// Serial and parallel runs share one cut-cache rule: every enumerated
-// problem is answered exactly once, from the cache or by building and
-// solving it, and the plan matches the serial run at any job count.
-// The repeat-until loop revisits problems whose inputs did not change,
-// so the cache must fire on serial runs too.
-TEST(CocoParallel, PlanIdenticalAtAnyJobCount)
+// A traced run carries one coco-reg-cut or coco-mem-cut span per cut
+// the walk builds and solves (the placement records' cold rebuilds),
+// and none for a cut-cache answer.
+TEST(CocoTrace, OneSpanPerSolvedCut)
 {
-    ThreadPool pool(4);
-    uint64_t serial_cache_answers = 0;
+    std::vector<ExperimentCell> cells;
     for (const Workload &w : allWorkloads()) {
+        if (w.name != "adpcmdec")
+            continue;
         for (Scheduler sched : {Scheduler::Gremio, Scheduler::Dswp}) {
             PipelineOptions po;
             po.scheduler = sched;
             po.use_coco = true;
-            PipelineContext ctx(w, po);
-            PassManager::codegenPipeline().run(ctx);
-
-            const Function &f = ctx.pdg->ir->func;
-            auto solve = [&](const CocoExec &exec) {
-                CocoResult r = cocoOptimize(f, ctx.pdg->pdg,
-                                            ctx.partition->partition,
-                                            ctx.pdg->cd,
-                                            ctx.profile->profile,
-                                            CocoOptions{}, exec);
-                // Both problem kinds are optimized, so every
-                // enumerated problem is answered.
-                EXPECT_EQ(r.warm_starts + r.cold_rebuilds, r.problems)
-                    << ctx.cellId() << " jobs=" << exec.jobs;
-                return r;
-            };
-            CocoResult serial = solve(CocoExec{});
-            serial_cache_answers += serial.warm_starts;
-            for (int jobs : {2, 4, 8}) {
-                CocoResult par = solve(CocoExec{&pool, jobs, nullptr});
-                expectSamePlan(serial.plan, par.plan, ctx.cellId());
-                EXPECT_EQ(serial.iterations, par.iterations)
-                    << ctx.cellId();
-                EXPECT_EQ(serial.problems, par.problems) << ctx.cellId();
-                EXPECT_EQ(serial.register_cut_cost,
-                          par.register_cut_cost)
-                    << ctx.cellId();
-                EXPECT_EQ(serial.memory_cut_cost, par.memory_cut_cost)
-                    << ctx.cellId();
-                EXPECT_EQ(serial.provenance, par.provenance)
-                    << ctx.cellId() << " jobs=" << jobs;
-            }
+            po.simulate = false;
+            cells.push_back({w, po});
         }
     }
-    EXPECT_GT(serial_cache_answers, 0u);
-}
+    ASSERT_EQ(cells.size(), 2u);
+    TraceCollector trace;
+    ExperimentOptions eo;
+    eo.jobs = 1;
+    eo.trace = &trace;
+    ExperimentRunner runner(eo);
+    runner.runAll(cells);
 
-// Ablation options must not disturb the contract either.
-TEST(CocoParallel, PlanIdenticalUnderAblations)
-{
-    ThreadPool pool(4);
-    const Workload w = allWorkloads().front();
-    PipelineOptions po;
-    po.scheduler = Scheduler::Dswp;
-    po.use_coco = true;
-    PipelineContext ctx(w, po);
-    PassManager::codegenPipeline().run(ctx);
-    const Function &f = ctx.pdg->ir->func;
-
-    for (bool penalties : {false, true}) {
-        for (bool multi_pair : {false, true}) {
-            CocoOptions opts;
-            opts.control_flow_penalties = penalties;
-            opts.multi_pair_memory = multi_pair;
-            CocoResult serial =
-                cocoOptimize(f, ctx.pdg->pdg,
-                             ctx.partition->partition, ctx.pdg->cd,
-                             ctx.profile->profile, opts, CocoExec{});
-            for (int jobs : {2, 4, 8}) {
-                CocoResult par =
-                    cocoOptimize(f, ctx.pdg->pdg,
-                                 ctx.partition->partition, ctx.pdg->cd,
-                                 ctx.profile->profile, opts,
-                                 CocoExec{&pool, jobs, nullptr});
-                expectSamePlan(serial.plan, par.plan, ctx.cellId());
-                EXPECT_EQ(serial.provenance, par.provenance)
-                    << ctx.cellId() << " jobs=" << jobs;
-            }
+    int64_t solves = 0, cache_answers = 0;
+    for (const auto &records : runner.passStats()) {
+        for (const PassStats &ps : records) {
+            if (ps.pass != "placement")
+                continue;
+            solves += ps.value("coco_cold_rebuilds");
+            cache_answers += ps.value("coco_warm_starts");
         }
     }
-}
+    EXPECT_GT(solves, 0);
+    EXPECT_GT(cache_answers, 0);
 
-// The placement record a cell publishes comes from the pipeline's own
-// COCO call, which here speculates in parallel. It must equal the
-// record of a fresh serial run on the same inputs: the provenance pass
-// publishes the cell's record as the serial algorithm's.
-TEST(CocoParallel, PipelineRecordMatchesFreshSerialRun)
-{
-    ThreadPool pool(4);
-    for (const Workload &w : allWorkloads()) {
-        for (Scheduler sched : {Scheduler::Gremio, Scheduler::Dswp}) {
-            PipelineOptions po;
-            po.scheduler = sched;
-            po.use_coco = true;
-            po.coco_jobs = 4;
-            PipelineContext ctx(w, po);
-            ctx.pool = &pool;
-            PassManager::codegenPipeline().run(ctx);
-
-            CocoResult fresh = cocoOptimize(
-                ctx.pdg->ir->func, ctx.pdg->pdg,
-                ctx.partition->partition, ctx.pdg->cd,
-                ctx.profile->profile, po.coco, CocoExec{});
-            EXPECT_EQ(ctx.plan->plan, fresh.plan) << ctx.cellId();
-            EXPECT_EQ(ctx.plan->prov, fresh.provenance) << ctx.cellId();
-            EXPECT_EQ(ctx.plan->prov.source, "coco") << ctx.cellId();
-        }
-    }
+    const std::string json = trace.json();
+    auto count = [&](const std::string &needle) {
+        int64_t n = 0;
+        for (size_t at = json.find(needle); at != std::string::npos;
+             at = json.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    const int64_t reg_spans = count("\"name\":\"coco-reg-cut\"");
+    const int64_t mem_spans = count("\"name\":\"coco-mem-cut\"");
+    EXPECT_GT(reg_spans, 0);
+    EXPECT_EQ(reg_spans + mem_spans, solves);
 }
 
 // ---------------------------------------------------------------
@@ -509,81 +471,6 @@ TEST(CocoFlowGraph, LiveBlocksMatchWholeFunctionWalk)
     }
     EXPECT_GT(problems, 2000);
     EXPECT_GT(nontrivial, 2000);
-}
-
-// ---------------------------------------------------------------
-// Nested submission on the shared pool.
-// ---------------------------------------------------------------
-
-TEST(TaskGroupNested, TwoLevelsComplete)
-{
-    ThreadPool pool(2);
-    std::atomic<int> done{0};
-    TaskGroup outer(pool);
-    for (int i = 0; i < 4; ++i) {
-        outer.run([&pool, &done] {
-            TaskGroup inner(pool);
-            for (int j = 0; j < 8; ++j)
-                inner.run([&done] { done.fetch_add(1); });
-            inner.wait();
-        });
-    }
-    outer.wait();
-    EXPECT_EQ(done.load(), 32);
-}
-
-// Three levels on a single-worker pool: only the claim-and-run-inline
-// protocol keeps this from deadlocking (the one worker is blocked in
-// a nested wait() for most of the run).
-TEST(TaskGroupNested, ThreeLevelsSingleWorker)
-{
-    ThreadPool pool(1);
-    std::atomic<int> done{0};
-    TaskGroup outer(pool);
-    for (int i = 0; i < 3; ++i) {
-        outer.run([&pool, &done] {
-            TaskGroup mid(pool);
-            for (int j = 0; j < 3; ++j) {
-                mid.run([&pool, &done] {
-                    TaskGroup inner(pool);
-                    for (int k = 0; k < 3; ++k)
-                        inner.run([&done] { done.fetch_add(1); });
-                    inner.wait();
-                });
-            }
-            mid.wait();
-        });
-    }
-    outer.wait();
-    EXPECT_EQ(done.load(), 27);
-}
-
-// Concurrent groups on one pool must not steal each other's work or
-// lose completions.
-TEST(TaskGroupNested, ConcurrentGroupsIndependent)
-{
-    ThreadPool pool(3);
-    std::atomic<int> a{0}, b{0};
-    TaskGroup ga(pool);
-    TaskGroup gb(pool);
-    for (int i = 0; i < 50; ++i) {
-        ga.run([&a] { a.fetch_add(1); });
-        gb.run([&b] { b.fetch_add(1); });
-    }
-    ga.wait();
-    EXPECT_EQ(a.load(), 50);
-    gb.wait();
-    EXPECT_EQ(b.load(), 50);
-}
-
-// An empty group's wait() must return immediately.
-TEST(TaskGroupNested, EmptyGroup)
-{
-    ThreadPool pool(2);
-    TaskGroup group(pool);
-    group.wait();
-    group.run([] {});
-    group.wait();
 }
 
 // ---------------------------------------------------------------

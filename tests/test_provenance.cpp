@@ -108,11 +108,9 @@ tunedOptions(const TunedCell &t, int max_queues)
 
 /** Canonical JSON per cell under one runner configuration. */
 std::vector<std::string>
-canonicalJsons(std::vector<ExperimentCell> cells, int jobs,
-               bool use_cache, int coco_jobs)
+canonicalJsons(const std::vector<ExperimentCell> &cells, int jobs,
+               bool use_cache)
 {
-    for (ExperimentCell &cell : cells)
-        cell.opts.coco_jobs = coco_jobs;
     ExperimentOptions eo;
     eo.jobs = jobs;
     eo.use_cache = use_cache;
@@ -134,7 +132,7 @@ TEST(ProvenanceDeterminism, ByteIdenticalAcrossExecutionAxes)
         for (int max_queues : {0, 4})
             cells.push_back({findWorkload(all, t.workload),
                              tunedOptions(t, max_queues)});
-    auto base = canonicalJsons(cells, 1, true, 1);
+    auto base = canonicalJsons(cells, 1, true);
     ASSERT_EQ(base.size(), cells.size());
     for (const std::string &json : base) {
         EXPECT_FALSE(json.empty());
@@ -148,16 +146,14 @@ TEST(ProvenanceDeterminism, ByteIdenticalAcrossExecutionAxes)
         const char *name;
         int jobs;
         bool cache;
-        int coco_jobs;
     };
     const Variant variants[] = {
-        {"jobs=4", 4, true, 1},
-        {"coco_jobs=4", 1, true, 4},
-        {"cache=off", 1, false, 1},
-        {"jobs=4 coco_jobs=4 cache=off", 4, false, 4},
+        {"jobs=4", 4, true},
+        {"cache=off", 1, false},
+        {"jobs=4 cache=off", 4, false},
     };
     for (const Variant &v : variants) {
-        auto got = canonicalJsons(cells, v.jobs, v.cache, v.coco_jobs);
+        auto got = canonicalJsons(cells, v.jobs, v.cache);
         ASSERT_EQ(got.size(), base.size()) << v.name;
         for (size_t i = 0; i < base.size(); ++i)
             EXPECT_EQ(got[i], base[i])

@@ -136,7 +136,8 @@ TEST_P(QueueAllocProperty, EquivalentUnderTinyBudgets)
 INSTANTIATE_TEST_SUITE_P(Budgets, QueueAllocProperty,
                          ::testing::Values(2, 4, 8, 256),
                          [](const auto &info) {
-                             return "q" + std::to_string(info.param);
+                             return std::string("q").append(
+                                 std::to_string(info.param));
                          });
 
 } // namespace

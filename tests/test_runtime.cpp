@@ -152,7 +152,7 @@ TEST(SyncArray, FifoOrder)
     SyncArray sa(4, 8);
     EXPECT_TRUE(sa.produce(2, 10));
     EXPECT_TRUE(sa.produce(2, 20));
-    int64_t v;
+    int64_t v = 0;
     EXPECT_TRUE(sa.consume(2, v));
     EXPECT_EQ(v, 10);
     EXPECT_TRUE(sa.consume(2, v));
@@ -167,7 +167,7 @@ TEST(SyncArray, CapacityBlocksProduce)
     EXPECT_TRUE(sa.produce(0, 2));
     EXPECT_FALSE(sa.produce(0, 3));
     EXPECT_TRUE(sa.full(0));
-    int64_t v;
+    int64_t v = 0;
     sa.consume(0, v);
     EXPECT_TRUE(sa.produce(0, 3));
 }
@@ -178,7 +178,7 @@ TEST(SyncArray, QueuesIndependent)
     EXPECT_TRUE(sa.produce(0, 7));
     EXPECT_TRUE(sa.produce(1, 8));
     EXPECT_TRUE(sa.full(0));
-    int64_t v;
+    int64_t v = 0;
     EXPECT_TRUE(sa.consume(1, v));
     EXPECT_EQ(v, 8);
     EXPECT_FALSE(sa.empty(0));
