@@ -1,7 +1,8 @@
 #include "ir/parser.hpp"
 
-#include <cctype>
-#include <map>
+#include <array>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "support/error.hpp"
@@ -12,116 +13,94 @@ namespace gmt
 namespace
 {
 
-/** Mnemonic -> opcode, built once from opcodeName (stays in sync). */
-const std::map<std::string, Opcode, std::less<>> &
-mnemonics()
+constexpr int kNumOpcodes = static_cast<int>(Opcode::ConsumeSync) + 1;
+
+/** Mnemonic -> opcode over a flat table built from opcodeName. */
+bool
+lookupOpcode(std::string_view name, Opcode *op)
 {
-    static const std::map<std::string, Opcode, std::less<>> table = [] {
-        std::map<std::string, Opcode, std::less<>> t;
-        for (int v = 0; v <= static_cast<int>(Opcode::ConsumeSync); ++v) {
-            Opcode op = static_cast<Opcode>(v);
-            t.emplace(std::string(opcodeName(op)), op);
-        }
+    static const std::array<std::string_view, kNumOpcodes> names = [] {
+        std::array<std::string_view, kNumOpcodes> t{};
+        for (int v = 0; v < kNumOpcodes; ++v)
+            t[v] = opcodeName(static_cast<Opcode>(v));
         return t;
     }();
-    return table;
+    for (int v = 0; v < kNumOpcodes; ++v) {
+        if (names[v] == name) {
+            *op = static_cast<Opcode>(v);
+            return true;
+        }
+    }
+    return false;
 }
 
-/** One line of input with a cursor; all errors cite the line number. */
-class LineCursor
+bool
+isBlank(std::string_view line)
+{
+    return line.find_first_not_of(' ') == std::string_view::npos;
+}
+
+/** A LineCursor whose failures are IR parse errors citing the line. */
+class IrLine : public LineCursor
 {
   public:
-    LineCursor(std::string_view line, int line_no)
-        : line_(line), no_(line_no)
-    {
-    }
+    using LineCursor::LineCursor;
 
+    template <typename... Parts>
     [[noreturn]] void
-    die(const std::string &what) const
+    die(const Parts &...what) const
     {
-        fatal("IR parse error at line ", no_, ": ", what, " in '",
-              std::string(line_), "'");
-    }
-
-    void
-    skipSpaces()
-    {
-        while (pos_ < line_.size() && line_[pos_] == ' ')
-            ++pos_;
-    }
-
-    bool
-    atEnd()
-    {
-        skipSpaces();
-        return pos_ >= line_.size();
+        fatal("IR parse error at line ", lineNo(), ": ", what..., " in '",
+              line(), "'");
     }
 
     /** Consume @p lit (after skipping spaces) or die. */
     void
     expect(std::string_view lit)
     {
-        skipSpaces();
-        if (line_.substr(pos_, lit.size()) != lit)
-            die("expected '" + std::string(lit) + "'");
-        pos_ += lit.size();
+        if (!tryConsume(lit))
+            die("expected '", lit, "'");
     }
 
-    bool
-    tryConsume(std::string_view lit)
+    std::string_view
+    nextToken()
     {
-        skipSpaces();
-        if (line_.substr(pos_, lit.size()) != lit)
-            return false;
-        pos_ += lit.size();
-        return true;
-    }
-
-    /** Next token: maximal run of non-space, non-delimiter chars. */
-    std::string
-    token()
-    {
-        skipSpaces();
-        size_t start = pos_;
-        while (pos_ < line_.size() && line_[pos_] != ' ' &&
-               line_[pos_] != ',' && line_[pos_] != '(' &&
-               line_[pos_] != ')' && line_[pos_] != '[' &&
-               line_[pos_] != ']' && line_[pos_] != '{')
-            ++pos_;
-        if (pos_ == start)
+        std::string_view t = token();
+        if (t.empty())
             die("expected a token");
-        return std::string(line_.substr(start, pos_ - start));
+        return t;
     }
 
-    std::string
-    peekToken()
+    std::string_view
+    peekToken() const
     {
-        size_t save = pos_;
-        std::string t = token();
-        pos_ = save;
-        return t;
+        IrLine ahead = *this;
+        return ahead.nextToken();
     }
 
     int64_t
     integer()
     {
-        skipSpaces();
-        size_t start = pos_;
-        if (pos_ < line_.size() &&
-            (line_[pos_] == '-' || line_[pos_] == '+'))
-            ++pos_;
-        size_t digits = pos_;
-        while (pos_ < line_.size() &&
-               std::isdigit(static_cast<unsigned char>(line_[pos_])))
-            ++pos_;
-        if (pos_ == digits)
+        int64_t v = 0;
+        switch (LineCursor::integer(&v)) {
+          case IntParse::Ok:
+            return v;
+          case IntParse::NoDigits:
             die("expected an integer");
-        try {
-            return std::stoll(
-                std::string(line_.substr(start, pos_ - start)));
-        } catch (const std::exception &) {
-            die("integer out of range");
+          case IntParse::OutOfRange:
+            break;
         }
+        die("integer out of range");
+    }
+
+    /** An integer that must fit an int32 field. */
+    int32_t
+    integer32()
+    {
+        int64_t v = integer();
+        if (v < INT32_MIN || v > INT32_MAX)
+            die("integer out of range");
+        return static_cast<int32_t>(v);
     }
 
     /** `rN` or `_` (= kNoReg). */
@@ -135,19 +114,20 @@ class LineCursor
         int64_t n = integer();
         if (n < 0)
             die("negative register number");
+        if (n >= kMaxTextRegs)
+            die("register number out of range");
         return static_cast<Reg>(n);
     }
 
-    /** `[rA+IMM]` -> (reg, imm). */
-    std::pair<Reg, int64_t>
-    address()
+    /** `[rA+IMM]` into @p in's src1 and imm. */
+    void
+    address(Instr &in)
     {
         expect("[");
-        Reg base = reg();
+        in.src1 = reg();
         expect("+");
-        int64_t imm = integer();
+        in.imm = integer();
         expect("]");
-        return {base, imm};
     }
 
     /** `[qN]`. */
@@ -156,28 +136,25 @@ class LineCursor
     {
         expect("[");
         expect("q");
-        int64_t q = integer();
+        QueueId q = integer32();
         expect("]");
-        return static_cast<QueueId>(q);
+        return q;
     }
 
     AliasClass
     alias()
     {
         expect("!alias");
-        return static_cast<AliasClass>(integer());
+        return integer32();
     }
-
-  private:
-    std::string_view line_;
-    size_t pos_ = 0;
-    int no_;
 };
 
+/** A `br` or `jmp` whose target labels resolve once all blocks exist. */
 struct PendingSuccs
 {
     BlockId block = kNoBlock;
-    std::vector<std::string> labels;
+    std::array<std::string_view, 2> labels;
+    int num_labels = 0;
     int line_no = 0;
 };
 
@@ -192,11 +169,10 @@ stripOrigin(std::string_view line, int line_no, InstrId *origin)
     size_t semi = line.find(';');
     if (semi == std::string_view::npos)
         return line;
-    std::string_view comment = line.substr(semi + 1);
-    LineCursor c(comment, line_no);
+    IrLine c(line.substr(semi + 1), line_no);
     if (c.tryConsume("from")) {
         c.expect("i");
-        *origin = static_cast<InstrId>(c.integer());
+        *origin = c.integer32();
     }
     // Trim the comment and trailing spaces off the code part.
     size_t end = semi;
@@ -205,40 +181,107 @@ stripOrigin(std::string_view line, int line_no, InstrId *origin)
     return line.substr(0, end);
 }
 
+/** Parse one instruction line into @p in and append it to @p b. */
+void
+parseInstr(IrLine &c, Function &f, BlockId b, Instr in,
+           std::vector<PendingSuccs> &pending, bool &saw_ret)
+{
+    std::string_view tok = c.peekToken();
+    if (tok == "store") {
+        c.expect("store");
+        in.op = Opcode::Store;
+        c.address(in);
+        c.expect("=");
+        in.src2 = c.reg();
+        in.alias = c.alias();
+    } else if (tok == "br") {
+        c.expect("br");
+        in.op = Opcode::Br;
+        in.src1 = c.reg();
+        PendingSuccs ps{b, {}, 2, c.lineNo()};
+        ps.labels[0] = c.nextToken();
+        ps.labels[1] = c.nextToken();
+        pending.push_back(ps);
+    } else if (tok == "jmp") {
+        c.expect("jmp");
+        in.op = Opcode::Jmp;
+        PendingSuccs ps{b, {}, 1, c.lineNo()};
+        ps.labels[0] = c.nextToken();
+        pending.push_back(ps);
+    } else if (tok == "ret") {
+        c.expect("ret");
+        in.op = Opcode::Ret;
+        std::vector<Reg> outs;
+        while (!c.atEnd())
+            outs.push_back(c.reg());
+        if (saw_ret && !outs.empty() && outs != f.liveOuts())
+            c.die("ret live-out lists disagree");
+        if (!saw_ret)
+            f.setLiveOuts(std::move(outs));
+        saw_ret = true;
+    } else if (tok == "produce") {
+        c.expect("produce");
+        in.op = Opcode::Produce;
+        in.queue = c.queue();
+        c.expect("=");
+        in.src1 = c.reg();
+    } else if (tok == "produce.sync") {
+        c.expect("produce.sync");
+        in.op = Opcode::ProduceSync;
+        in.queue = c.queue();
+    } else if (tok == "consume.sync") {
+        c.expect("consume.sync");
+        in.op = Opcode::ConsumeSync;
+        in.queue = c.queue();
+    } else {
+        // `dst = rhs` forms.
+        in.dst = c.reg();
+        c.expect("=");
+        std::string_view rhs = c.nextToken();
+        if (rhs == "const") {
+            in.op = Opcode::Const;
+            in.imm = c.integer();
+        } else if (rhs == "load") {
+            in.op = Opcode::Load;
+            c.address(in);
+            in.alias = c.alias();
+        } else if (rhs == "consume") {
+            in.op = Opcode::Consume;
+            in.queue = c.queue();
+        } else {
+            if (!lookupOpcode(rhs, &in.op))
+                c.die("unknown opcode '", rhs, "'");
+            int n = numSrcs(in.op);
+            if (n >= 1)
+                in.src1 = c.reg();
+            if (n >= 2) {
+                c.expect(",");
+                in.src2 = c.reg();
+            }
+        }
+    }
+    f.append(b, in);
+    if (!c.atEnd())
+        c.die("trailing junk");
+}
+
 } // namespace
 
 Function
-parseFunction(std::string_view text, int first_line_no, int *lines_used)
+parseFunction(LineReader &lines)
 {
-    // Split into lines up front; the grammar is strictly line-based.
-    std::vector<std::string_view> lines;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t nl = text.find('\n', start);
-        if (nl == std::string_view::npos) {
-            if (start < text.size())
-                lines.push_back(text.substr(start));
-            break;
-        }
-        lines.push_back(text.substr(start, nl - start));
-        start = nl + 1;
-    }
-
-    size_t li = 0;
-    auto line_no = [&]() { return first_line_no + static_cast<int>(li); };
-
     // Header: func @name(r0, r1) regs N {
-    while (li < lines.size() &&
-           lines[li].find_first_not_of(' ') == std::string_view::npos)
-        ++li;
-    if (li >= lines.size())
-        fatal("IR parse error at line ", line_no(),
-              ": expected 'func @...'");
-    LineCursor header(lines[li], line_no());
+    while (isBlank(lines.line())) {
+        if (!lines.next())
+            fatal("IR parse error at line ", lines.lineNo(),
+                  ": expected 'func @...'");
+    }
+    const int header_no = lines.lineNo();
+    IrLine header(lines.line(), header_no);
     header.expect("func");
     header.expect("@");
-    std::string name = header.token();
-    Function f(name);
+    Function f{std::string(header.nextToken())};
+    const std::string &name = f.name();
     header.expect("(");
     if (!header.tryConsume(")")) {
         for (;;) {
@@ -252,41 +295,47 @@ parseFunction(std::string_view text, int first_line_no, int *lines_used)
             header.expect(",");
         }
     }
-    int declared_regs = -1;
-    if (header.tryConsume("regs"))
-        declared_regs = static_cast<int>(header.integer());
+    int64_t declared_regs = -1;
+    if (header.tryConsume("regs")) {
+        declared_regs = header.integer();
+        if (declared_regs < 0 || declared_regs > kMaxTextRegs)
+            header.die("register count out of range");
+    }
     header.expect("{");
-    ++li;
 
     BlockId current = kNoBlock;
     BlockId entry = kNoBlock;
+    // Per block, in id order: its label in the text and its line.
+    std::vector<std::string_view> labels;
+    std::vector<int> label_lines;
     std::vector<PendingSuccs> pending;
     bool closed = false;
     bool saw_ret = false;
 
-    for (; li < lines.size(); ++li) {
-        std::string_view raw = lines[li];
+    while (lines.next()) {
+        std::string_view raw = lines.line();
+        const int no = lines.lineNo();
         size_t first = raw.find_first_not_of(' ');
         if (first == std::string_view::npos)
             continue;
         if (raw.substr(first) == "}") {
             closed = true;
-            ++li;
             break;
         }
 
         InstrId origin = kNoInstr;
-        std::string_view line = stripOrigin(raw, line_no(), &origin);
+        std::string_view line = stripOrigin(raw, no, &origin);
 
         // Block header: `label:` (optionally with the entry marker,
         // already stripped with the comment).
         size_t colon = line.find(':');
         if (first == 0 && colon != std::string_view::npos) {
-            std::string label(line.substr(0, colon));
-            if (label.empty() ||
-                label.find(' ') != std::string::npos)
-                LineCursor(raw, line_no()).die("bad block label");
-            current = f.addBlock(label);
+            std::string_view label = line.substr(0, colon);
+            if (label.empty() || label.find(' ') != std::string_view::npos)
+                IrLine(raw, no).die("bad block label");
+            current = f.addBlock(std::string(label));
+            labels.push_back(label);
+            label_lines.push_back(no);
             // The entry marker travels in the comment the origin
             // stripper removed; re-check the raw line.
             if (raw.find("; entry") != std::string_view::npos)
@@ -295,169 +344,64 @@ parseFunction(std::string_view text, int first_line_no, int *lines_used)
         }
 
         if (current == kNoBlock)
-            LineCursor(raw, line_no())
-                .die("instruction before the first block label");
+            IrLine(raw, no).die("instruction before the first block label");
 
-        LineCursor c(line, line_no());
+        IrLine c(line, no);
         Instr in;
         in.origin = origin;
-        std::string tok = c.peekToken();
-
-        if (tok == "store") {
-            c.expect("store");
-            in.op = Opcode::Store;
-            auto [base, imm] = c.address();
-            in.src1 = base;
-            in.imm = imm;
-            c.expect("=");
-            in.src2 = c.reg();
-            in.alias = c.alias();
-            f.append(current, in);
-        } else if (tok == "br") {
-            c.expect("br");
-            in.op = Opcode::Br;
-            in.src1 = c.reg();
-            PendingSuccs ps{current, {}, line_no()};
-            ps.labels.push_back(c.token());
-            ps.labels.push_back(c.token());
-            pending.push_back(std::move(ps));
-            f.append(current, in);
-        } else if (tok == "jmp") {
-            c.expect("jmp");
-            in.op = Opcode::Jmp;
-            PendingSuccs ps{current, {}, line_no()};
-            ps.labels.push_back(c.token());
-            pending.push_back(std::move(ps));
-            f.append(current, in);
-        } else if (tok == "ret") {
-            c.expect("ret");
-            in.op = Opcode::Ret;
-            std::vector<Reg> outs;
-            while (!c.atEnd())
-                outs.push_back(c.reg());
-            if (saw_ret && !outs.empty() && outs != f.liveOuts())
-                c.die("ret live-out lists disagree");
-            if (!saw_ret)
-                f.setLiveOuts(std::move(outs));
-            saw_ret = true;
-            f.append(current, in);
-        } else if (tok == "produce") {
-            c.expect("produce");
-            in.op = Opcode::Produce;
-            in.queue = c.queue();
-            c.expect("=");
-            in.src1 = c.reg();
-            f.append(current, in);
-        } else if (tok == "produce.sync") {
-            c.expect("produce.sync");
-            in.op = Opcode::ProduceSync;
-            in.queue = c.queue();
-            f.append(current, in);
-        } else if (tok == "consume.sync") {
-            c.expect("consume.sync");
-            in.op = Opcode::ConsumeSync;
-            in.queue = c.queue();
-            f.append(current, in);
-        } else {
-            // `dst = rhs` forms.
-            in.dst = c.reg();
-            c.expect("=");
-            std::string rhs = c.token();
-            if (rhs == "const") {
-                in.op = Opcode::Const;
-                in.imm = c.integer();
-            } else if (rhs == "load") {
-                in.op = Opcode::Load;
-                auto [base, imm] = c.address();
-                in.src1 = base;
-                in.imm = imm;
-                in.alias = c.alias();
-            } else if (rhs == "consume") {
-                in.op = Opcode::Consume;
-                in.queue = c.queue();
-            } else {
-                auto it = mnemonics().find(rhs);
-                if (it == mnemonics().end())
-                    c.die("unknown opcode '" + rhs + "'");
-                in.op = it->second;
-                int n = numSrcs(in.op);
-                if (n >= 1)
-                    in.src1 = c.reg();
-                if (n >= 2) {
-                    c.expect(",");
-                    in.src2 = c.reg();
-                }
-            }
-            f.append(current, in);
-        }
-        if (!c.atEnd())
-            c.die("trailing junk");
+        parseInstr(c, f, current, in, pending, saw_ret);
     }
 
     if (!closed)
-        fatal("IR parse error: missing closing '}' for @", name);
+        fatal("IR parse error at line ", lines.lineNo(),
+              ": missing closing '}' for @", name);
 
     // Resolve branch targets now that every block exists.
-    std::map<std::string, BlockId> by_label;
+    std::unordered_map<std::string_view, BlockId> by_label;
+    by_label.reserve(labels.size());
     for (BlockId b = 0; b < f.numBlocks(); ++b) {
-        auto [it, fresh] = by_label.emplace(f.block(b).label(), b);
-        if (!fresh)
-            fatal("IR parse error: duplicate block label '",
-                  f.block(b).label(), "' in @", name);
+        if (!by_label.emplace(labels[b], b).second)
+            fatal("IR parse error at line ", label_lines[b],
+                  ": duplicate block label '", labels[b], "' in @", name);
     }
     for (const PendingSuccs &ps : pending) {
         std::vector<BlockId> succs;
-        for (const std::string &label : ps.labels) {
-            auto it = by_label.find(label);
+        for (int k = 0; k < ps.num_labels; ++k) {
+            auto it = by_label.find(ps.labels[k]);
             if (it == by_label.end())
                 fatal("IR parse error at line ", ps.line_no,
-                      ": unknown branch target '", label, "' in @",
+                      ": unknown branch target '", ps.labels[k], "' in @",
                       name);
             succs.push_back(it->second);
         }
-        f.setSuccs(ps.block, succs);
+        f.setSuccs(ps.block, std::move(succs));
     }
 
     if (f.numBlocks() == 0)
-        fatal("IR parse error: function @", name, " has no blocks");
+        fatal("IR parse error at line ", lines.lineNo(), ": function @",
+              name, " has no blocks");
     f.setEntry(entry != kNoBlock ? entry : 0);
 
     if (declared_regs >= 0) {
         if (declared_regs < f.numRegs())
-            fatal("IR parse error: @", name, " declares regs ",
-                  declared_regs, " but the text references ",
-                  f.numRegs());
-        f.ensureRegs(declared_regs);
+            fatal("IR parse error at line ", header_no, ": @", name,
+                  " declares regs ", declared_regs,
+                  " but the text references ", f.numRegs());
+        f.ensureRegs(static_cast<int>(declared_regs));
     }
-
-    if (lines_used)
-        *lines_used = static_cast<int>(li);
     return f;
 }
 
 Function
 parseFunction(std::string_view text)
 {
-    int used = 0;
-    Function f = parseFunction(text, 1, &used);
+    LineReader lines(text, 1);
+    Function f = parseFunction(lines);
     // Anything after the closing brace must be blank.
-    std::vector<std::string_view> rest;
-    size_t start = 0;
-    int line = 0;
-    while (start <= text.size()) {
-        size_t nl = text.find('\n', start);
-        std::string_view l =
-            nl == std::string_view::npos
-                ? text.substr(start)
-                : text.substr(start, nl - start);
-        ++line;
-        if (line > used &&
-            l.find_first_not_of(' ') != std::string_view::npos)
-            fatal("IR parse error at line ", line,
+    while (lines.next()) {
+        if (!isBlank(lines.line()))
+            fatal("IR parse error at line ", lines.lineNo(),
                   ": text after closing '}'");
-        if (nl == std::string_view::npos)
-            break;
-        start = nl + 1;
     }
     return f;
 }

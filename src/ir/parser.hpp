@@ -31,16 +31,27 @@
  * parse errors throw FatalError with a line number; the parser checks
  * syntax and label resolution only — callers run verifyFunction /
  * verifyOrDie for the structural invariants, exactly like every other
- * IR producer in the pipeline.
+ * IR producer in the pipeline. Every number must fit its field: an
+ * immediate is an int64, an alias class, queue id or origin an int32,
+ * and a register number or the `regs` count at most kMaxTextRegs.
  */
 
 #include <string>
 #include <string_view>
 
 #include "ir/function.hpp"
+#include "ir/text.hpp"
 
 namespace gmt
 {
+
+/**
+ * Upper bound of a `regs` count, and one above the largest register
+ * number the text may name. The corpus uses at most 59 registers and
+ * generated cells a few hundred; the bound keeps one line of text from
+ * sizing a multi-gigabyte register file.
+ */
+inline constexpr int kMaxTextRegs = 1 << 20;
 
 /**
  * Parse one function in the printer's textual form. @p text must
@@ -50,14 +61,12 @@ namespace gmt
 Function parseFunction(std::string_view text);
 
 /**
- * Parse the function starting at line @p line_no of @p text (1-based;
- * used by the workload-cell loader to keep error line numbers aligned
- * with the enclosing file). Consumes text up to and including the
- * closing `}` and returns the number of lines consumed via
- * @p lines_used when non-null.
+ * Parse the function whose header is the current line of @p lines or,
+ * when that line is blank, the next line that is not. Leaves @p lines
+ * on the closing `}`. The workload-cell loader reads its metadata and
+ * the function with this one reader.
  */
-Function parseFunction(std::string_view text, int line_no,
-                       int *lines_used);
+Function parseFunction(LineReader &lines);
 
 } // namespace gmt
 

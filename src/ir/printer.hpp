@@ -23,6 +23,9 @@
 namespace gmt
 {
 
+/** Append the text of @p f to @p out: the one writer of the form. */
+void appendFunction(std::string &out, const Function &f);
+
 /** Print @p f as text to @p os. */
 void printFunction(const Function &f, std::ostream &os);
 

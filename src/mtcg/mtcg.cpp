@@ -1,6 +1,7 @@
 #include "mtcg/mtcg.hpp"
 
-#include <map>
+#include <algorithm>
+#include <climits>
 
 #include "analysis/dominators.hpp"
 #include "ir/verifier.hpp"
@@ -13,11 +14,18 @@ namespace gmt
 namespace
 {
 
-/** Per-point communication operations, kept in global plan order. */
-struct PointOps
+/** One placement's operation at one program point. */
+struct PointOp
 {
-    // placement indices producing / consuming at this point.
-    std::vector<int> ops;
+    ProgramPoint point;
+    int placement;
+
+    bool
+    operator<(const PointOp &o) const
+    {
+        return point < o.point ||
+               (point == o.point && placement < o.placement);
+    }
 };
 
 } // namespace
@@ -41,13 +49,15 @@ runMtcg(const Function &f, const Pdg &pdg,
     RelevantSets relevant(f, cd, partition, plan);
     auto pdom = DominatorTree::postDominators(f);
 
-    // Index plan points: (block, pos) -> placement indices, plan order.
-    std::map<ProgramPoint, PointOps> point_ops;
+    // Every plan point, sorted by (block, pos) and then plan order, so
+    // each block's operations are one run walked in position order.
+    std::vector<PointOp> point_ops;
     for (int pi = 0; pi < static_cast<int>(plan.placements.size());
          ++pi) {
         for (const auto &p : plan.placements[pi].points)
-            point_ops[p].ops.push_back(pi);
+            point_ops.push_back({p, pi});
     }
+    std::sort(point_ops.begin(), point_ops.end());
 
     for (int t = 0; t < nt; ++t) {
         Function out("thread" + std::to_string(t) + "_" + f.name());
@@ -82,11 +92,17 @@ runMtcg(const Function &f, const Pdg &pdg,
             const BasicBlock &bb = f.block(orig);
             const int size = static_cast<int>(bb.size());
 
+            // Cursor over this block's plan points; positions only grow.
+            auto op = std::lower_bound(point_ops.begin(), point_ops.end(),
+                                       PointOp{{orig, INT_MIN}, 0});
             auto emitCommAt = [&](int pos) {
-                auto it = point_ops.find(ProgramPoint{orig, pos});
-                if (it == point_ops.end())
-                    return;
-                for (int pi : it->second.ops) {
+                while (op != point_ops.end() && op->point.block == orig &&
+                       op->point.pos < pos)
+                    ++op;
+                for (; op != point_ops.end() &&
+                       op->point == ProgramPoint{orig, pos};
+                     ++op) {
+                    const int pi = op->placement;
                     const CommPlacement &pl = plan.placements[pi];
                     if (pl.src_thread == t) {
                         if (pl.kind == CommKind::RegisterData) {

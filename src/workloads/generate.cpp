@@ -500,4 +500,134 @@ reduceWorkload(const Workload &w, const FailurePredicate &fails)
     return out;
 }
 
+namespace
+{
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/** Start of the line holding byte @p p. */
+size_t
+lineStart(const std::string &t, size_t p)
+{
+    size_t nl = p == 0 ? std::string::npos : t.rfind('\n', p - 1);
+    return nl == std::string::npos ? 0 : nl + 1;
+}
+
+/** Start of the line after the one holding byte @p p. */
+size_t
+nextLineStart(const std::string &t, size_t p)
+{
+    size_t nl = t.find('\n', p);
+    return nl == std::string::npos ? t.size() : nl + 1;
+}
+
+/** Numbers just inside and outside the text form's bounds. */
+constexpr std::string_view kExtremeIds[] = {
+    "-1",         "0",          "1048575",    "1048576",
+    "2147483647", "2147483648", "4294967309", "99999999999999999999",
+};
+
+} // namespace
+
+TextMutant
+mutateCellText(std::string_view text, uint64_t seed)
+{
+    Rng rng(seed ^ 0x6d7574616e74ull); // "mutant"
+    std::string t(text);
+    size_t from = 0;
+    if (size_t func = t.find("\nfunc @");
+        func != std::string::npos && rng.nextBool())
+        from = func + 1;
+    auto pick = [&]() {
+        return from + static_cast<size_t>(rng.nextBelow(t.size() - from));
+    };
+    auto extreme = [&]() {
+        return std::string(
+            kExtremeIds[rng.nextBelow(std::size(kExtremeIds))]);
+    };
+    if (t.size() <= from)
+        return {t, "none"};
+
+    switch (rng.nextBelow(6)) {
+      case 0:
+        break; // bit flips, below
+      case 1:
+        t.resize(pick());
+        return {t, "truncate"};
+      case 2: {
+        size_t a = lineStart(t, pick());
+        size_t b = a;
+        for (uint64_t n = 1 + rng.nextBelow(3); n > 0 && b < t.size(); --n)
+            b = nextLineStart(t, b);
+        std::string lines = t.substr(a, b - a);
+        if (rng.nextBool())
+            t.erase(a, b - a);
+        if (t.size() <= from)
+            t += lines;
+        else
+            t.insert(lineStart(t, pick()), lines);
+        return {t, "line-splice"};
+      }
+      case 3: {
+        // A register operand: `r` then digits, not inside a word.
+        std::vector<size_t> regs;
+        for (size_t i = from; i + 1 < t.size(); ++i) {
+            if (t[i] == 'r' && isDigit(t[i + 1]) &&
+                (i == 0 || t[i - 1] == ' ' || t[i - 1] == '(' ||
+                 t[i - 1] == '['))
+                regs.push_back(i + 1);
+        }
+        if (regs.empty())
+            break;
+        size_t d = regs[rng.nextBelow(regs.size())];
+        size_t e = d;
+        while (e < t.size() && isDigit(t[e]))
+            ++e;
+        t.replace(d, e - d, extreme());
+        return {t, "reg-id"};
+      }
+      case 4: {
+        // Communication instructions only appear in generated thread
+        // code, so insert one with an extreme queue id.
+        std::string q = "[q" + extreme() + "]";
+        std::string line = rng.nextBool() ? "    produce.sync " + q + "\n"
+                                          : "    r1 = consume " + q + "\n";
+        t.insert(lineStart(t, pick()), line);
+        return {t, "queue-id"};
+      }
+      case 5: {
+        // A branch target: another block's label or none at all.
+        std::vector<size_t> jumps;
+        std::vector<std::string> labels;
+        for (size_t a = 0; a < t.size(); a = nextLineStart(t, a)) {
+            std::string_view line(t.data() + a, nextLineStart(t, a) - a);
+            if (line.starts_with("    jmp ") || line.starts_with("    br "))
+                jumps.push_back(a);
+            else if (size_t colon = line.find(':');
+                     colon != std::string_view::npos && line[0] != ' ')
+                labels.emplace_back(line.substr(0, colon));
+        }
+        if (jumps.empty() || labels.empty())
+            break;
+        size_t a = jumps[rng.nextBelow(jumps.size())];
+        size_t end = nextLineStart(t, a);
+        if (end > a && t[end - 1] == '\n')
+            --end;
+        size_t space = t.rfind(' ', end - 1);
+        std::string target = rng.nextBool()
+                                 ? labels[rng.nextBelow(labels.size())]
+                                 : "b" + extreme();
+        t.replace(space + 1, end - space - 1, target);
+        return {t, "label-id"};
+      }
+    }
+    for (uint64_t n = 1 + rng.nextBelow(4); n > 0; --n)
+        t[pick()] ^= static_cast<char>(1u << rng.nextBelow(8));
+    return {t, "byte-flip"};
+}
+
 } // namespace gmt

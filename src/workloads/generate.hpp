@@ -31,6 +31,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <string_view>
 
 #include "workloads/workload.hpp"
 
@@ -73,6 +75,26 @@ using FailurePredicate = std::function<bool(const Workload &)>;
  * bit-identically. @p fails must be true of @p w itself.
  */
 Workload reduceWorkload(const Workload &w, const FailurePredicate &fails);
+
+/** A damaged copy of a `.gmt` text and what damaged it. */
+struct TextMutant
+{
+    std::string text;
+    /** "byte-flip", "truncate", "line-splice", "reg-id", "queue-id" or
+     *  "label-id"; "none" for an empty text, returned unchanged. */
+    std::string kind;
+};
+
+/**
+ * Damage the `.gmt` text @p text, the same way for the same @p seed:
+ * flip 1-4 bits, truncate, copy or move 1-3 lines, or write an
+ * out-of-range register number, a communication instruction with an
+ * out-of-range queue id, or a branch target that names another or no
+ * block. Half the mutants aim at the function body, which the memory
+ * lines of a cell otherwise outweigh. workloadFromText must load every
+ * mutant or reject it with a FatalError that names a line.
+ */
+TextMutant mutateCellText(std::string_view text, uint64_t seed);
 
 } // namespace gmt
 

@@ -1,5 +1,6 @@
 #include "workloads/serialize.hpp"
 
+#include <climits>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -7,6 +8,7 @@
 
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
+#include "ir/text.hpp"
 #include "ir/verifier.hpp"
 #include "support/error.hpp"
 
@@ -17,32 +19,66 @@ namespace
 {
 
 void
-emitArgs(std::ostringstream &os, const char *key,
-         const std::vector<int64_t> &args)
+writeArgs(TextWriter &w, std::string_view key,
+          const std::vector<int64_t> &args)
 {
-    os << key;
+    w << key;
     for (int64_t a : args)
-        os << " " << a;
-    os << "\n";
+        w << ' ' << a;
+    w << '\n';
 }
 
 void
-emitMem(std::ostringstream &os, const char *key, const MemPairs &pairs)
+writeMem(TextWriter &w, std::string_view key, const MemPairs &pairs)
 {
     for (const auto &[addr, val] : pairs)
-        os << key << " " << addr << " " << val << "\n";
+        w << key << ' ' << addr << ' ' << val << '\n';
+}
+
+template <typename... Parts>
+[[noreturn]] void
+die(int line_no, const Parts &...what)
+{
+    fatal("gmt-cell parse error at line ", line_no, ": ", what...);
+}
+
+/** All of @p word as a decimal integer. */
+bool
+wordToInt(std::string_view word, int64_t *value)
+{
+    size_t used = 0;
+    return parseInt(word, value, &used) == IntParse::Ok &&
+           used == word.size();
+}
+
+/** The line's one remaining word; dies citing @p form otherwise. */
+std::string_view
+onlyWord(LineCursor &c, std::string_view form)
+{
+    std::string_view w = c.word();
+    if (w.empty() || !c.word().empty())
+        die(c.lineNo(), "expected '", form, "'");
+    return w;
+}
+
+/** The line's one remaining word as an integer in [lo, hi]. */
+int64_t
+onlyInt(LineCursor &c, std::string_view form, int64_t lo, int64_t hi)
+{
+    int64_t v = 0;
+    if (!wordToInt(onlyWord(c, form), &v) || v < lo || v > hi)
+        die(c.lineNo(), "expected '", form, "'");
+    return v;
 }
 
 std::vector<int64_t>
-parseInts(std::istringstream &rest, int line_no)
+parseInts(LineCursor &c)
 {
     std::vector<int64_t> vals;
-    int64_t v;
-    while (rest >> v)
-        vals.push_back(v);
-    if (!rest.eof())
-        fatal("gmt-cell parse error at line ", line_no,
-              ": expected integers");
+    for (std::string_view w = c.word(); !w.empty(); w = c.word()) {
+        if (!wordToInt(w, &vals.emplace_back()))
+            die(c.lineNo(), "expected integers");
+    }
     return vals;
 }
 
@@ -96,18 +132,19 @@ hexDigest(uint64_t h)
 std::string
 workloadToText(const Workload &w)
 {
-    std::ostringstream os;
-    os << "gmt-cell v1\n";
-    os << "name " << w.name << "\n";
-    os << "function " << w.function_name << "\n";
-    os << "exec " << w.exec_percent << "\n";
-    os << "cells " << w.mem_cells << "\n";
-    emitArgs(os, "train-args", w.train_args);
-    emitArgs(os, "ref-args", w.ref_args);
-    emitMem(os, "train-mem", materializeFill(w, /*ref=*/false));
-    emitMem(os, "ref-mem", materializeFill(w, /*ref=*/true));
-    printFunction(w.func, os);
-    return os.str();
+    std::string out;
+    TextWriter tw(out);
+    tw << "gmt-cell v1\n";
+    tw << "name " << w.name << '\n';
+    tw << "function " << w.function_name << '\n';
+    tw << "exec " << w.exec_percent << '\n';
+    tw << "cells " << w.mem_cells << '\n';
+    writeArgs(tw, "train-args", w.train_args);
+    writeArgs(tw, "ref-args", w.ref_args);
+    writeMem(tw, "train-mem", materializeFill(w, /*ref=*/false));
+    writeMem(tw, "ref-mem", materializeFill(w, /*ref=*/true));
+    appendFunction(out, w.func);
+    return out;
 }
 
 Workload
@@ -117,47 +154,33 @@ workloadFromText(std::string_view text, const std::string &source)
     MemPairs train_mem, ref_mem;
     bool saw_magic = false, saw_name = false, saw_cells = false;
 
-    // Metadata lines up to the `func` header; the function body is
-    // handed to the IR parser with the enclosing line number so its
-    // errors point into the cell text.
-    size_t start = 0;
-    int line_no = 0;
-    while (start <= text.size()) {
-        size_t nl = text.find('\n', start);
-        if (nl == std::string_view::npos)
-            nl = text.size();
-        std::string line(text.substr(start, nl - start));
-        ++line_no;
+    // Metadata lines up to the `func` header, then the function body,
+    // all from one reader so every error cites its line in the cell.
+    LineReader lines(text, 1);
+    while (lines.next()) {
+        const std::string_view line = lines.line();
+        const int line_no = lines.lineNo();
 
-        if (line.rfind("func ", 0) == 0 || line.rfind("func@", 0) == 0) {
+        if (line.starts_with("func ") || line.starts_with("func@")) {
             if (!saw_magic || !saw_name || !saw_cells)
-                fatal("gmt-cell parse error at line ", line_no,
-                      ": function before name/cells metadata");
-            int used = 0;
-            std::string_view body = text.substr(start);
-            w.func = parseFunction(body, line_no, &used);
+                die(line_no, "function before name/cells metadata");
+            w.func = parseFunction(lines);
             // Nothing but blank lines may follow the function.
-            size_t tail = 0;
-            for (int i = 0; i < used; ++i) {
-                size_t tnl = body.find('\n', tail);
-                if (tnl == std::string_view::npos) {
-                    tail = body.size();
-                    break;
-                }
-                tail = tnl + 1;
+            const int after = lines.lineNo() + 1;
+            while (lines.next()) {
+                if (lines.line().find_first_not_of(' ') !=
+                    std::string_view::npos)
+                    die(after, "text after the function body");
             }
-            if (body.find_first_not_of(" \n", tail) !=
-                std::string_view::npos)
-                fatal("gmt-cell parse error at line ", line_no + used,
-                      ": text after the function body");
             if (w.function_name.empty())
                 w.function_name = w.func.name();
             else if (w.function_name != w.func.name())
-                fatal("gmt-cell parse error: 'function ",
-                      w.function_name, "' does not match '@",
-                      w.func.name(), "'");
+                die(line_no, "'function ", w.function_name,
+                    "' does not match '@", w.func.name(), "'");
 
-            verifyOrDie(w.func, {}, "gmt-cell " + w.name);
+            verifyOrDie(w.func, {},
+                        "gmt-cell " + w.name + ", function at line " +
+                            std::to_string(line_no));
 
             w.fill = fillFromPairs(std::move(train_mem),
                                    std::move(ref_mem));
@@ -166,62 +189,60 @@ workloadFromText(std::string_view text, const std::string &source)
             return w;
         }
 
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
+        LineCursor c(line, line_no);
+        const std::string_view key = c.word();
         if (key.empty()) {
             // blank line
         } else if (key == "gmt-cell") {
-            std::string ver;
-            ls >> ver;
+            std::string_view ver = c.word();
             if (ver != "v1")
-                fatal("gmt-cell parse error at line ", line_no,
-                      ": unsupported version '", ver, "'");
+                die(line_no, "unsupported version '", ver, "'");
+            if (!c.word().empty())
+                die(line_no, "expected 'gmt-cell v1'");
             saw_magic = true;
         } else if (!saw_magic) {
-            fatal("gmt-cell parse error at line ", line_no,
-                  ": missing 'gmt-cell v1' header");
+            die(line_no, "missing 'gmt-cell v1' header");
         } else if (key == "name") {
-            ls >> w.name;
-            if (w.name.empty())
-                fatal("gmt-cell parse error at line ", line_no,
-                      ": empty name");
+            std::string_view name = c.word();
+            if (name.empty())
+                die(line_no, "empty name");
+            if (!c.word().empty())
+                die(line_no, "expected 'name NAME'");
+            w.name = name;
             saw_name = true;
         } else if (key == "function") {
-            ls >> w.function_name;
+            w.function_name = onlyWord(c, "function NAME");
         } else if (key == "exec") {
-            ls >> w.exec_percent;
+            w.exec_percent = static_cast<int>(
+                onlyInt(c, "exec PERCENT", INT_MIN, INT_MAX));
         } else if (key == "cells") {
-            ls >> w.mem_cells;
+            if (saw_cells)
+                die(line_no, "duplicate 'cells' line");
+            w.mem_cells = onlyInt(c, "cells COUNT", INT64_MIN, INT64_MAX);
             if (w.mem_cells < 0)
-                fatal("gmt-cell parse error at line ", line_no,
-                      ": negative cells");
+                die(line_no, "negative cells");
+            if (w.mem_cells > kMaxTextCells)
+                die(line_no, "cells ", w.mem_cells, " above the limit ",
+                    kMaxTextCells);
             saw_cells = true;
         } else if (key == "train-args") {
-            w.train_args = parseInts(ls, line_no);
+            w.train_args = parseInts(c);
         } else if (key == "ref-args") {
-            w.ref_args = parseInts(ls, line_no);
+            w.ref_args = parseInts(c);
         } else if (key == "train-mem" || key == "ref-mem") {
-            int64_t addr, val;
-            if (!(ls >> addr >> val))
-                fatal("gmt-cell parse error at line ", line_no,
-                      ": expected '", key, " ADDR VALUE'");
+            int64_t addr = 0, val = 0;
+            if (!wordToInt(c.word(), &addr) || !wordToInt(c.word(), &val) ||
+                !c.word().empty())
+                die(line_no, "expected '", key, " ADDR VALUE'");
             if (addr < 0 || addr >= w.mem_cells)
-                fatal("gmt-cell parse error at line ", line_no,
-                      ": address ", addr, " outside 0..",
-                      w.mem_cells - 1);
-            (key[0] == 't' ? train_mem : ref_mem)
-                .emplace_back(addr, val);
+                die(line_no, "address ", addr, " outside 0..",
+                    w.mem_cells - 1);
+            (key[0] == 't' ? train_mem : ref_mem).emplace_back(addr, val);
         } else {
-            fatal("gmt-cell parse error at line ", line_no,
-                  ": unknown key '", key, "'");
+            die(line_no, "unknown key '", key, "'");
         }
-
-        if (nl == text.size())
-            break;
-        start = nl + 1;
     }
-    fatal("gmt-cell parse error: no 'func @...' body in ", source);
+    die(lines.lineNo(), "no 'func @...' body in ", source);
 }
 
 Workload

@@ -31,6 +31,12 @@
  * function text are all fixed, so text(load(text(w))) == text(w) and
  * the FNV-1a content digest of the text identifies the cell for
  * ArtifactCache keying (Workload::cacheKey).
+ *
+ * Each metadata line holds exactly its fields, separated by whitespace:
+ * one word for `gmt-cell`, `name`, `function`, `exec` and `cells`, two
+ * for a memory line, any number for an args line. Numbers are decimal
+ * and must fit their field; `cells` appears once, at most
+ * kMaxTextCells. Every parse error names its line.
  */
 
 #include <cstdint>
@@ -44,6 +50,13 @@
 
 namespace gmt
 {
+
+/**
+ * Upper bound of a cell's `cells` count: a 128 MiB image. The corpus
+ * uses at most 32768 cells and generated cells 192; the bound keeps
+ * one line of text from sizing an image of any size.
+ */
+inline constexpr int64_t kMaxTextCells = int64_t{1} << 24;
 
 /** The nonzero cells of one input image, (address, value) pairs in
  *  ascending address order. */

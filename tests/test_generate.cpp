@@ -1,7 +1,10 @@
-// Property tests for the random workload generator and the repro
-// reducer behind gmt-fuzz: every seed yields a valid, terminating,
-// round-trippable cell, and the reducer shrinks while preserving a
-// failure predicate.
+// Property tests for the random workload generator, the repro
+// reducer and the text mutator behind gmt-fuzz: every seed yields a
+// valid, terminating, round-trippable cell, the reducer shrinks while
+// preserving a failure predicate, and every mutant of a cell's text
+// loads or is rejected with an error that names a line.
+
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,7 @@
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "runtime/interpreter.hpp"
+#include "support/error.hpp"
 #include "workloads/generate.hpp"
 #include "workloads/serialize.hpp"
 
@@ -117,6 +121,30 @@ TEST(Reduce, ReturnsOriginalWhenPredicateNeverHeld)
     auto never = [](const Workload &) { return false; };
     Workload same = reduceWorkload(w, never);
     EXPECT_EQ(functionToString(same.func), functionToString(w.func));
+}
+
+TEST(MutateCellText, MutantsLoadOrNameALine)
+{
+    std::vector<std::string> texts;
+    for (const Workload &w : allWorkloads())
+        texts.push_back(workloadToText(w));
+    std::set<std::string> kinds;
+    for (uint64_t seed = 0; seed < 300; ++seed) {
+        const std::string &text = texts[seed % texts.size()];
+        TextMutant m = mutateCellText(text, seed);
+        EXPECT_EQ(m.text, mutateCellText(text, seed).text) << seed;
+        kinds.insert(m.kind);
+        try {
+            workloadFromText(m.text, "<mutant>");
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("at line "),
+                      std::string::npos)
+                << "seed " << seed << " (" << m.kind << "): " << e.what();
+        }
+    }
+    EXPECT_EQ(kinds, (std::set<std::string>{"byte-flip", "label-id",
+                                            "line-splice", "queue-id",
+                                            "reg-id", "truncate"}));
 }
 
 } // namespace

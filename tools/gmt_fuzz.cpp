@@ -26,6 +26,8 @@
  *   gmt-fuzz [--seeds N] [--start S] [--jobs J] [--threads T]
  *            [--autotune] [--out FILE.jsonl] [--repro-dir DIR]
  *            [--no-reduce] [--quiet]
+ *   gmt-fuzz --parse [--ir-dir DIR] [--seeds N] [--start S]
+ *            [--out FILE.jsonl] [--quiet]
  *
  * --autotune additionally runs the feedback-directed autotuner on
  * every cell: the loop statically verifies (incl. happens-before)
@@ -38,14 +40,26 @@
  * `type:"fuzz-summary"` record with the seed, cell and violation
  * totals.
  * Exit status: 0 iff every seed was violation-free.
+ *
+ * --parse fuzzes the text loader instead. Seed S damages the `.gmt`
+ * cell S mod K of the K cells in --ir-dir (default workloads/ir) with
+ * mutateCellText (bit flips, truncations, line splices, out-of-range
+ * register, queue and label ids) and loads the mutant with
+ * workloadFromText. It must load, or be rejected with a FatalError
+ * that names a line; any other exception is a violation, and a crash,
+ * hang or sanitizer report ends the run. One `type:"fuzz-parse"`
+ * record per seed, then one `type:"fuzz-parse-summary"` record.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,6 +100,10 @@ struct FuzzOptions
      * cycles and iteration/move counts included.
      */
     bool autotune = false;
+
+    /** Fuzz the `.gmt` loader with mutants of the cells in ir_dir. */
+    bool parse = false;
+    std::string ir_dir = "workloads/ir";
 };
 
 [[noreturn]] void
@@ -95,8 +113,10 @@ usage(const char *argv0, int exit_code)
         stderr,
         "usage: %s [--seeds N] [--start S] [--jobs J] [--threads T] "
         "[--autotune] [--out FILE.jsonl] [--repro-dir DIR] "
-        "[--no-reduce] [--quiet]\n",
-        argv0);
+        "[--no-reduce] [--quiet]\n"
+        "       %s --parse [--ir-dir DIR] [--seeds N] [--start S] "
+        "[--out FILE.jsonl] [--quiet]\n",
+        argv0, argv0);
     std::exit(exit_code);
 }
 
@@ -131,6 +151,10 @@ parseArgs(int argc, char **argv)
             opts.repro_dir = value();
         else if (arg == "--autotune")
             opts.autotune = true;
+        else if (arg == "--parse")
+            opts.parse = true;
+        else if (arg == "--ir-dir")
+            opts.ir_dir = value();
         else if (arg == "--no-reduce")
             opts.reduce = false;
         else if (arg == "--quiet")
@@ -347,6 +371,113 @@ struct SeedOutcome
     std::string repro_path;
 };
 
+/** The N of the first "at line N" in @p message, or -1. */
+int64_t
+citedLine(const std::string &message)
+{
+    const std::string_view tag = "at line ";
+    size_t at = message.find(tag);
+    if (at == std::string::npos)
+        return -1;
+    int64_t line = -1;
+    for (size_t i = at + tag.size();
+         i < message.size() && message[i] >= '0' && message[i] <= '9'; ++i)
+        line = std::max<int64_t>(line, 0) * 10 + (message[i] - '0');
+    return line;
+}
+
+/** --parse: load mutants of the corpus (see the file comment). */
+int
+runParseFuzz(const FuzzOptions &opts, StatsSink *sink)
+{
+    namespace fs = std::filesystem;
+    std::vector<fs::path> paths;
+    std::error_code ec;
+    for (fs::directory_iterator it(opts.ir_dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        if (it->is_regular_file() && it->path().extension() == ".gmt")
+            paths.push_back(it->path());
+    }
+    if (ec || paths.empty()) {
+        std::fprintf(stderr, "gmt-fuzz: no .gmt cells in %s\n",
+                     opts.ir_dir.c_str());
+        return 2;
+    }
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::string> texts;
+    for (const fs::path &p : paths) {
+        std::ifstream in(p, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        texts.push_back(buf.str());
+    }
+
+    uint64_t loaded = 0, rejected = 0, violations = 0;
+    for (uint64_t s = 0; s < opts.seeds; ++s) {
+        const uint64_t seed = opts.start + s;
+        const size_t cell = seed % texts.size();
+        TextMutant m = mutateCellText(texts[cell], seed);
+        std::string status = "loaded", message;
+        int64_t line = -1;
+        try {
+            workloadFromText(m.text, "<mutant>");
+            ++loaded;
+        } catch (const FatalError &e) {
+            message = e.what();
+            line = citedLine(message);
+        } catch (const std::exception &e) {
+            message = e.what();
+        }
+        if (line >= 0) {
+            status = "rejected";
+            ++rejected;
+        } else if (!message.empty()) {
+            status = "violation";
+            ++violations;
+            std::fprintf(stderr,
+                         "[gmt-fuzz] parse seed %llu VIOLATION (%s of "
+                         "%s): %s\n",
+                         static_cast<unsigned long long>(seed),
+                         m.kind.c_str(), paths[cell].filename().c_str(),
+                         message.c_str());
+        }
+        if (sink) {
+            JsonObject rec;
+            rec.str("type", "fuzz-parse")
+                .num("seed", seed)
+                .str("cell", paths[cell].stem().string())
+                .str("mutation", m.kind)
+                .str("status", status);
+            if (line >= 0)
+                rec.num("line", line);
+            else if (!message.empty())
+                rec.str("message", messagePrefix(message.c_str()));
+            sink->write(rec);
+        }
+    }
+
+    if (sink) {
+        JsonObject rec;
+        rec.str("type", "fuzz-parse-summary")
+            .num("mutants", opts.seeds)
+            .num("cells", static_cast<uint64_t>(texts.size()))
+            .num("loaded", loaded)
+            .num("rejected", rejected)
+            .num("violations", violations);
+        sink->write(rec);
+    }
+    if (!opts.quiet)
+        std::fprintf(stderr,
+                     "[gmt-fuzz] parse: %llu mutants of %zu cells, %llu "
+                     "loaded, %llu rejected with a line, %llu "
+                     "violations\n",
+                     static_cast<unsigned long long>(opts.seeds),
+                     texts.size(), static_cast<unsigned long long>(loaded),
+                     static_cast<unsigned long long>(rejected),
+                     static_cast<unsigned long long>(violations));
+    return violations == 0 ? 0 : 1;
+}
+
 } // namespace
 
 int
@@ -363,6 +494,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    if (opts.parse)
+        return runParseFuzz(opts, sink.get());
 
     int jobs = opts.jobs > 0 ? opts.jobs : ThreadPool::hardwareDefault();
     ThreadPool pool(jobs);
